@@ -34,7 +34,6 @@ class ScalarSolution:
     alpha: complex
     z: complex
     d2y: complex = 0.0
-    path: PathSpec | None = None
 
 
 def bessel_integrate(alpha: complex, path: PathSpec, y0: complex, dy0: complex,
@@ -67,7 +66,7 @@ def bessel_integrate(alpha: complex, path: PathSpec, y0: complex, dy0: complex,
     dy = v / z_end
     d2y = -dy / z_end - (1.0 - a2 / z_end**2) * y
     return ScalarSolution(complex(y), complex(dy), complex(alpha),
-                          complex(z_end), complex(d2y), path)
+                          complex(z_end), complex(d2y))
 
 
 def frame_from_scalar(y1: ScalarSolution, y2: ScalarSolution, nu) -> np.ndarray:

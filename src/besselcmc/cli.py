@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -283,24 +283,23 @@ def cmd_generate(cfg: RunConfig) -> tuple[dict, list[str]]:
     """
     if cfg.out is None:
         raise ValueError("generate requires --out <path>")
+    # settle the output format before any pipeline work
+    out = Path(cfg.out)
+    fmt = cfg.mesh_format or out.suffix.lstrip(".").lower() or "obj"
+    if fmt not in ("obj", "ply"):
+        raise ValueError(f"unknown mesh format {fmt!r} (use obj or ply)")
     p = cfg.params()
     pcfg = cfg.pipeline()
     grid = cfg.lambda_grid()
     dom = cfg.domain()
     res = DelaunayResidue(*delaunay_ab(p))
 
-    phi0 = cylinder_basepoint_frame(p, grid.points)
-    _, rep = monodromy(make_cylinder_potential(p), grid, pcfg,
-                       frame0=phi0, res=res)
+    closing, thresholds = _check_monodromy(cfg)
 
     mesh = build_surface(p, dom, grid, pcfg)
     reference = delaunay_reference(res, dom, grid, pcfg)
     sym = reflection_symmetry_check(mesh)
 
-    out = Path(cfg.out)
-    fmt = cfg.mesh_format or out.suffix.lstrip(".").lower() or "obj"
-    if fmt not in ("obj", "ply"):
-        raise ValueError(f"unknown mesh format {fmt!r} (use obj or ply)")
     suffix = out.suffix or f".{fmt}"
     ref_path = out.with_name(f"{out.stem}-reference{suffix}")
     report_path = out.with_name(f"{out.stem}-report.json")
@@ -309,20 +308,17 @@ def cmd_generate(cfg: RunConfig) -> tuple[dict, list[str]]:
 
     normal, offset = sym.fitted_plane
     residuals = {
-        **rep.fields(),
+        **closing,
         "seam_residual": mesh.diagnostics["seam_residual"],
         "sym_point_defect": mesh.diagnostics["sym_defect"],
         "mean_curvature": mesh.H_stats,
         "symmetry": {"max_deviation": sym.max_deviation,
-                     "involution_residual": sym.involution_residual,
                      "plane_normal": normal,
                      "plane_offset": offset},
         "iwasawa": mesh.diagnostics["iwasawa"],
         "reference_seam_residual": reference.diagnostics["seam_residual"],
     }
-    thresholds = {"seam_residual": 1e-5, "unitarity_error": 1e-6,
-                  "identity_error": 1e-8, "derivative_error": 1e-5,
-                  "trace_law_error": 1e-6}
+    thresholds["seam_residual"] = 1e-5
     report = _report("generate", residuals, thresholds, cfg)
     Path(report_path).write_text(_dump_report(report), encoding="ascii")
     return report, [str(out), str(ref_path), str(report_path)]
@@ -355,12 +351,14 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(sp: argparse.ArgumentParser) -> None:
         sp.add_argument("--r", type=float, default=None,
                         help="family parameter, in (-inf, 1) and nonzero")
-        sp.add_argument("--degree", type=int, default=None,
+        sp.add_argument("--degree", dest="fourier_degree", metavar="DEGREE",
+                        type=int, default=None,
                         help="Fourier truncation degree N (default 32)")
         sp.add_argument("--lambda-samples", type=int, default=None,
                         help="unit-circle samples m, a power of two >= 2N+2 "
                              "(default 128)")
-        sp.add_argument("--tol", type=float, default=None,
+        sp.add_argument("--tol", dest="ode_tol", metavar="TOL",
+                        type=float, default=None,
                         help="ODE relative tolerance (default 1e-10)")
         sp.add_argument("--annulus", type=_annulus_arg, default=None,
                         metavar="RHO_MIN:RHO_MAX",
@@ -393,9 +391,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 _FILE_KEYS = {
     "r": ("r", float),
-    "degree": ("degree", int),
+    "degree": ("fourier_degree", int),
     "lambda_samples": ("lambda_samples", int),
-    "tol": ("tol", float),
+    "tol": ("ode_tol", float),
     "annulus": ("annulus", _annulus_arg),
     "grid": ("grid", _grid_arg),
     "out": ("out", str),
@@ -423,29 +421,17 @@ def _parse_config_file(text: str) -> dict:
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    file_vals = {}
+    """Flags over config-file entries; RunConfig supplies the rest."""
+    vals = {}
     if args.config is not None:
-        file_vals = _parse_config_file(Path(args.config).read_text(encoding="utf-8"))
-
-    def pick(dest: str, default):
-        flag = getattr(args, dest)
+        vals = _parse_config_file(Path(args.config).read_text(encoding="utf-8"))
+    for f in fields(RunConfig):
+        flag = getattr(args, f.name)
         if flag is not None:
-            return flag
-        return file_vals.get(dest, default)
-
-    r = pick("r", None)
-    if r is None:
+            vals[f.name] = flag
+    if vals.get("r") is None:
         raise ValueError("missing parameter r: pass --r or set r= in the config file")
-    return RunConfig(
-        r=float(r),
-        fourier_degree=pick("degree", 32),
-        lambda_samples=pick("lambda_samples", 128),
-        ode_tol=pick("tol", 1e-10),
-        annulus=tuple(pick("annulus", (0.1, 5.0))),
-        grid=tuple(pick("grid", (128, 64))),
-        out=pick("out", None),
-        mesh_format=pick("mesh_format", None),
-    )
+    return RunConfig(**vals)
 
 
 def main(argv=None) -> int:
@@ -468,10 +454,8 @@ def main(argv=None) -> int:
                 print(f"wrote {cfg.out}")
             else:
                 sys.stdout.write(_dump_report(report))
-    except np.linalg.LinAlgError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except (RuntimeError, FloatingPointError) as exc:
+    except (np.linalg.LinAlgError, RuntimeError, FloatingPointError) as exc:
+        # LinAlgError subclasses ValueError, so it has to be caught first
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:

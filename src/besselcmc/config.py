@@ -2,17 +2,7 @@
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
-
-
-def _env_workers() -> int:
-    raw = os.environ.get("BESSELCMC_MAX_WORKERS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -20,23 +10,15 @@ class PipelineConfig:
     """Knobs shared by integration, factorization and meshing.
 
     fourier_degree   truncation degree N of Laurent loops (coefficients
-                     beyond |k| = N are discarded and their mass reported)
+                     beyond |k| = N are discarded and their mass reported);
+                     the finite Toeplitz section has 4N+2 block rows
     lambda_samples   number m of unit-circle samples; must be >= 2N+2
     ode_tol          relative tolerance of the adaptive Runge-Kutta pair
-    iwasawa_section  block rows of the finite Toeplitz section; None means
-                     the default 4N+2
-    tail_tol         truncation mass above which loop arithmetic flags
-                     overflow
-    max_workers      cap on worker threads for batched factorization;
-                     0/None reads BESSELCMC_MAX_WORKERS (default 1)
     """
 
     fourier_degree: int = 32
     lambda_samples: int = 128
     ode_tol: float = 1e-10
-    iwasawa_section: int | None = None
-    tail_tol: float = 1e-9
-    max_workers: int = field(default_factory=_env_workers)
 
     def __post_init__(self) -> None:
         if self.fourier_degree < 1:
@@ -51,7 +33,7 @@ class PipelineConfig:
 
     @property
     def section_rows(self) -> int:
-        return self.iwasawa_section if self.iwasawa_section else 4 * self.fourier_degree + 2
+        return 4 * self.fourier_degree + 2
 
 
 DEFAULT_CONFIG = PipelineConfig()

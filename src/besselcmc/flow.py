@@ -82,12 +82,10 @@ class PathSpec:
 
 @dataclass(frozen=True)
 class FrameSolution:
-    """Frames along a path: frames[k] is the (m, 2, 2) family at stations[k]."""
+    """Frames along a path: frames[0] is the (m, 2, 2) starting family and
+    frames[k] the family at the end of the k-th path segment."""
 
-    stations: tuple
     frames: np.ndarray
-    z0: complex
-    phi0: np.ndarray
     det_drift: float
 
     def end(self) -> np.ndarray:
@@ -225,16 +223,12 @@ def integrate_frame(xi: PotentialSpec, path: PathSpec, phi0,
     path.check_poles(xi)
     y = _phi0_samples(phi0, grid)[None]           # batch of one
     det0 = np.linalg.det(y[0])
-    stations = [path.segments[0][0]]
     frames = [y[0].copy()]
     for w0, w1 in path.segments:
         y = _integrate_w_line(xi, grid.points, [w0], [w1], y, cfg.ode_tol)[-1]
-        stations.append(w1)
         frames.append(y[0].copy())
     drift = float(np.abs(np.linalg.det(frames[-1]) - det0).max())
-    return FrameSolution(tuple(stations), np.array(frames),
-                         z0=complex(np.exp(path.segments[0][0])),
-                         phi0=frames[0], det_drift=drift)
+    return FrameSolution(np.array(frames), drift)
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +312,8 @@ def trace_law_check(xi_c: PotentialSpec, res: DelaunayResidue,
     The plus sign: rewriting the cylinder system in residue form uses the
     gauge diag(z^1/2, z^-1/2), which flips sign under one circuit, so the
     residue-side monodromy is MINUS the cylinder one.  At lambda = 1 this
-    is pinned by tr M_c = 2 against 2 cos(pi) = -2.
+    is pinned by tr M_c = 2 against 2 cos(pi) = -2.  The monodromy is
+    identity-seeded; the trace is invariant under the lambda-dependent
+    conjugation that the basepoint frame applies.
     """
-    M, _ = monodromy(xi_c, grid, cfg)
-    mu = mu_eigenvalue(res, grid.points)
-    tr = np.trace(M, axis1=1, axis2=2)
-    return float(np.abs(tr + 2.0 * np.cos(2.0 * np.pi * mu)).max())
+    return monodromy(xi_c, grid, cfg, res=res)[1].trace_law_error

@@ -11,13 +11,13 @@ inverse keeps the per-sample algebra vectorized.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import PipelineConfig, DEFAULT_CONFIG
-from .loops import LambdaGrid, LaurentLoop, coeffs_to_samples, loop_mul, samples_to_coeffs
+from .loops import (LambdaGrid, LaurentLoop, _inv2, coeffs_to_samples, loop_mul,
+                    samples_to_coeffs)
 
 __all__ = ["IwasawaPair", "iwasawa_factor", "iwasawa_grid", "factor_samples"]
 
@@ -37,17 +37,6 @@ class IwasawaPair:
     residuals: dict
     F_samples: np.ndarray
     B_samples: np.ndarray
-
-
-def _inv2(a: np.ndarray) -> np.ndarray:
-    """Closed-form inverse of a stack of 2x2 matrices."""
-    det = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
-    out = np.empty_like(a)
-    out[..., 0, 0] = a[..., 1, 1]
-    out[..., 1, 1] = a[..., 0, 0]
-    out[..., 0, 1] = -a[..., 0, 1]
-    out[..., 1, 0] = -a[..., 1, 0]
-    return out / det[..., None, None]
 
 
 def factor_samples(phi: np.ndarray, grid: LambdaGrid, nsec: int):
@@ -136,10 +125,10 @@ def iwasawa_factor(phi, grid: LambdaGrid,
         raise RuntimeError(
             f"finite section did not converge (tail mass {tail:.2e} beyond "
             f"degree {cfg.fourier_degree}); increase the degree or section size")
-    f_loop = samples_to_coeffs(f[0], cfg.fourier_degree, cfg.tail_tol)
+    f_loop = samples_to_coeffs(f[0], cfg.fourier_degree)
     b_loop = LaurentLoop(0, bk[0, : cfg.fourier_degree + 1],
                          degree=cfg.fourier_degree, tail=tail)
-    recon = coeffs_to_samples(loop_mul(f_loop, b_loop, cfg.tail_tol), grid)
+    recon = coeffs_to_samples(loop_mul(f_loop, b_loop), grid)
     residuals = {
         "unitarity": float(_unitarity(f)[0]),
         "plus_loop_tail": b_loop.tail,
@@ -150,20 +139,19 @@ def iwasawa_factor(phi, grid: LambdaGrid,
     return IwasawaPair(f_loop, b_loop, residuals, f[0], bs[0])
 
 
+_CHUNK = 64  # nodes per factorization batch; bounds the Toeplitz stack's memory
+
+
 def iwasawa_grid(phis, grid: LambdaGrid,
-                 cfg: PipelineConfig = DEFAULT_CONFIG,
-                 chunk: int = 64, loops: bool = False):
+                 cfg: PipelineConfig = DEFAULT_CONFIG):
     """Factor a whole family of sampled loops, chunked to bound memory.
 
-    phis: (..., m, 2, 2) samples (a FrameSolution is accepted and its
-    station axis kept); leading axes index the grid of nodes.
-    Returns (F_samples, B_samples, summary); with loops=True additionally
-    fits per-node IwasawaPair objects (slow for large grids).  summary
-    collects worst-case and mean residuals plus the indices of any nodes
-    whose factorization failed.
+    phis: (..., m, 2, 2) samples; leading axes index the grid of nodes.
+    Chunks are factored one after another in the calling thread.
+    Returns (F_samples, B_samples, summary); summary collects worst-case
+    and mean residuals plus the indices of any nodes whose factorization
+    failed.
     """
-    if hasattr(phis, "frames"):
-        phis = phis.frames
     phis = np.asarray(phis, dtype=complex)
     lead = phis.shape[:-3]
     flat = phis.reshape((-1, grid.m, 2, 2))
@@ -184,8 +172,8 @@ def iwasawa_grid(phis, grid: LambdaGrid,
         norm[sl] = _normalization(bk)
         recon[sl] = np.abs(f @ bs - flat[sl]).reshape(f.shape[0], -1).max(axis=1)
 
-    def run(lo: int) -> None:
-        hi = min(lo + chunk, n)
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
         try:
             f, bk, bs = factor_samples(flat[lo:hi], grid, nsec)
         except RuntimeError:
@@ -200,16 +188,8 @@ def iwasawa_grid(phis, grid: LambdaGrid,
                     unit[i] = tail[i] = norm[i] = recon[i] = np.nan
                     continue
                 stats(slice(i, i + 1), f1, bk1, bs1)
-            return
+            continue
         stats(slice(lo, hi), f, bk, bs)
-
-    starts = range(0, n, chunk)
-    if cfg.max_workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.max_workers) as pool:
-            list(pool.map(run, starts))
-    else:
-        for lo in starts:
-            run(lo)
 
     ok = np.ones(n, dtype=bool)
     ok[failed] = False
@@ -224,9 +204,5 @@ def iwasawa_grid(phis, grid: LambdaGrid,
         "reconstruction_max": worst(recon),
         "normalization_max": worst(norm),
     }
-    out_f = f_all.reshape(lead + (grid.m, 2, 2))
-    out_b = b_all.reshape(lead + (grid.m, 2, 2))
-    if not loops:
-        return out_f, out_b, summary
-    pairs = [iwasawa_factor(flat[i], grid, cfg) for i in range(n) if ok[i]]
-    return out_f, out_b, summary, pairs
+    return (f_all.reshape(lead + (grid.m, 2, 2)),
+            b_all.reshape(lead + (grid.m, 2, 2)), summary)

@@ -81,6 +81,17 @@ class LambdaGrid:
         return (np.fft.fftfreq(self.m) * self.m).astype(int)
 
 
+def _inv2(a: np.ndarray) -> np.ndarray:
+    """Closed-form inverse of a stack of 2x2 matrices."""
+    det = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+    out = np.empty_like(a)
+    out[..., 0, 0] = a[..., 1, 1]
+    out[..., 1, 1] = a[..., 0, 0]
+    out[..., 0, 1] = -a[..., 0, 1]
+    out[..., 1, 0] = -a[..., 1, 0]
+    return out / det[..., None, None]
+
+
 def loop_eval(x: LaurentLoop, lam: complex | np.ndarray) -> np.ndarray:
     """Evaluate the series at lam (scalar or array); shape (..., 2, 2)."""
     lam = np.asarray(lam, dtype=complex)

@@ -3,8 +3,8 @@
 Conventions.  A potential is the 2x2 trace-free coefficient xi(z, lambda)
 of dz in the linear system d Phi = Phi xi.  The gauge action is
 xi.g = g^-1 xi g + g^-1 dg, acting on solutions by Phi -> Phi g.  All
-square roots are principal; gauges built from z^(1/2) record the sign
-they pick up when z runs once around the origin.
+square roots are principal; gauges built from z^(1/2) flip sign when z
+runs once around the origin (branch cut on the negative real axis).
 """
 
 from __future__ import annotations
@@ -64,14 +64,12 @@ class PotentialSpec:
 class GaugeSpec:
     """Invertible gauge g(z, lambda) with analytic z-derivative.
 
-    multivalued_sign is the factor picked up under z -> e^{2 pi i} z:
-    +1 for single-valued gauges, -1 for the z^(1/2) gauges.
+    Branch cuts and sign flips under z -> e^{2 pi i} z are documented on
+    the constructors below.
     """
 
     evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
     derivative: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    branch_cut: str | None = None
-    multivalued_sign: int = 1
     description: str = ""
 
 
@@ -197,7 +195,7 @@ def make_delaunay_potential(res: DelaunayResidue) -> PotentialSpec:
 # ---------------------------------------------------------------------------
 # gauges
 
-def _diag_gauge(f1, f2, d1, d2, branch_cut=None, sign=1, label=""):
+def _diag_gauge(f1, f2, d1, d2, label=""):
     def evaluate(z, lam):
         z, lam = np.broadcast_arrays(np.asarray(z, dtype=complex),
                                      np.asarray(lam, dtype=complex))
@@ -214,15 +212,16 @@ def _diag_gauge(f1, f2, d1, d2, branch_cut=None, sign=1, label=""):
         g[..., 1, 1] = d2(z, lam)
         return g
 
-    return GaugeSpec(evaluate, derivative, branch_cut, sign, label)
+    return GaugeSpec(evaluate, derivative, label)
 
 
 def bessel_gauge_g1() -> GaugeSpec:
-    """g1 = diag(z^-1/2, z^1/2): strips the half-integer leading behavior."""
+    """g1 = diag(z^-1/2, z^1/2): strips the half-integer leading behavior;
+    flips sign under one turn around 0."""
     return _diag_gauge(
         lambda z, lam: z ** -0.5, lambda z, lam: z ** 0.5,
         lambda z, lam: -0.5 * z ** -1.5, lambda z, lam: 0.5 * z ** -0.5,
-        branch_cut="negative real axis", sign=-1, label="g1")
+        label="g1")
 
 
 def bessel_gauge_g2() -> GaugeSpec:
@@ -244,7 +243,7 @@ def bessel_gauge_g2() -> GaugeSpec:
         g[..., 1, 0] = -0.5 / (z * z)
         return g
 
-    return GaugeSpec(evaluate, derivative, None, 1, "g2")
+    return GaugeSpec(evaluate, derivative, "g2")
 
 
 def lambda_gauge() -> GaugeSpec:
@@ -253,7 +252,7 @@ def lambda_gauge() -> GaugeSpec:
     return _diag_gauge(
         lambda z, lam: lam ** 0.5, lambda z, lam: lam ** -0.5,
         lambda z, lam: np.zeros_like(z), lambda z, lam: np.zeros_like(z),
-        branch_cut="negative real lambda", sign=1, label="Lambda")
+        label="Lambda")
 
 
 def cylinder_gauge_g1() -> GaugeSpec:
@@ -261,7 +260,7 @@ def cylinder_gauge_g1() -> GaugeSpec:
     return _diag_gauge(
         lambda z, lam: z ** 0.5, lambda z, lam: z ** -0.5,
         lambda z, lam: 0.5 * z ** -0.5, lambda z, lam: -0.5 * z ** -1.5,
-        branch_cut="negative real axis", sign=-1, label="g1c")
+        label="g1c")
 
 
 def cylinder_gauge_g2(p: CylinderParams) -> GaugeSpec:
@@ -282,7 +281,7 @@ def cylinder_gauge_g2(p: CylinderParams) -> GaugeSpec:
                                 np.asarray(lam, dtype=complex))[0]
         return np.zeros(z.shape + (2, 2), dtype=complex)
 
-    return GaugeSpec(evaluate, derivative, None, 1, "g2c")
+    return GaugeSpec(evaluate, derivative, "g2c")
 
 
 def gauge_transform(xi: PotentialSpec, g: GaugeSpec) -> PotentialSpec:

@@ -22,7 +22,7 @@ import numpy as np
 from .config import PipelineConfig, DEFAULT_CONFIG
 from .flow import _integrate_w_line
 from .iwasawa import iwasawa_grid
-from .loops import LambdaGrid
+from .loops import LambdaGrid, _inv2
 from .potentials import (
     CylinderParams,
     DelaunayResidue,
@@ -56,7 +56,9 @@ class DomainGrid:
     """Annulus rho_min <= |z| <= rho_max sampled on a log-polar grid.
 
     Nodes are z_jk = exp(u_j + i theta_k) with u uniform in
-    [log rho_min, log rho_max] and theta uniform in [0, 2 pi].
+    [log rho_min, log rho_max] and theta uniform in [0, 2 pi].  The
+    curvature statistics skip two rings at each end, so n_radial >= 5
+    leaves at least one interior ring.
     """
 
     rho_min: float
@@ -68,8 +70,8 @@ class DomainGrid:
         if not (0.0 < self.rho_min < self.rho_max):
             raise ValueError(
                 f"need 0 < rho_min < rho_max, got ({self.rho_min}, {self.rho_max})")
-        if self.n_radial < 4:
-            raise ValueError("n_radial must be at least 4")
+        if self.n_radial < 5:
+            raise ValueError("n_radial must be at least 5")
         if self.n_angular < 8:
             raise ValueError("n_angular must be at least 8")
 
@@ -120,13 +122,11 @@ class SymmetryReport:
     """Best reflection plane and how well the mesh respects it.
 
     fitted_plane: (unit normal, offset) with the plane {x . n = offset}.
-    max_deviation is relative to the bounding-box diagonal;
-    involution_residual measures that reflecting twice is the identity.
+    max_deviation is relative to the bounding-box diagonal.
     """
 
     fitted_plane: tuple[np.ndarray, float]
     max_deviation: float
-    involution_residual: float
 
 
 # ---------------------------------------------------------------------------
@@ -137,16 +137,6 @@ _SIGMA = np.array([
     [[0, -1j], [1j, 0]],
     [[1, 0], [0, -1]],
 ], dtype=complex)
-
-
-def _inv2(a: np.ndarray) -> np.ndarray:
-    det = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
-    out = np.empty_like(a)
-    out[..., 0, 0] = a[..., 1, 1]
-    out[..., 1, 1] = a[..., 0, 0]
-    out[..., 0, 1] = -a[..., 0, 1]
-    out[..., 1, 0] = -a[..., 1, 0]
-    return out / det[..., None, None]
 
 
 def _sym_points(frames: np.ndarray, grid: LambdaGrid):
@@ -430,16 +420,10 @@ def reflection_symmetry_check(mesh: SurfaceMesh) -> SymmetryReport:
     _, _, vt = np.linalg.svd(D, full_matrices=False)
     normal = vt[0]
     offset = float(np.mean(M @ normal))
-
-    def apply(x):
-        # the symmetry candidate: reflect through the plane, then reindex
-        # theta -> -theta so grid positions correspond
-        return (x - 2.0 * ((x @ normal) - offset)[..., None] * normal)[:, pair]
-
+    reflected = V - 2.0 * ((V @ normal) - offset)[..., None] * normal
     scale = max(mesh.bbox_diagonal(), 1e-300)
-    deviation = float(np.abs(apply(V)[:, pair] - W).max()) / scale
-    involution = float(np.abs(apply(apply(V)) - V).max()) / scale
-    return SymmetryReport((normal, offset), deviation, involution)
+    deviation = float(np.abs(reflected - W).max()) / scale
+    return SymmetryReport((normal, offset), deviation)
 
 
 def _axis_profile(mesh: SurfaceMesh, rows: np.ndarray | None = None):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from besselcmc import RunConfig, SurfaceMesh, export_mesh, mesh_from_grid
+from besselcmc import cli
 from besselcmc.cli import cmd_verify, main
 
 REPORT_KEYS = {"check", "residuals", "thresholds", "config", "pass"}
@@ -187,6 +188,16 @@ def test_generate_deterministic(generated):
 def test_generate_requires_out(capsys):
     assert main(["generate", "--r", "0.5"]) == 2
     assert "out" in capsys.readouterr().err
+
+
+def test_generate_rejects_format_before_pipeline(tmp_path, monkeypatch, capsys):
+    def no_pipeline(*args, **kwargs):
+        raise AssertionError("pipeline ran before the format was checked")
+
+    monkeypatch.setattr(cli, "build_surface", no_pipeline)
+    monkeypatch.setattr(cli, "monodromy", no_pipeline)
+    assert main(["generate", "--r", "0.5", "--out", str(tmp_path / "m.stl")]) == 2
+    assert "stl" in capsys.readouterr().err
 
 
 def test_generate_ply_format(tmp_path):

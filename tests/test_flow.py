@@ -191,6 +191,21 @@ def test_trace_law_residual_small():
     assert defect < 1e-6
 
 
+@pytest.mark.parametrize("r", [1 / 3, -0.25, 1 / math.sqrt(2), -1 / math.pi])
+def test_trace_law_same_under_both_seeds(r):
+    # the basepoint frame conjugates M by a lambda-dependent matrix, which
+    # leaves the trace alone, so verify and generate can share one formula
+    p = CylinderParams(r)
+    res = DelaunayResidue(*delaunay_ab(p))
+    grid = LambdaGrid(64)
+    cfg = PipelineConfig(fourier_degree=16, lambda_samples=64)
+    xi = make_cylinder_potential(p)
+    _, raw = monodromy(xi, grid, cfg, res=res)
+    _, seeded = monodromy(xi, grid, cfg, res=res,
+                          frame0=cylinder_basepoint_frame(p, grid.points))
+    assert abs(raw.trace_law_error - seeded.trace_law_error) <= 1e-9
+
+
 def test_trace_law_wrong_residue_fails():
     p = CylinderParams(1 / 3)
     wrong = DelaunayResidue(0.75, -0.25)

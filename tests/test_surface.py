@@ -185,6 +185,8 @@ def test_domain_validation():
     with pytest.raises(ValueError):
         DomainGrid(0.5, 2.0, n_radial=3)
     with pytest.raises(ValueError):
+        DomainGrid(0.5, 2.0, n_radial=4)   # no ring left inside the H statistics
+    with pytest.raises(ValueError):
         DomainGrid(0.5, 2.0, n_angular=4)
 
 
@@ -228,7 +230,6 @@ def test_mean_curvature_constant(cylinder_mesh):
 def test_reflection_symmetry_of_pipeline_mesh(cylinder_mesh):
     rep = reflection_symmetry_check(cylinder_mesh)
     assert rep.max_deviation < 1e-3
-    assert rep.involution_residual < 1e-8
     assert abs(np.linalg.norm(rep.fitted_plane[0]) - 1.0) < 1e-12
 
 
