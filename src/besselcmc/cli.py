@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .bessel import bessel_integrate, frame_from_scalar, scalar_residual
-from .config import PipelineConfig
+from .config import DEFAULT_CONFIG, PipelineConfig
 from .flow import PathSpec, integrate_frame, monodromy, trace_law_check
 from .loops import LambdaGrid
 from .potentials import (
@@ -47,18 +47,15 @@ from .surface import (
 
 __all__ = ["RunConfig", "cmd_generate", "cmd_verify", "export_mesh", "main"]
 
-CHECKS = ("monodromy", "gauge", "symmetry", "bessel", "trace-law", "mu-alpha")
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Resolved run parameters.  Flags override config-file entries,
     which override the defaults below."""
 
     r: float
-    fourier_degree: int = 32
-    lambda_samples: int = 128
-    ode_tol: float = 1e-10
+    fourier_degree: int = DEFAULT_CONFIG.fourier_degree
+    lambda_samples: int = DEFAULT_CONFIG.lambda_samples
+    ode_tol: float = DEFAULT_CONFIG.ode_tol
     annulus: tuple[float, float] = (0.1, 5.0)
     grid: tuple[int, int] = (128, 64)
     out: str | None = None
@@ -210,12 +207,13 @@ def _check_bessel(cfg: RunConfig):
 
 _CHECK_FUNCS = {
     "monodromy": _check_monodromy,
-    "trace-law": _check_trace_law,
-    "mu-alpha": _check_mu_alpha,
     "gauge": _check_gauge,
     "symmetry": _check_symmetry,
     "bessel": _check_bessel,
+    "trace-law": _check_trace_law,
+    "mu-alpha": _check_mu_alpha,
 }
+CHECKS = tuple(_CHECK_FUNCS)
 
 
 # ---------------------------------------------------------------------------
@@ -262,12 +260,18 @@ def _dump_report(report: dict) -> str:
 # commands
 
 def cmd_verify(cfg: RunConfig, which: str, sabotage: float = 0.0) -> dict:
-    """Run one named check; returns the report dict."""
+    """Run one named check; returns the report dict.
+
+    sabotage is the gauge check's negative control; any other check
+    rejects a nonzero value.
+    """
     if which not in _CHECK_FUNCS:
         raise ValueError(
             f"unknown check {which!r} (choose from {', '.join(CHECKS)})")
     if which == "gauge":
         residuals, thresholds = _check_gauge(cfg, sabotage)
+    elif sabotage:
+        raise ValueError(f"--sabotage applies to the gauge check only, not {which!r}")
     else:
         residuals, thresholds = _CHECK_FUNCS[which](cfg)
     return _report(which, residuals, thresholds, cfg)
@@ -384,8 +388,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(ver)
     ver.add_argument("--sabotage", type=float, default=0.0,
                      help="offset added to the Bessel order inside the gauge "
-                          "chain (negative control; any nonzero value must "
-                          "make the check fail)")
+                          "chain (negative control for the gauge check only; "
+                          "any nonzero value must make it fail)")
     return parser
 
 

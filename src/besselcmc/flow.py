@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import PipelineConfig, DEFAULT_CONFIG
-from .loops import LambdaGrid, LaurentLoop, coeffs_to_samples
+from .loops import LambdaGrid, _dlambda_at_one
 from .potentials import (
     PotentialSpec,
     DelaunayResidue,
@@ -202,8 +202,6 @@ def _integrate_w_line(xi, lam, w0, w1, y0, rtol, stations=None):
 def _phi0_samples(phi0, grid: LambdaGrid) -> np.ndarray:
     if phi0 is None:
         return np.tile(np.eye(2, dtype=complex), (grid.m, 1, 1))
-    if isinstance(phi0, LaurentLoop):
-        return coeffs_to_samples(phi0, grid)
     phi0 = np.asarray(phi0, dtype=complex)
     if phi0.shape == (2, 2):
         return np.tile(phi0, (grid.m, 1, 1))
@@ -217,8 +215,8 @@ def integrate_frame(xi: PotentialSpec, path: PathSpec, phi0,
                     grid: LambdaGrid, cfg: PipelineConfig = DEFAULT_CONFIG) -> FrameSolution:
     """Solve d Phi = Phi xi along the path for every lambda sample.
 
-    phi0 may be None (identity), a constant matrix, an (m, 2, 2) sample
-    family, or a LaurentLoop.
+    phi0 may be None (identity), a constant matrix or an (m, 2, 2) sample
+    family.
     """
     path.check_poles(xi)
     y = _phi0_samples(phi0, grid)[None]           # batch of one
@@ -244,7 +242,6 @@ def closing_report(M: np.ndarray, grid: LambdaGrid,
     |tr M + 2 cos(2 pi mu)| is included (the sign is fixed by the
     half-integer gauge flipping under a circuit: M_gauged = -M).
     """
-    m = grid.m
     star = np.conj(np.transpose(M, (0, 2, 1)))
     unitarity = float(np.abs(M @ star - np.eye(2)).max())
 
@@ -254,9 +251,7 @@ def closing_report(M: np.ndarray, grid: LambdaGrid,
     sign = 1 if d_plus <= d_minus else -1
     identity = min(d_plus, d_minus)
 
-    hat = np.fft.fft(M, axis=0) / m
-    dM1 = np.einsum("k,kab->ab", grid.wavenumbers().astype(float), hat)
-    derivative = float(np.abs(dM1).max())
+    derivative = float(np.abs(_dlambda_at_one(M, grid)).max())
 
     trace_law = float("nan")
     if res is not None:

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import PipelineConfig, DEFAULT_CONFIG
-from .loops import (LambdaGrid, LaurentLoop, _inv2, coeffs_to_samples, loop_mul,
-                    samples_to_coeffs)
+from .loops import LambdaGrid, _inv2
 
 __all__ = ["IwasawaPair", "iwasawa_factor", "iwasawa_grid", "factor_samples"]
 
@@ -26,14 +25,11 @@ __all__ = ["IwasawaPair", "iwasawa_factor", "iwasawa_grid", "factor_samples"]
 class IwasawaPair:
     """One factorization Phi = F B with residual diagnostics.
 
-    F, B are loops fitted at the configured degree; F_samples / B_samples
-    keep the raw grid values (the surface pipeline works with those).
-    residuals: unitarity, plus_loop_tail, reconstruction, normalization,
-    det_drift.
+    F_samples / B_samples are the factors on the grid samples.
+    residuals: unitarity, plus_loop_tail, reconstruction, normalization
+    (the per-node values iwasawa_grid summarizes) and det_drift.
     """
 
-    F: LaurentLoop
-    B: LaurentLoop
     residuals: dict
     F_samples: np.ndarray
     B_samples: np.ndarray
@@ -78,8 +74,6 @@ def factor_samples(phi: np.ndarray, grid: LambdaGrid, nsec: int):
 
 def _plus_tail(bk: np.ndarray, degree: int) -> np.ndarray:
     """Per-node mass of B beyond the loop degree (convergence indicator)."""
-    if bk.shape[1] <= degree + 1:
-        return np.zeros(bk.shape[0])
     return np.abs(bk[:, degree + 1 :]).reshape(bk.shape[0], -1).max(axis=1)
 
 
@@ -98,19 +92,38 @@ def _normalization(bk: np.ndarray) -> np.ndarray:
     )
 
 
+def _factor_batch(phi: np.ndarray, grid: LambdaGrid, cfg: PipelineConfig):
+    """factor_samples plus the per-node residuals of both front ends.
+
+    phi: (B, m, 2, 2) samples.  Returns (F_samples, B_coeffs, B_samples,
+    residuals); residuals maps unitarity, plus_loop_tail, normalization
+    and reconstruction |F B - Phi| on the samples to (B,) arrays.
+    """
+    if grid.m < 2 * cfg.fourier_degree + 2:
+        raise ValueError(
+            f"{grid.m} lambda samples too few for degree {cfg.fourier_degree} "
+            f"(need >= {2 * cfg.fourier_degree + 2})")
+    f, bk, bs = factor_samples(phi, grid, cfg.section_rows)
+    residuals = {
+        "unitarity": _unitarity(f),
+        "plus_loop_tail": _plus_tail(bk, cfg.fourier_degree),
+        "normalization": _normalization(bk),
+        "reconstruction": np.abs(f @ bs - phi).reshape(phi.shape[0], -1).max(axis=1),
+    }
+    return f, bk, bs, residuals
+
+
 def iwasawa_factor(phi, grid: LambdaGrid,
                    cfg: PipelineConfig = DEFAULT_CONFIG) -> IwasawaPair:
-    """Factor a single loop given as a LaurentLoop or (m, 2, 2) samples.
+    """Factor a single loop given as (m, 2, 2) samples on the grid.
 
     The loop must have unit determinant; small drift is renormalized away
-    (and reported), anything beyond 1e-6 is rejected.
+    (and reported as det_drift), anything beyond 1e-6 is rejected.  The
+    other residuals are computed as in iwasawa_grid, for this one node.
     """
-    if isinstance(phi, LaurentLoop):
-        samples = coeffs_to_samples(phi, grid)
-    else:
-        samples = np.asarray(phi, dtype=complex)
-        if samples.shape != (grid.m, 2, 2):
-            raise ValueError(f"expected ({grid.m}, 2, 2) samples, got {samples.shape}")
+    samples = np.asarray(phi, dtype=complex)
+    if samples.shape != (grid.m, 2, 2):
+        raise ValueError(f"expected ({grid.m}, 2, 2) samples, got {samples.shape}")
     det = samples[:, 0, 0] * samples[:, 1, 1] - samples[:, 0, 1] * samples[:, 1, 0]
     drift = float(np.abs(det - 1.0).max())
     if drift > 1e-6:
@@ -118,25 +131,15 @@ def iwasawa_factor(phi, grid: LambdaGrid,
     if drift > 1e-8:
         samples = samples / np.sqrt(det)[:, None, None]
 
-    nsec = cfg.section_rows
-    f, bk, bs = factor_samples(samples[None], grid, nsec)
-    tail = float(_plus_tail(bk, cfg.fourier_degree)[0])
+    f, bk, bs, res = _factor_batch(samples[None], grid, cfg)
+    residuals = {k: float(v[0]) for k, v in res.items()}
+    tail = residuals["plus_loop_tail"]
     if tail > 1e-3 * max(1.0, float(np.abs(bk).max())):
         raise RuntimeError(
             f"finite section did not converge (tail mass {tail:.2e} beyond "
             f"degree {cfg.fourier_degree}); increase the degree or section size")
-    f_loop = samples_to_coeffs(f[0], cfg.fourier_degree)
-    b_loop = LaurentLoop(0, bk[0, : cfg.fourier_degree + 1],
-                         degree=cfg.fourier_degree, tail=tail)
-    recon = coeffs_to_samples(loop_mul(f_loop, b_loop), grid)
-    residuals = {
-        "unitarity": float(_unitarity(f)[0]),
-        "plus_loop_tail": b_loop.tail,
-        "reconstruction": float(np.abs(recon - samples).max()),
-        "normalization": float(_normalization(bk)[0]),
-        "det_drift": drift,
-    }
-    return IwasawaPair(f_loop, b_loop, residuals, f[0], bs[0])
+    residuals["det_drift"] = drift
+    return IwasawaPair(residuals, f[0], bs[0])
 
 
 _CHUNK = 64  # nodes per factorization batch; bounds the Toeplitz stack's memory
@@ -156,40 +159,30 @@ def iwasawa_grid(phis, grid: LambdaGrid,
     lead = phis.shape[:-3]
     flat = phis.reshape((-1, grid.m, 2, 2))
     n = flat.shape[0]
-    nsec = cfg.section_rows
     f_all = np.empty_like(flat)
     b_all = np.empty_like(flat)
-    unit = np.empty(n)
-    tail = np.empty(n)
-    norm = np.empty(n)
-    recon = np.empty(n)
+    res = {k: np.empty(n) for k in
+           ("unitarity", "plus_loop_tail", "normalization", "reconstruction")}
     failed: list[int] = []
 
-    def stats(sl, f, bk, bs) -> None:
-        f_all[sl], b_all[sl] = f, bs
-        unit[sl] = _unitarity(f)
-        tail[sl] = _plus_tail(bk, cfg.fourier_degree)
-        norm[sl] = _normalization(bk)
-        recon[sl] = np.abs(f @ bs - flat[sl]).reshape(f.shape[0], -1).max(axis=1)
+    def stats(lo: int, hi: int) -> None:
+        f, _, bs, r = _factor_batch(flat[lo:hi], grid, cfg)
+        f_all[lo:hi], b_all[lo:hi] = f, bs
+        for k, v in r.items():
+            res[k][lo:hi] = v
 
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
         try:
-            f, bk, bs = factor_samples(flat[lo:hi], grid, nsec)
+            stats(lo, hi)
         except RuntimeError:
             # localize the offending nodes, keep going
             for i in range(lo, hi):
                 try:
-                    f1, bk1, bs1 = factor_samples(flat[i : i + 1], grid, nsec)
+                    stats(i, i + 1)
                 except RuntimeError:
                     failed.append(i)
-                    f_all[i] = np.nan
-                    b_all[i] = np.nan
-                    unit[i] = tail[i] = norm[i] = recon[i] = np.nan
-                    continue
-                stats(slice(i, i + 1), f1, bk1, bs1)
-            continue
-        stats(slice(lo, hi), f, bk, bs)
+                    f_all[i] = b_all[i] = np.nan
 
     ok = np.ones(n, dtype=bool)
     ok[failed] = False
@@ -198,11 +191,8 @@ def iwasawa_grid(phis, grid: LambdaGrid,
     summary = {
         "nodes": n,
         "failed_nodes": sorted(failed),
-        "unitarity_max": worst(unit),
-        "unitarity_mean": float(unit[ok].mean()) if ok.any() else float("nan"),
-        "plus_loop_tail_max": worst(tail),
-        "reconstruction_max": worst(recon),
-        "normalization_max": worst(norm),
+        "unitarity_mean": float(res["unitarity"][ok].mean()) if ok.any() else float("nan"),
+        **{f"{k}_max": worst(v) for k, v in res.items()},
     }
     return (f_all.reshape(lead + (grid.m, 2, 2)),
             b_all.reshape(lead + (grid.m, 2, 2)), summary)

@@ -92,6 +92,15 @@ def _inv2(a: np.ndarray) -> np.ndarray:
     return out / det[..., None, None]
 
 
+def _dlambda_at_one(samples: np.ndarray, grid: LambdaGrid) -> np.ndarray:
+    """Spectral d/d-lambda at lambda = 1 of (..., m, 2, 2) grid samples.
+
+    The sum over the Fourier coefficients of k X_k.
+    """
+    hat = np.fft.fft(samples, axis=-3) / grid.m
+    return np.einsum("k,...kab->...ab", grid.wavenumbers().astype(float), hat)
+
+
 def loop_eval(x: LaurentLoop, lam: complex | np.ndarray) -> np.ndarray:
     """Evaluate the series at lam (scalar or array); shape (..., 2, 2)."""
     lam = np.asarray(lam, dtype=complex)

@@ -9,7 +9,7 @@ runs once around the origin (branch cut on the negative real axis).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -50,7 +50,6 @@ class PotentialSpec:
     evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
     pole_locations: tuple[tuple[complex, int], ...]
     description: str
-    params: dict = field(default_factory=dict, compare=False)
 
     def __call__(self, z, lam) -> np.ndarray:
         z = np.asarray(z, dtype=complex)
@@ -162,7 +161,7 @@ def make_bessel_potential(alpha) -> PotentialSpec:
         return xi
 
     label = "bessel" if callable(alpha) else f"bessel(alpha={alpha})"
-    return PotentialSpec(evaluate, ((0j, 1),), label, params={"alpha": alpha})
+    return PotentialSpec(evaluate, ((0j, 1),), label)
 
 
 def make_cylinder_potential(p: CylinderParams) -> PotentialSpec:
@@ -177,7 +176,7 @@ def make_cylinder_potential(p: CylinderParams) -> PotentialSpec:
         xi[..., 1, 0] = lam * Q
         return xi
 
-    return PotentialSpec(evaluate, ((0j, 2),), f"cylinder(r={p.r})", params={"r": p.r})
+    return PotentialSpec(evaluate, ((0j, 2),), f"cylinder(r={p.r})")
 
 
 def make_delaunay_potential(res: DelaunayResidue) -> PotentialSpec:
@@ -187,9 +186,7 @@ def make_delaunay_potential(res: DelaunayResidue) -> PotentialSpec:
         z, lam = np.broadcast_arrays(z, lam)
         return delaunay_residue_matrix(res, lam) / z[..., None, None]
 
-    return PotentialSpec(evaluate, ((0j, 1),),
-                         f"delaunay(a={res.a}, b={res.b})",
-                         params={"a": res.a, "b": res.b, "c": res.c})
+    return PotentialSpec(evaluate, ((0j, 1),), f"delaunay(a={res.a}, b={res.b})")
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +290,7 @@ def gauge_transform(xi: PotentialSpec, g: GaugeSpec) -> PotentialSpec:
         return gi @ xi(z, lam) @ gv + gi @ g.derivative(z, lam)
 
     desc = f"{xi.description}.{g.description or 'g'}"
-    return PotentialSpec(evaluate, xi.pole_locations, desc, params=dict(xi.params))
+    return PotentialSpec(evaluate, xi.pole_locations, desc)
 
 
 # ---------------------------------------------------------------------------

@@ -22,12 +22,11 @@ import numpy as np
 from .config import PipelineConfig, DEFAULT_CONFIG
 from .flow import _integrate_w_line
 from .iwasawa import iwasawa_grid
-from .loops import LambdaGrid, _inv2
+from .loops import LambdaGrid, _dlambda_at_one, _inv2
 from .potentials import (
     CylinderParams,
     DelaunayResidue,
     cylinder_basepoint_frame,
-    delaunay_ab,
     delaunay_residue_matrix,
     make_cylinder_potential,
     mu_eigenvalue,
@@ -56,9 +55,11 @@ class DomainGrid:
     """Annulus rho_min <= |z| <= rho_max sampled on a log-polar grid.
 
     Nodes are z_jk = exp(u_j + i theta_k) with u uniform in
-    [log rho_min, log rho_max] and theta uniform in [0, 2 pi].  The
-    curvature statistics skip two rings at each end, so n_radial >= 5
-    leaves at least one interior ring.
+    [log rho_min, log rho_max] (u()) and theta uniform in [0, 2 pi]
+    (thetas(), n_angular + 1 values: the last one is theta = 2 pi, where
+    the pipelines continue the frames once round before welding the
+    seam).  The curvature statistics skip two rings at each end, so
+    n_radial >= 5 leaves at least one interior ring.
     """
 
     rho_min: float
@@ -78,13 +79,8 @@ class DomainGrid:
     def u(self) -> np.ndarray:
         return np.linspace(np.log(self.rho_min), np.log(self.rho_max), self.n_radial)
 
-    def thetas(self, closed: bool = False) -> np.ndarray:
-        n = self.n_angular
-        k = np.arange(n + 1 if closed else n)
-        return 2.0 * np.pi * k / n
-
-    def nodes(self) -> np.ndarray:
-        return np.exp(self.u()[:, None] + 1j * self.thetas()[None, :])
+    def thetas(self) -> np.ndarray:
+        return 2.0 * np.pi * np.arange(self.n_angular + 1) / self.n_angular
 
 
 @dataclass(frozen=True)
@@ -94,7 +90,8 @@ class SurfaceMesh:
     vertices, normals: (n_radial, n_angular, 3); faces: (F, 4) flat
     row-major vertex indices with angular wraparound.  H_stats holds the
     discrete mean-curvature statistics over interior vertices;
-    diagnostics carries pipeline residuals (seam, factorization, Sym).
+    diagnostics carries pipeline residuals (seam, factorization, Sym);
+    it is empty for a mesh assembled directly from points.
     """
 
     vertices: np.ndarray
@@ -102,7 +99,6 @@ class SurfaceMesh:
     normals: np.ndarray
     H_stats: dict
     diagnostics: dict
-    params: dict
 
     @property
     def n_radial(self) -> int:
@@ -146,11 +142,7 @@ def _sym_points(frames: np.ndarray, grid: LambdaGrid):
     defect (...,)) where defect is the Hermitian-trace-free violation of
     (d_lambda F) F^-1 at lambda = 1.
     """
-    m = grid.m
-    hat = np.fft.fft(frames, axis=-3) / m
-    k = grid.wavenumbers().astype(float)
-    dF1 = np.einsum("k,...kab->...ab", k, hat)
-    f = dF1 @ _inv2(frames[..., 0, :, :])
+    f = _dlambda_at_one(frames, grid) @ _inv2(frames[..., 0, :, :])
     fstar = np.conj(np.swapaxes(f, -1, -2))
     tr = f[..., 0, 0] + f[..., 1, 1]
     defect = np.abs(f - fstar).max(axis=(-2, -1)) + np.abs(tr)
@@ -264,8 +256,7 @@ def _curvature_stats(verts: np.ndarray, faces: np.ndarray, normals: np.ndarray,
     }
 
 
-def mesh_from_grid(points: np.ndarray, diagnostics: dict | None = None,
-                   params: dict | None = None) -> SurfaceMesh:
+def mesh_from_grid(points: np.ndarray, diagnostics: dict | None = None) -> SurfaceMesh:
     """Assemble a welded-seam quad mesh from an (n_radial, n_angular, 3) grid."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 3 or points.shape[2] != 3:
@@ -277,8 +268,7 @@ def mesh_from_grid(points: np.ndarray, diagnostics: dict | None = None,
     faces = _quad_faces(nr, na)
     normals = _vertex_normals(points, faces)
     stats = _curvature_stats(points, faces, normals, nr, na)
-    return SurfaceMesh(points, faces, normals, stats,
-                       diagnostics or {}, params or {})
+    return SurfaceMesh(points, faces, normals, stats, diagnostics or {})
 
 
 def mean_curvature_stats(mesh: SurfaceMesh) -> dict:
@@ -291,8 +281,7 @@ def mean_curvature_stats(mesh: SurfaceMesh) -> dict:
 # pipelines
 
 def _frames_to_mesh(frames: np.ndarray, dom: DomainGrid, grid: LambdaGrid,
-                    cfg: PipelineConfig, params: dict,
-                    extra_diag: dict | None = None) -> SurfaceMesh:
+                    cfg: PipelineConfig) -> SurfaceMesh:
     """Shared tail of both pipelines: factorize, Sym, seam check, weld."""
     nth = dom.n_angular
     F, _, summary = iwasawa_grid(frames, grid, cfg)
@@ -314,8 +303,7 @@ def _frames_to_mesh(frames: np.ndarray, dom: DomainGrid, grid: LambdaGrid,
         "sym_defect": sym_defect,
         "iwasawa": summary,
     }
-    diagnostics.update(extra_diag or {})
-    return mesh_from_grid(welded, diagnostics, params)
+    return mesh_from_grid(welded, diagnostics)
 
 
 def build_surface(p: CylinderParams, dom: DomainGrid, grid: LambdaGrid,
@@ -331,11 +319,7 @@ def build_surface(p: CylinderParams, dom: DomainGrid, grid: LambdaGrid,
     xi = make_cylinder_potential(p)
     phi0 = cylinder_basepoint_frame(p, grid.points)
     frames = _spanning_tree_frames(xi, phi0, dom, grid, cfg)
-    a, b = delaunay_ab(p)
-    params = {"r": p.r, "a": a, "b": b,
-              "annulus": (dom.rho_min, dom.rho_max),
-              "grid": (dom.n_radial, dom.n_angular)}
-    return _frames_to_mesh(frames, dom, grid, cfg, params)
+    return _frames_to_mesh(frames, dom, grid, cfg)
 
 
 def _spanning_tree_frames(xi, phi0: np.ndarray, dom: DomainGrid,
@@ -350,7 +334,7 @@ def _spanning_tree_frames(xi, phi0: np.ndarray, dom: DomainGrid,
     stations = np.arange(nth + 1) / nth
     sweep = _integrate_w_line(xi, lam, [0.0], [2j * np.pi], phi0[None],
                               cfg.ode_tol, stations=stations)[:, 0]
-    theta = 2.0 * np.pi * np.arange(nth + 1) / nth
+    theta = dom.thetas()
     u = dom.u()
     out = np.empty((dom.n_radial, nth + 1, grid.m, 2, 2), dtype=complex)
 
@@ -387,17 +371,13 @@ def delaunay_reference(res: DelaunayResidue, dom: DomainGrid, grid: LambdaGrid,
     ODE is needed; factorization and Sym are shared with build_surface.
     """
     u = dom.u()
-    theta = 2.0 * np.pi * np.arange(dom.n_angular + 1) / dom.n_angular
-    w = u[:, None] + 1j * theta[None, :]
+    w = u[:, None] + 1j * dom.thetas()[None, :]
     A = delaunay_residue_matrix(res, grid.points)
     mu = mu_eigenvalue(res, grid.points)
     arg = w[..., None] * mu                        # (nr, nth+1, m)
     frames = (np.cosh(arg)[..., None, None] * np.eye(2)
               + (w[..., None] * _sinhc(arg))[..., None, None] * A)
-    params = {"a": res.a, "b": res.b, "c": res.c,
-              "annulus": (dom.rho_min, dom.rho_max),
-              "grid": (dom.n_radial, dom.n_angular)}
-    return _frames_to_mesh(frames, dom, grid, cfg, params)
+    return _frames_to_mesh(frames, dom, grid, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ def single_quad_mesh():
     verts = np.array([[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
                       [[0.0, 1.0, 0.0], [1.0, 1.0, 0.25]]])
     faces = np.array([[0, 1, 3, 2]])
-    return SurfaceMesh(verts, faces, np.zeros_like(verts), {}, {}, {})
+    return SurfaceMesh(verts, faces, np.zeros_like(verts), {}, {})
 
 
 # ------------------------------------------------------------------- export
@@ -108,6 +108,13 @@ def test_sabotaged_gauge_check_fails(capsys):
     assert code == 1
     assert report["pass"] is False
     assert report["residuals"]["reduced_form"] > 1e-10
+
+
+@pytest.mark.parametrize("check", sorted(set(cli.CHECKS) - {"gauge"}))
+def test_sabotage_rejected_outside_gauge_check(check, capsys):
+    code = main(["verify", check, "--r", "0.3333", "--sabotage", "0.5"])
+    assert code == 2
+    assert "sabotage" in capsys.readouterr().err
 
 
 def test_symmetry_and_trace_law_checks(capsys):

@@ -50,8 +50,7 @@ def test_unitary_input_gives_trivial_plus_factor():
     assert np.abs(pair.B_samples - np.eye(2)).max() < 1e-10
     assert np.abs(pair.F_samples - phi).max() < 1e-10
     assert pair.residuals["unitarity"] < 1e-10
-    # reconstruction goes through a coefficient-fit round trip, so it
-    # carries slightly more float noise than the direct sample residuals
+    # reconstruction is |F B - Phi| on the samples, as in iwasawa_grid
     assert pair.residuals["reconstruction"] < 1e-9
 
 
@@ -170,6 +169,17 @@ def test_factor_varies_smoothly_along_ray():
     assert jump <= 10.0 * (1.0 / 8.0) * deriv
 
 
+def test_single_and_grid_front_ends_agree():
+    phi = rotation_loop() @ plus_loop()
+    pair = iwasawa_factor(phi, GRID, CFG)
+    f, b, summary = iwasawa_grid(phi[None], GRID, CFG)
+    assert pair.residuals["det_drift"] <= 1e-8   # input not renormalized
+    assert np.array_equal(pair.F_samples, f[0])
+    assert np.array_equal(pair.B_samples, b[0])
+    for key in ("unitarity", "plus_loop_tail", "normalization", "reconstruction"):
+        assert pair.residuals[key] == summary[f"{key}_max"], key
+
+
 def test_failed_node_is_localized():
     frames = np.tile(rotation_loop() @ plus_loop(), (6, 1, 1, 1))
     frames[3] = np.nan
@@ -195,6 +205,17 @@ def test_small_drift_renormalized():
     pair = iwasawa_factor(phi, GRID, CFG)
     assert pair.residuals["det_drift"] < 1e-6
     assert np.abs(pair.F_samples @ pair.B_samples - np.eye(2)).max() < 1e-7
+
+
+@pytest.mark.parametrize("front_end", ["factor", "grid"])
+def test_lambda_grid_too_small_for_degree_rejected(front_end):
+    small = LambdaGrid(8)   # degree 8 needs at least 18 samples
+    phi = rotation_loop(small) @ plus_loop(small)
+    with pytest.raises(ValueError, match="lambda samples"):
+        if front_end == "factor":
+            iwasawa_factor(phi, small, CFG)
+        else:
+            iwasawa_grid(phi[None], small, CFG)
 
 
 def test_sample_shape_checked():
