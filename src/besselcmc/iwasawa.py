@@ -3,10 +3,12 @@
 F is unitary on every unit-circle sample, B extends holomorphically into
 the disk (nonnegative exponents only) with upper-triangular B(0) whose
 diagonal is real positive.  The method is the finite-section Bauer scheme:
-sample H = Phi* Phi, build the block Toeplitz matrix of its Fourier
-coefficients, Cholesky-factor it, and read the coefficients of B off the
-bottom block row.  Everything is batched over nodes; a 2x2 closed-form
-inverse keeps the per-sample algebra vectorized.
+sample H = Phi* Phi; the coefficients of B are the bottom block row of the
+Cholesky factor of the block Toeplitz matrix of H's Fourier coefficients.
+A block Schur recursion on that matrix's displacement generator produces
+the row in O(nsec^2) work per node without forming the matrix.
+Everything is batched over nodes, and the per-node 2x2 algebra uses the
+closed-form kernels of loops.py.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import PipelineConfig, DEFAULT_CONFIG
-from .loops import LambdaGrid, _inv2
+from .loops import LambdaGrid, _adj, _chol2, _inv2, _mul2
 
 __all__ = ["IwasawaPair", "iwasawa_factor", "iwasawa_grid", "factor_samples"]
 
@@ -42,34 +44,71 @@ def factor_samples(phi: np.ndarray, grid: LambdaGrid, nsec: int):
     nsec: finite-section size (number of block rows); B coefficients come
     out for exponents 0 .. nsec-1.
     Returns (F_samples (B,m,2,2), B_coeffs (B,nsec,2,2), B_samples).
+
+    The section T (block (i, j) = H_{j-i}) is never built.  Its
+    displacement T - Z T Z* = G J G*, with Z the block down-shift and
+    J = diag(I, -I), has a generator G = [u v] of two block columns, and
+    the block Schur recursion turns G into the Cholesky factor of T one
+    block column per step (Kailath & Sayed, Fast Reliable Algorithms for
+    Matrices with Structure, SIAM 1999).  Only the last block of each column
+    is kept: that bottom block row, reversed and adjoined, is B.
     """
     nb, m = phi.shape[0], grid.m
     if not np.isfinite(phi).all():
-        # LAPACK's Cholesky passes NaN through without signalling, so
         # catch bad nodes here and let the caller localize them
         raise RuntimeError("loop samples contain non-finite entries")
-    star = np.conj(np.transpose(phi, (0, 1, 3, 2)))
-    hat = np.fft.fft(star @ phi, axis=1) / m          # H_k at index k mod m
-    j = np.arange(nsec)
-    off = j[None, :] - j[:, None]                     # block (i, j) holds H_{j-i}
-    # offsets beyond the m resolved coefficients are genuinely tiny
-    # (m >= 2N+2 and H decays); zero them rather than alias-wrap, so the
-    # section stays a true Toeplitz matrix of the interpolated symbol
-    resolved = (off >= -(m // 2)) & (off < m // 2)
-    toep = np.where(resolved[None, :, :, None, None], hat[:, off % m], 0.0)
-    toep = toep.transpose(0, 1, 3, 2, 4).reshape(nb, 2 * nsec, 2 * nsec)
+    hat = np.fft.fft(_mul2(_adj(phi), phi), axis=1) / m   # H_k at index k mod m
+    # first block row H_0 .. H_{nsec-1}; offsets beyond the m resolved
+    # coefficients are genuinely tiny (m >= 2N+2 and H decays): zero them
+    # rather than alias-wrap, so the section stays a true Toeplitz matrix
+    # of the interpolated symbol
+    row = np.zeros((nb, nsec, 2, 2), dtype=complex)
+    kept = min(nsec, m // 2 + 1)
+    row[:, :kept] = hat[:, :kept]
+    bk = np.empty_like(row)
     try:
-        chol = np.linalg.cholesky(toep)
+        r0 = _chol2(hat[:, 0])
+        # G* as (nb, 4, 2 nsec): u* = R0^-1 [H_0 .. H_{nsec-1}] (the first
+        # column of the factor, adjoined), v* = u* with its first block 0
+        u = _mul2(_inv2(r0)[:, None], row).transpose(0, 2, 1, 3)
+        g = np.concatenate((u, u), axis=1).reshape(nb, 4, 2 * nsec)
+        g[:, 2:, :2] = 0.0
+        bk[:, -1] = g[:, :2, -2:]
+        alpha = _adj(r0)               # top block of u*: the last pivot, adjoined
+        theta = np.empty((nb, 4, 4), dtype=complex)
+        for k in range(1, nsec):
+            # shift u down one block; v's top block is zero and drops out
+            g = np.concatenate((g[:, :2, :-2], g[:, 2:, 2:]), axis=1)
+            beta = g[:, 2:, :2]
+            q = _mul2(beta, _inv2(alpha))             # K* with K = a^-1 b
+            qs = _adj(q)
+            # the new pivot: L L* = a a* - b b* = a (I - K K*) a*
+            d = alpha - _mul2(qs, beta)               # (I - K K*) a*
+            piv = _chol2(_mul2(_adj(alpha), d))
+            # J-unitary rotation that zeroes v's top block and leaves the
+            # pivot on u's: [u v] -> [(u - v K*) M1, (v - u K) M2]
+            m1 = _mul2(_adj(piv), _inv2(d))
+            m2 = _inv2(_chol2(np.eye(2) - _mul2(q, qs)))
+            theta[:, :2, :2] = m1
+            theta[:, :2, 2:] = -_mul2(m1, qs)
+            theta[:, 2:, :2] = -_mul2(m2, q)
+            theta[:, 2:, 2:] = m2
+            g = theta @ g
+            bk[:, -1 - k] = g[:, :2, -2:]
+            alpha = _adj(piv)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(
             "finite-section Gram matrix not positive definite; the loop may "
             "not admit this factorization, or the section is too large for "
             f"the sample count (section {nsec}, {m} samples)") from exc
-    bottom = chol[:, -2:, :].reshape(nb, 2, nsec, 2).transpose(0, 2, 1, 3)
-    bk = np.conj(np.transpose(bottom[:, ::-1], (0, 1, 3, 2)))
-    powers = grid.points[None, :] ** np.arange(nsec)[:, None]   # (n, m)
-    bs = np.einsum("bkij,km->bmij", bk, powers)
-    return phi @ _inv2(bs), bk, bs
+    bk[:, 0] = alpha                   # the last pivot, exactly triangular
+    # B on the grid: lambda_j^k = lambda_j^(k mod m), so fold the
+    # coefficients mod m and take one inverse FFT
+    folded = np.zeros((nb, m, 2, 2), dtype=complex)
+    for lo in range(0, nsec, m):
+        folded[:, : min(m, nsec - lo)] += bk[:, lo : lo + m]
+    bs = np.fft.ifft(folded, axis=1) * m
+    return _mul2(phi, _inv2(bs)), bk, bs
 
 
 def _plus_tail(bk: np.ndarray, degree: int) -> np.ndarray:
@@ -78,8 +117,7 @@ def _plus_tail(bk: np.ndarray, degree: int) -> np.ndarray:
 
 
 def _unitarity(f: np.ndarray) -> np.ndarray:
-    fstar = np.conj(np.transpose(f, (0, 1, 3, 2)))
-    return np.abs(f @ fstar - np.eye(2)).reshape(f.shape[0], -1).max(axis=1)
+    return np.abs(_mul2(f, _adj(f)) - np.eye(2)).reshape(f.shape[0], -1).max(axis=1)
 
 
 def _normalization(bk: np.ndarray) -> np.ndarray:
@@ -92,6 +130,14 @@ def _normalization(bk: np.ndarray) -> np.ndarray:
     )
 
 
+def _check_grid(grid: LambdaGrid, cfg: PipelineConfig) -> None:
+    """Reject a lambda grid with fewer than 2N+2 samples for degree N."""
+    if grid.m < 2 * cfg.fourier_degree + 2:
+        raise ValueError(
+            f"{grid.m} lambda samples too few for degree {cfg.fourier_degree} "
+            f"(need >= {2 * cfg.fourier_degree + 2})")
+
+
 def _factor_batch(phi: np.ndarray, grid: LambdaGrid, cfg: PipelineConfig):
     """factor_samples plus the per-node residuals of both front ends.
 
@@ -99,10 +145,7 @@ def _factor_batch(phi: np.ndarray, grid: LambdaGrid, cfg: PipelineConfig):
     residuals); residuals maps unitarity, plus_loop_tail, normalization
     and reconstruction |F B - Phi| on the samples to (B,) arrays.
     """
-    if grid.m < 2 * cfg.fourier_degree + 2:
-        raise ValueError(
-            f"{grid.m} lambda samples too few for degree {cfg.fourier_degree} "
-            f"(need >= {2 * cfg.fourier_degree + 2})")
+    _check_grid(grid, cfg)
     f, bk, bs = factor_samples(phi, grid, cfg.section_rows)
     residuals = {
         "unitarity": _unitarity(f),
@@ -142,7 +185,7 @@ def iwasawa_factor(phi, grid: LambdaGrid,
     return IwasawaPair(residuals, f[0], bs[0])
 
 
-_CHUNK = 64  # nodes per factorization batch; bounds the Toeplitz stack's memory
+_CHUNK = 256  # nodes per batch; bounds the (nodes, 4, 2 nsec) generator stack
 
 
 def iwasawa_grid(phis, grid: LambdaGrid,

@@ -92,6 +92,42 @@ def _inv2(a: np.ndarray) -> np.ndarray:
     return out / det[..., None, None]
 
 
+def _adj(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a stack of matrices."""
+    return np.conj(np.swapaxes(a, -1, -2))
+
+
+def _mul2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Closed-form product of (broadcastable) stacks of 2x2 matrices.
+
+    Generic matmul on small stacks pays a per-matrix dispatch that costs
+    more than the eight products.
+    """
+    return a[..., :, 0:1] * b[..., 0:1, :] + a[..., :, 1:2] * b[..., 1:2, :]
+
+
+def _chol2(h: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a stack of Hermitian 2x2 matrices.
+
+    Reads the lower triangle only, as LAPACK does, and gives the factor a
+    real positive diagonal.  Raises LinAlgError unless every matrix in the
+    stack is positive definite (a NaN pivot counts as not positive).
+    """
+    d0 = h[..., 0, 0].real
+    if not (d0 > 0).all():
+        raise np.linalg.LinAlgError("2x2 matrix not positive definite")
+    l00 = np.sqrt(d0)
+    l10 = h[..., 1, 0] / l00
+    d1 = h[..., 1, 1].real - (l10.real ** 2 + l10.imag ** 2)
+    if not (d1 > 0).all():
+        raise np.linalg.LinAlgError("2x2 matrix not positive definite")
+    out = np.zeros_like(h)
+    out[..., 0, 0] = l00
+    out[..., 1, 0] = l10
+    out[..., 1, 1] = np.sqrt(d1)
+    return out
+
+
 def _dlambda_at_one(samples: np.ndarray, grid: LambdaGrid) -> np.ndarray:
     """Spectral d/d-lambda at lambda = 1 of (..., m, 2, 2) grid samples.
 

@@ -21,8 +21,8 @@ import numpy as np
 
 from .config import PipelineConfig, DEFAULT_CONFIG
 from .flow import _integrate_w_line
-from .iwasawa import iwasawa_grid
-from .loops import LambdaGrid, _dlambda_at_one, _inv2
+from .iwasawa import _check_grid, iwasawa_grid
+from .loops import LambdaGrid, _adj, _dlambda_at_one, _inv2
 from .potentials import (
     CylinderParams,
     DelaunayResidue,
@@ -143,7 +143,7 @@ def _sym_points(frames: np.ndarray, grid: LambdaGrid):
     (d_lambda F) F^-1 at lambda = 1.
     """
     f = _dlambda_at_one(frames, grid) @ _inv2(frames[..., 0, :, :])
-    fstar = np.conj(np.swapaxes(f, -1, -2))
+    fstar = _adj(f)
     tr = f[..., 0, 0] + f[..., 1, 1]
     defect = np.abs(f - fstar).max(axis=(-2, -1)) + np.abs(tr)
     x1 = 0.5 * (f[..., 0, 1] + f[..., 1, 0]).real
@@ -316,6 +316,7 @@ def build_surface(p: CylinderParams, dom: DomainGrid, grid: LambdaGrid,
     ring.  The theta = 2 pi column is computed as a genuine analytic
     continuation and compared against theta = 0 before welding.
     """
+    _check_grid(grid, cfg)
     xi = make_cylinder_potential(p)
     phi0 = cylinder_basepoint_frame(p, grid.points)
     frames = _spanning_tree_frames(xi, phi0, dom, grid, cfg)
@@ -370,6 +371,7 @@ def delaunay_reference(res: DelaunayResidue, dom: DomainGrid, grid: LambdaGrid,
     Phi = exp(w A) = cosh(w mu) I + w sinhc(w mu) A in w = log z, so no
     ODE is needed; factorization and Sym are shared with build_surface.
     """
+    _check_grid(grid, cfg)
     u = dom.u()
     w = u[:, None] + 1j * dom.thetas()[None, :]
     A = delaunay_residue_matrix(res, grid.points)

@@ -15,6 +15,7 @@ from besselcmc import (
     iwasawa_grid,
     make_cylinder_potential,
 )
+from besselcmc.iwasawa import factor_samples
 
 CFG = PipelineConfig(fourier_degree=8, lambda_samples=32)
 GRID = LambdaGrid(32)
@@ -138,6 +139,40 @@ def cylinder_frames_on_grid(n_rho=8, n_theta=8, rho_lo=0.5, rho_hi=2.0,
     return out
 
 
+def dense_bottom_row(phi, m, nsec):
+    """B coefficients from the explicit finite section and LAPACK Cholesky.
+
+    Block (i, j) of the section is H_{j-i}, offsets outside [-m/2, m/2)
+    zeroed; B_k is the adjoint of the bottom block row, reversed.
+    """
+    nb = phi.shape[0]
+    hat = np.fft.fft(np.conj(np.swapaxes(phi, -1, -2)) @ phi, axis=1) / m
+    j = np.arange(nsec)
+    off = j[None, :] - j[:, None]
+    resolved = (off >= -(m // 2)) & (off < m // 2)
+    toep = np.where(resolved[None, :, :, None, None], hat[:, off % m], 0.0)
+    toep = toep.transpose(0, 1, 3, 2, 4).reshape(nb, 2 * nsec, 2 * nsec)
+    chol = np.linalg.cholesky(toep)
+    bottom = chol[:, -2:, :].reshape(nb, 2, nsec, 2).transpose(0, 2, 1, 3)
+    return np.conj(np.swapaxes(bottom[:, ::-1], -1, -2))
+
+
+@pytest.mark.parametrize("degree, m, n_side", [
+    (8, 32, 8),     # section of 34 block rows > m/2: zeroed offsets
+    (32, 128, 3),   # section of 130 block rows > m
+])
+def test_schur_kernel_matches_dense_cholesky(degree, m, n_side):
+    grid = LambdaGrid(m)
+    frames = cylinder_frames_on_grid(n_rho=n_side, n_theta=n_side, grid=grid)
+    phi = frames.reshape(-1, m, 2, 2)
+    nsec = PipelineConfig(degree, m).section_rows
+    _, bk, _ = factor_samples(phi, grid, nsec)
+    oracle = dense_bottom_row(phi, m, nsec)
+    scale = np.maximum(1.0, np.abs(bk).reshape(len(phi), -1).max(axis=1))
+    err = np.abs(bk - oracle).reshape(len(phi), -1).max(axis=1)
+    assert (err <= 1e-10 * scale).all(), err.max()
+
+
 def test_grid_factorization_residuals():
     frames = cylinder_frames_on_grid()
     f, b, summary = iwasawa_grid(frames, GRID, CFG)
@@ -189,6 +224,21 @@ def test_failed_node_is_localized():
     ok = [i for i in range(6) if i != 3]
     assert np.abs(f[ok] @ b[ok] - frames[ok]).max() < 1e-9
     assert summary["reconstruction_max"] < 1e-9  # NaN node excluded
+
+
+def test_singular_node_is_localized():
+    frames = np.tile(rotation_loop() @ plus_loop(), (6, 1, 1, 1))
+    frames[1] = rotation_loop()
+    clean_f, clean_b, _ = iwasawa_grid(frames, GRID, CFG)
+    frames[2] = np.diag([1.0, 0.0])           # H = diag(1, 0) is singular
+    with pytest.raises(RuntimeError, match="not positive definite"):
+        factor_samples(frames[2:3], GRID, CFG.section_rows)
+    f, b, summary = iwasawa_grid(frames, GRID, CFG)
+    assert summary["failed_nodes"] == [2]
+    assert np.isnan(f[2]).all() and np.isnan(b[2]).all()
+    ok = [i for i in range(6) if i != 2]
+    assert np.abs(f[ok] - clean_f[ok]).max() <= 1e-12
+    assert np.abs(b[ok] - clean_b[ok]).max() <= 1e-12
 
 
 # ---------------------------------------------------------------- validation

@@ -21,6 +21,7 @@ from besselcmc import (
     reflection_symmetry_check,
     sym_bobenko,
 )
+import besselcmc.surface as surface
 from besselcmc.surface import _axis_profile, _profile_period
 
 CFG = PipelineConfig(fourier_degree=16, lambda_samples=64)
@@ -188,6 +189,22 @@ def test_domain_validation():
         DomainGrid(0.5, 2.0, n_radial=4)   # no ring left inside the H statistics
     with pytest.raises(ValueError):
         DomainGrid(0.5, 2.0, n_angular=4)
+
+
+@pytest.mark.parametrize("pipeline", ["cylinder", "delaunay"])
+def test_lambda_grid_too_small_rejected_before_frames(pipeline, monkeypatch):
+    def no_frames(*args, **kwargs):
+        raise AssertionError("frames built for a grid the degree cannot use")
+
+    monkeypatch.setattr(surface, "_spanning_tree_frames", no_frames)
+    monkeypatch.setattr(surface, "delaunay_residue_matrix", no_frames)
+    small, cfg = LambdaGrid(8), PipelineConfig(8, 32)   # degree 8 needs 18 samples
+    dom = DomainGrid(0.5, 2.0, 8, 8)
+    with pytest.raises(ValueError, match="lambda samples"):
+        if pipeline == "cylinder":
+            build_surface(CylinderParams(1 / 3), dom, small, cfg)
+        else:
+            delaunay_reference(DelaunayResidue(0.375, 0.125), dom, small, cfg)
 
 
 # ------------------------------------------------------------- pipeline runs
