@@ -12,7 +12,8 @@ class PipelineConfig:
     fourier_degree   truncation degree N of Laurent loops (coefficients
                      beyond |k| = N are discarded and their mass reported);
                      the finite Toeplitz section has 4N+2 block rows
-    lambda_samples   number m of unit-circle samples; must be >= 2N+2
+    lambda_samples   number m of unit-circle samples; must be >= 2N+2, and
+                     the factorization rejects a LambdaGrid of another size
     ode_tol          relative tolerance of the adaptive Runge-Kutta pair
     """
 

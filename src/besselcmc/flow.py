@@ -5,7 +5,11 @@ the straight segment w -> w + 2 pi i and the simple pole of dz/z becomes a
 constant coefficient.  The integrator is an adaptive embedded Cash-Karp
 5(4) pair stepping a whole family of independent 2x2 systems (all lambda
 samples, and all rays of a surface sweep) in lockstep: the step size is
-controlled by the worst error across the family.
+controlled by the worst error across the family.  Its stage products
+Y coeff(s) are the closed-form 2x2 product loops._mul2 (generic matmul
+pays a per-matrix dispatch on such stacks), and each stage argument, the
+5th-order solution and the error estimate are summed in place into one
+new array each.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import PipelineConfig, DEFAULT_CONFIG
-from .loops import LambdaGrid, _dlambda_at_one
+from .loops import LambdaGrid, _det2, _dlambda_at_one, _inv2, _mul2
 from .potentials import (
     PotentialSpec,
     DelaunayResidue,
@@ -118,22 +122,40 @@ class MonodromyReport:
 # ---------------------------------------------------------------------------
 # Cash-Karp 5(4) tableau
 
-_CK_C = np.array([0.0, 1 / 5, 3 / 10, 3 / 5, 1.0, 7 / 8])
-_CK_A = [
+_CK_C = (0.0, 1 / 5, 3 / 10, 3 / 5, 1.0, 7 / 8)
+_CK_A = (
     (),
     (1 / 5,),
     (3 / 40, 9 / 40),
     (3 / 10, -9 / 10, 6 / 5),
     (-11 / 54, 5 / 2, -70 / 27, 35 / 27),
     (1631 / 55296, 175 / 512, 575 / 13824, 44275 / 110592, 253 / 4096),
-]
-_CK_B5 = np.array([37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771])
-_CK_B4 = np.array([2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4])
-_CK_E = _CK_B5 - _CK_B4
+)
+_CK_B5 = (37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771)
+_CK_B4 = (2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4)
+_CK_E = tuple(b5 - b4 for b5, b4 in zip(_CK_B5, _CK_B4))
+
+
+def _stage_sum(h, weights, k, y=None):
+    """y + h sum_j weights[j] k[j], accumulated in place in one new array.
+
+    Zero weights are skipped; y = None leaves out the y term.
+    """
+    acc = None
+    for w, kj in zip(weights, k):
+        if w == 0.0:
+            continue
+        if acc is None:
+            acc = (h * w) * kj
+        else:
+            acc += (h * w) * kj
+    if y is not None:
+        acc += y
+    return acc
 
 
 def _rk_segment(coeff, y, s0, s1, rtol, atol=1e-14, h0=None):
-    """Advance Y' = Y @ coeff(s) from s0 to s1 for a stacked family.
+    """Advance Y' = Y coeff(s) from s0 to s1 for a stacked family.
 
     coeff maps a scalar s to an array broadcastable against y
     (shape (..., 2, 2)).  A single adaptive step size serves the whole
@@ -145,23 +167,29 @@ def _rk_segment(coeff, y, s0, s1, rtol, atol=1e-14, h0=None):
         return y, h0
     h = h0 if h0 is not None else span / 32.0
     h = math.copysign(min(abs(h), abs(span)), span)
+    direction = 1.0 if span > 0 else -1.0
     s = s0
     k = [None] * 6
-    while (s1 - s) * np.sign(span) > 1e-15 * abs(span):
+    ay = np.abs(y)
+    while (s1 - s) * direction > 1e-15 * abs(span):
         if abs(h) > abs(s1 - s):
             h = s1 - s
-        k[0] = y @ coeff(s)
+        k[0] = _mul2(y, coeff(s))
         for i in range(1, 6):
-            yi = y + h * sum(a * kj for a, kj in zip(_CK_A[i], k[:i]))
-            k[i] = yi @ coeff(s + _CK_C[i] * h)
-        y5 = y + h * sum(b * ki for b, ki in zip(_CK_B5, k) if b != 0.0)
-        err = h * sum(e * ki for e, ki in zip(_CK_E, k) if e != 0.0)
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-        ratio = np.sqrt(np.mean((np.abs(err) / scale) ** 2, axis=(-2, -1)))
-        worst = float(ratio.max())
+            k[i] = _mul2(_stage_sum(h, _CK_A[i], k, y), coeff(s + _CK_C[i] * h))
+        y5 = _stage_sum(h, _CK_B5, k, y)
+        ay5 = np.abs(y5)
+        # worst scaled RMS; sqrt and the division by 4 commute with max
+        q = np.abs(_stage_sum(h, _CK_E, k))
+        scale = np.maximum(ay, ay5)
+        scale *= rtol
+        scale += atol
+        q /= scale
+        q *= q
+        worst = math.sqrt(float(q.sum(axis=(-2, -1)).max()) / 4)
         if worst <= 1.0:
             s = s + h
-            y = y5
+            y, ay = y5, ay5
         grow = 0.9 * worst ** -0.2 if worst > 0 else 5.0
         h = h * min(5.0, max(0.2, grow))
         if abs(h) < 1e-13 * abs(span):
@@ -177,15 +205,14 @@ def _integrate_w_line(xi, lam, w0, w1, y0, rtol, stations=None):
     stations: increasing s values where output is wanted (1.0 implied).
     Returns array (S, B, m, 2, 2).
     """
-    w0 = np.atleast_1d(np.asarray(w0, dtype=complex))
-    w1 = np.atleast_1d(np.asarray(w1, dtype=complex))
-    lam = np.asarray(lam, dtype=complex)
-    dw = (w1 - w0)[:, None]
+    w0 = np.atleast_1d(np.asarray(w0, dtype=complex))[:, None]
+    w1 = np.atleast_1d(np.asarray(w1, dtype=complex))[:, None]
+    lam = np.asarray(lam, dtype=complex)[None, :]
+    dw = w1 - w0
 
     def coeff(s):
-        w = w0[:, None] + s * (w1 - w0)[:, None]   # (B, 1) -> broadcast with lam
-        z = np.exp(w)
-        return xi(z, lam[None, :]) * (z * dw)[..., None, None]
+        z = np.exp(w0 + s * dw)          # (B, 1) -> broadcast with lam
+        return xi(z, lam) * (z * dw)[..., None, None]
 
     ss = [float(t) for t in (stations if stations is not None else [])]
     if not ss or ss[-1] < 1.0:
@@ -220,12 +247,12 @@ def integrate_frame(xi: PotentialSpec, path: PathSpec, phi0,
     """
     path.check_poles(xi)
     y = _phi0_samples(phi0, grid)[None]           # batch of one
-    det0 = np.linalg.det(y[0])
+    det0 = _det2(y[0])
     frames = [y[0].copy()]
     for w0, w1 in path.segments:
         y = _integrate_w_line(xi, grid.points, [w0], [w1], y, cfg.ode_tol)[-1]
         frames.append(y[0].copy())
-    drift = float(np.abs(np.linalg.det(frames[-1]) - det0).max())
+    drift = float(np.abs(_det2(frames[-1]) - det0).max())
     return FrameSolution(np.array(frames), drift)
 
 
@@ -274,7 +301,7 @@ def monodromy(xi: PotentialSpec, grid: LambdaGrid,
     Returns (M samples, MonodromyReport).
     """
     sol = integrate_frame(xi, PathSpec.circle(), frame0, grid, cfg)
-    M = sol.end() @ np.linalg.inv(sol.frames[0])
+    M = _mul2(sol.end(), _inv2(sol.frames[0]))
     return M, closing_report(M, grid, res)
 
 

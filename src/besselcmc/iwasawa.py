@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import PipelineConfig, DEFAULT_CONFIG
-from .loops import LambdaGrid, _adj, _chol2, _inv2, _mul2
+from .loops import LambdaGrid, _adj, _chol2, _det2, _inv2, _mul2
 
 __all__ = ["IwasawaPair", "iwasawa_factor", "iwasawa_grid", "factor_samples"]
 
@@ -131,11 +131,16 @@ def _normalization(bk: np.ndarray) -> np.ndarray:
 
 
 def _check_grid(grid: LambdaGrid, cfg: PipelineConfig) -> None:
-    """Reject a lambda grid with fewer than 2N+2 samples for degree N."""
+    """Reject a lambda grid with fewer than 2N+2 samples for degree N, or
+    one whose size is not the config's lambda_samples."""
     if grid.m < 2 * cfg.fourier_degree + 2:
         raise ValueError(
             f"{grid.m} lambda samples too few for degree {cfg.fourier_degree} "
             f"(need >= {2 * cfg.fourier_degree + 2})")
+    if grid.m != cfg.lambda_samples:
+        raise ValueError(
+            f"lambda grid has {grid.m} samples but the config sets "
+            f"lambda_samples={cfg.lambda_samples}")
 
 
 def _factor_batch(phi: np.ndarray, grid: LambdaGrid, cfg: PipelineConfig):
@@ -167,7 +172,7 @@ def iwasawa_factor(phi, grid: LambdaGrid,
     samples = np.asarray(phi, dtype=complex)
     if samples.shape != (grid.m, 2, 2):
         raise ValueError(f"expected ({grid.m}, 2, 2) samples, got {samples.shape}")
-    det = samples[:, 0, 0] * samples[:, 1, 1] - samples[:, 0, 1] * samples[:, 1, 0]
+    det = _det2(samples)
     drift = float(np.abs(det - 1.0).max())
     if drift > 1e-6:
         raise ValueError(f"determinant drifts from 1 by {drift:.2e}; not an SL(2) loop")

@@ -81,9 +81,14 @@ class LambdaGrid:
         return (np.fft.fftfreq(self.m) * self.m).astype(int)
 
 
+def _det2(a: np.ndarray) -> np.ndarray:
+    """Closed-form determinant of a stack of 2x2 matrices."""
+    return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+
+
 def _inv2(a: np.ndarray) -> np.ndarray:
     """Closed-form inverse of a stack of 2x2 matrices."""
-    det = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+    det = _det2(a)
     out = np.empty_like(a)
     out[..., 0, 0] = a[..., 1, 1]
     out[..., 1, 1] = a[..., 0, 0]

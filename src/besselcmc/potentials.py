@@ -54,7 +54,7 @@ class PotentialSpec:
     def __call__(self, z, lam) -> np.ndarray:
         z = np.asarray(z, dtype=complex)
         for pole, _ in self.pole_locations:
-            if np.any(z == pole):
+            if (z == pole).any():
                 raise ValueError(f"{self.description}: evaluation at pole z={pole}")
         return self.evaluate(z, np.asarray(lam, dtype=complex))
 
@@ -154,10 +154,10 @@ def make_bessel_potential(alpha) -> PotentialSpec:
 
     def evaluate(z, lam):
         a = np.asarray(alpha_fn(lam), dtype=complex)
-        z, a = np.broadcast_arrays(z, a)
-        xi = np.zeros(z.shape + (2, 2), dtype=complex)
+        lower = -z + a * a / z               # shaped like z and a broadcast
+        xi = np.zeros(lower.shape + (2, 2), dtype=complex)
         xi[..., 0, 1] = 1.0 / z
-        xi[..., 1, 0] = -z + a * a / z
+        xi[..., 1, 0] = lower
         return xi
 
     label = "bessel" if callable(alpha) else f"bessel(alpha={alpha})"
@@ -169,9 +169,8 @@ def make_cylinder_potential(p: CylinderParams) -> PotentialSpec:
     Q_t = -(r t)/(4 z^2) - 1 and t = -(1/4) lambda^-1 (lambda-1)^2."""
 
     def evaluate(z, lam):
-        z, lam = np.broadcast_arrays(z, lam)
-        Q = -p.r * t_of_lambda(lam) / (4.0 * z * z) - 1.0
-        xi = np.zeros(z.shape + (2, 2), dtype=complex)
+        Q = -p.r * t_of_lambda(lam) / (4.0 * z * z) - 1.0   # z and lam broadcast
+        xi = np.zeros(Q.shape + (2, 2), dtype=complex)
         xi[..., 0, 1] = 1.0 / lam
         xi[..., 1, 0] = lam * Q
         return xi
@@ -183,7 +182,6 @@ def make_delaunay_potential(res: DelaunayResidue) -> PotentialSpec:
     """Pure residue potential A(lambda) dz/z."""
 
     def evaluate(z, lam):
-        z, lam = np.broadcast_arrays(z, lam)
         return delaunay_residue_matrix(res, lam) / z[..., None, None]
 
     return PotentialSpec(evaluate, ((0j, 1),), f"delaunay(a={res.a}, b={res.b})")

@@ -23,6 +23,7 @@ from besselcmc import (
     mu_eigenvalue,
     trace_law_check,
 )
+from besselcmc.flow import _rk_segment
 from besselcmc.potentials import PotentialSpec
 
 CFG = PipelineConfig(fourier_degree=4, lambda_samples=16)
@@ -276,3 +277,110 @@ def test_tighter_tolerance_reduces_defect():
         defects.append(np.abs(M - want).max())
     assert defects[2] < defects[0] / 10
     assert defects[2] < 1e-8
+
+
+# ----------------------------------------------------- Cash-Karp inner loop
+
+_REF_C = np.array([0.0, 1 / 5, 3 / 10, 3 / 5, 1.0, 7 / 8])
+_REF_A = [
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (3 / 10, -9 / 10, 6 / 5),
+    (-11 / 54, 5 / 2, -70 / 27, 35 / 27),
+    (1631 / 55296, 175 / 512, 575 / 13824, 44275 / 110592, 253 / 4096),
+]
+_REF_B5 = np.array([37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771])
+_REF_B4 = np.array([2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4])
+_REF_E = _REF_B5 - _REF_B4
+
+
+def reference_rk_segment(coeff, y, s0, s1, rtol, atol=1e-14, h0=None):
+    """The plain Cash-Karp loop: generic matmul stage products and
+    generator stage sums, with the same controller as flow._rk_segment."""
+    span = s1 - s0
+    h = h0 if h0 is not None else span / 32.0
+    h = math.copysign(min(abs(h), abs(span)), span)
+    s = s0
+    k = [None] * 6
+    while (s1 - s) * np.sign(span) > 1e-15 * abs(span):
+        if abs(h) > abs(s1 - s):
+            h = s1 - s
+        k[0] = y @ coeff(s)
+        for i in range(1, 6):
+            yi = y + h * sum(a * kj for a, kj in zip(_REF_A[i], k[:i]))
+            k[i] = yi @ coeff(s + _REF_C[i] * h)
+        y5 = y + h * sum(b * ki for b, ki in zip(_REF_B5, k) if b != 0.0)
+        err = h * sum(e * ki for e, ki in zip(_REF_E, k) if e != 0.0)
+        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
+        ratio = np.sqrt(np.mean((np.abs(err) / scale) ** 2, axis=(-2, -1)))
+        worst = float(ratio.max())
+        if worst <= 1.0:
+            s = s + h
+            y = y5
+        grow = 0.9 * worst ** -0.2 if worst > 0 else 5.0
+        h = h * min(5.0, max(0.2, grow))
+        if abs(h) < 1e-13 * abs(span):
+            raise RuntimeError(f"step-size underflow at path parameter {s!r}")
+    return y, h
+
+
+def counted(coeff):
+    calls = [0]
+
+    def wrapped(s):
+        calls[0] += 1
+        return coeff(s)
+
+    return wrapped, calls
+
+
+def cylinder_ray_coeff(n_rays=4, m=32):
+    """Stacked coefficient of n_rays radial rays |z| in [1, 2.5], the
+    layout of the surface sweep: (n_rays, m, 2, 2) per evaluation."""
+    xi = make_cylinder_potential(CylinderParams(-0.25))
+    lam = LambdaGrid(m).points[None, :]
+    theta = np.linspace(0.0, 2.0 * np.pi, n_rays, endpoint=False)[:, None]
+    w0, dw = 1j * theta, math.log(2.5) + 0j * theta
+
+    def coeff(s):
+        z = np.exp(w0 + s * dw)
+        return xi(z, lam) * (z * dw)[..., None, None]
+
+    y0 = np.tile(np.eye(2, dtype=complex), (n_rays, m, 1, 1))
+    return coeff, y0
+
+
+def bessel_state_coeff(alpha=0.7, w1=math.log(3.0) + 0.5j):
+    """Row-vector Bessel system: coeff is a bare (2, 2) against a (1, 2, 2)
+    state, as in bessel.bessel_integrate."""
+    a2 = alpha * alpha
+
+    def coeff(s):
+        z2 = np.exp(2.0 * s * w1)
+        return np.array([[0.0, (a2 - z2) * w1], [w1, 0.0]], dtype=complex)
+
+    y0 = np.array([[[1.0, 0.3], [0.0, 0.0]]], dtype=complex)
+    return coeff, y0
+
+
+@pytest.mark.parametrize("case", ["cylinder_rays", "bessel_state"])
+def test_rk_segment_matches_plain_loop(case):
+    coeff, y0 = cylinder_ray_coeff() if case == "cylinder_rays" else bessel_state_coeff()
+    new_coeff, new_calls = counted(coeff)
+    old_coeff, old_calls = counted(coeff)
+    y_new, h_new = _rk_segment(new_coeff, y0, 0.0, 1.0, 1e-10)
+    y_old, h_old = reference_rk_segment(old_coeff, y0, 0.0, 1.0, 1e-10)
+    assert new_calls[0] == old_calls[0] > 6
+    assert y_new.shape == y_old.shape == y0.shape
+    assert np.abs(y_new - y_old).max() <= 1e-12 * np.abs(y_old).max()
+    # the next step size follows the error estimate, a difference of
+    # nearly equal stage sums, so it carries amplified roundoff
+    assert abs(h_new - h_old) <= 1e-6 * abs(h_old)
+
+
+def test_rk_segment_step_underflow_raises():
+    stiff = 1e12 * np.diag([1.0, -1.0]).astype(complex)
+    y0 = np.eye(2, dtype=complex)[None]
+    with pytest.raises(RuntimeError, match="step-size underflow"):
+        _rk_segment(lambda s: stiff, y0, 0.0, 1.0, 1e-10)

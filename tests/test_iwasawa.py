@@ -268,6 +268,17 @@ def test_lambda_grid_too_small_for_degree_rejected(front_end):
             iwasawa_grid(phi[None], small, CFG)
 
 
+@pytest.mark.parametrize("front_end", ["factor", "grid"])
+def test_lambda_grid_not_the_configured_size_rejected(front_end):
+    big = LambdaGrid(64)    # CFG says 32 samples
+    phi = rotation_loop(big) @ plus_loop(big)
+    with pytest.raises(ValueError, match="lambda_samples=32"):
+        if front_end == "factor":
+            iwasawa_factor(phi, big, CFG)
+        else:
+            iwasawa_grid(phi[None], big, CFG)
+
+
 def test_sample_shape_checked():
     with pytest.raises(ValueError):
         iwasawa_factor(np.eye(2, dtype=complex)[None], GRID, CFG)

@@ -70,6 +70,71 @@ def test_pole_evaluation_rejected():
         make_bessel_potential(0.0)(np.array([1.0, 0.0]), 1.0)
 
 
+# Reference evaluators: the potentials with both arguments broadcast first.
+
+def _reference_bessel(alpha):
+    def evaluate(z, lam):
+        a = np.asarray(alpha(lam) if callable(alpha) else alpha, dtype=complex)
+        z, a = np.broadcast_arrays(z, a)
+        xi = np.zeros(z.shape + (2, 2), dtype=complex)
+        xi[..., 0, 1] = 1.0 / z
+        xi[..., 1, 0] = -z + a * a / z
+        return xi
+    return evaluate
+
+
+def _reference_cylinder(p):
+    def evaluate(z, lam):
+        z, lam = np.broadcast_arrays(z, lam)
+        Q = -p.r * t_of_lambda(lam) / (4.0 * z * z) - 1.0
+        xi = np.zeros(z.shape + (2, 2), dtype=complex)
+        xi[..., 0, 1] = 1.0 / lam
+        xi[..., 1, 0] = lam * Q
+        return xi
+    return evaluate
+
+
+def _reference_delaunay(res):
+    def evaluate(z, lam):
+        z, lam = np.broadcast_arrays(z, lam)
+        return delaunay_residue_matrix(res, lam) / z[..., None, None]
+    return evaluate
+
+
+_P = CylinderParams(-0.25)
+_RES = DelaunayResidue(*delaunay_ab(_P))
+_EVALUATORS = {
+    "cylinder": (make_cylinder_potential(_P), _reference_cylinder(_P)),
+    "bessel_const": (make_bessel_potential(0.7), _reference_bessel(0.7)),
+    "bessel_callable": (make_bessel_potential(lambda l: alpha_of(_P, l)),
+                        _reference_bessel(lambda l: alpha_of(_P, l))),
+    "delaunay": (make_delaunay_potential(_RES), _reference_delaunay(_RES)),
+}
+_RAYS = 1.3 * np.exp(1j * np.linspace(0.0, 6.0, 3))
+
+
+@pytest.mark.parametrize("name", sorted(_EVALUATORS))
+@pytest.mark.parametrize("z, lam", [
+    (_RAYS[:, None], LambdaGrid(16).points[None, :]),   # (B, 1) x (1, m)
+    (0.8 + 0.3j, LambdaGrid(16).points),                # scalar z, array lambda
+    (_RAYS, np.exp(0.4j)),                              # array z, scalar lambda
+], ids=["rays", "scalar_z", "scalar_lambda"])
+def test_evaluators_match_broadcast_reference(name, z, lam):
+    xi, reference = _EVALUATORS[name]
+    got = xi(z, lam)
+    want = reference(np.asarray(z, dtype=complex), np.asarray(lam, dtype=complex))
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", sorted(_EVALUATORS))
+def test_pole_checked_on_every_call(name):
+    xi, _ = _EVALUATORS[name]
+    xi(_RAYS, 1.0)
+    with pytest.raises(ValueError, match="pole z=0"):
+        xi(np.append(_RAYS, 0.0), 1.0)
+
+
 # --------------------------------------------------------------- residue data
 
 

@@ -207,6 +207,22 @@ def test_lambda_grid_too_small_rejected_before_frames(pipeline, monkeypatch):
             delaunay_reference(DelaunayResidue(0.375, 0.125), dom, small, cfg)
 
 
+@pytest.mark.parametrize("pipeline", ["cylinder", "delaunay"])
+def test_lambda_grid_not_the_configured_size_rejected(pipeline, monkeypatch):
+    def no_frames(*args, **kwargs):
+        raise AssertionError("frames built on a grid the config does not name")
+
+    monkeypatch.setattr(surface, "_spanning_tree_frames", no_frames)
+    monkeypatch.setattr(surface, "delaunay_residue_matrix", no_frames)
+    big, cfg = LambdaGrid(64), PipelineConfig(8, 32)
+    dom = DomainGrid(0.5, 2.0, 8, 8)
+    with pytest.raises(ValueError, match="lambda_samples=32"):
+        if pipeline == "cylinder":
+            build_surface(CylinderParams(1 / 3), dom, big, cfg)
+        else:
+            delaunay_reference(DelaunayResidue(0.375, 0.125), dom, big, cfg)
+
+
 # ------------------------------------------------------------- pipeline runs
 
 
