@@ -8,16 +8,7 @@ gauge identity along the way.
 """
 
 from .config import PipelineConfig, DEFAULT_CONFIG
-from .loops import (
-    LambdaGrid,
-    LaurentLoop,
-    coeffs_to_samples,
-    identity_loop,
-    loop_eval,
-    loop_mul,
-    loop_star,
-    samples_to_coeffs,
-)
+from .loops import LambdaGrid
 from .potentials import (
     CylinderParams,
     DelaunayResidue,
@@ -61,11 +52,8 @@ from .surface import (
     build_surface,
     delaunay_reference,
     end_comparison,
-    mean_curvature_stats,
     mesh_from_grid,
-    reflection_dressing,
     reflection_symmetry_check,
-    sym_bobenko,
 )
 from .cli import RunConfig, export_mesh
 

@@ -9,9 +9,9 @@ from dataclasses import dataclass
 class PipelineConfig:
     """Knobs shared by integration, factorization and meshing.
 
-    fourier_degree   truncation degree N of Laurent loops (coefficients
-                     beyond |k| = N are discarded and their mass reported);
-                     the finite Toeplitz section has 4N+2 block rows
+    fourier_degree   degree N: the finite Toeplitz section has 4N+2 block
+                     rows, and plus_loop_tail measures the mass of the
+                     plus-loop B beyond degree N
     lambda_samples   number m of unit-circle samples; must be >= 2N+2, and
                      the factorization rejects a LambdaGrid of another size
     ode_tol          relative tolerance of the adaptive Runge-Kutta pair

@@ -36,14 +36,11 @@ __all__ = [
     "DomainGrid",
     "SurfaceMesh",
     "SymmetryReport",
-    "sym_bobenko",
     "build_surface",
     "delaunay_reference",
     "end_comparison",
     "reflection_symmetry_check",
-    "mean_curvature_stats",
     "mesh_from_grid",
-    "reflection_dressing",
 ]
 
 
@@ -128,13 +125,6 @@ class SymmetryReport:
 # ---------------------------------------------------------------------------
 # Sym formula
 
-_SIGMA = np.array([
-    [[0, 1], [1, 0]],
-    [[0, -1j], [1j, 0]],
-    [[1, 0], [0, -1]],
-], dtype=complex)
-
-
 def _sym_points(frames: np.ndarray, grid: LambdaGrid):
     """Batched Sym evaluation.
 
@@ -150,42 +140,6 @@ def _sym_points(frames: np.ndarray, grid: LambdaGrid):
     x2 = 0.5 * (f[..., 1, 0].imag - f[..., 0, 1].imag)
     x3 = 0.5 * (f[..., 0, 0] - f[..., 1, 1]).real
     return np.stack([x1, x2, x3], axis=-1), defect
-
-
-def sym_bobenko(F_family: np.ndarray, grid: LambdaGrid) -> np.ndarray:
-    """Point in R^3 from one lambda-family of unitary frames.
-
-    d_lambda F at lambda = 1 is taken spectrally (sum of k times the k-th
-    Fourier coefficient).  A Hermitian/trace defect above 1e-5 means the
-    family was not a consistent unitary frame; it is reported as a
-    warning, not an error, since the projection below still makes sense.
-    """
-    F_family = np.asarray(F_family, dtype=complex)
-    if F_family.shape != (grid.m, 2, 2):
-        raise ValueError(f"expected ({grid.m}, 2, 2) frame samples")
-    pts, defect = _sym_points(F_family[None], grid)
-    if defect[0] > 1e-5:
-        warnings.warn(f"frame family inconsistent: Hermitian trace-free "
-                      f"defect {defect[0]:.2e}", stacklevel=2)
-    return pts[0]
-
-
-def reflection_dressing(phi0, grid: LambdaGrid) -> np.ndarray:
-    """Dressing loop R(lambda) = conj(Phi0(1/conj(lambda))) G^-1 Phi0(lambda)^-1.
-
-    G = diag(1/lambda, lambda).  On the unit circle 1/conj(lambda) is
-    lambda itself, so the first factor is the entrywise conjugate of the
-    samples.  With Phi0 = I this is G^-1 = diag(lambda, 1/lambda),
-    manifestly unitary on the circle.
-    """
-    lam = grid.points
-    if phi0 is None:
-        phi0 = np.tile(np.eye(2, dtype=complex), (grid.m, 1, 1))
-    phi0 = np.asarray(phi0, dtype=complex)
-    ginv = np.zeros((grid.m, 2, 2), dtype=complex)
-    ginv[:, 0, 0] = lam
-    ginv[:, 1, 1] = 1.0 / lam
-    return np.conj(phi0) @ ginv @ _inv2(phi0)
 
 
 # ---------------------------------------------------------------------------
@@ -269,12 +223,6 @@ def mesh_from_grid(points: np.ndarray, diagnostics: dict | None = None) -> Surfa
     normals = _vertex_normals(points, faces)
     stats = _curvature_stats(points, faces, normals, nr, na)
     return SurfaceMesh(points, faces, normals, stats, diagnostics or {})
-
-
-def mean_curvature_stats(mesh: SurfaceMesh) -> dict:
-    """Recompute the discrete mean-curvature statistics of a mesh."""
-    return _curvature_stats(mesh.vertices, mesh.faces, mesh.normals,
-                            mesh.n_radial, mesh.n_angular)
 
 
 # ---------------------------------------------------------------------------

@@ -1,240 +1,23 @@
-"""Loop arithmetic: evaluation, products, adjoints, FFT round trips."""
+"""The lambda grid and the closed-form 2x2 kernels against numpy references."""
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from besselcmc import (
-    LambdaGrid,
-    LaurentLoop,
-    coeffs_to_samples,
-    identity_loop,
-    loop_eval,
-    loop_mul,
-    loop_star,
-    samples_to_coeffs,
-)
+from besselcmc import LambdaGrid
+from besselcmc.loops import _chol2, _det2, _dlambda_at_one, _inv2, _mul2
 
 
-def random_loop(rng, lo=-3, hi=3, degree=8):
-    c = rng.normal(size=(hi - lo + 1, 2, 2)) + 1j * rng.normal(size=(hi - lo + 1, 2, 2))
-    return LaurentLoop(lo, c, degree=degree)
+def random_stack(rng, shape):
+    return (rng.normal(size=(*shape, 2, 2))
+            + 1j * rng.normal(size=(*shape, 2, 2)))
 
 
-def unit_points(n, seed=0):
-    rng = np.random.default_rng(seed)
-    return np.exp(2j * np.pi * rng.uniform(size=n))
-
-
-# ---------------------------------------------------------------- evaluation
-
-
-def test_eval_identity():
-    lam = unit_points(5)
-    out = loop_eval(identity_loop(), lam)
-    assert np.allclose(out, np.eye(2), atol=1e-15)
-
-
-def test_eval_monomial():
-    # single coefficient at k = 2: X(lam) = lam^2 * E12
-    c = np.zeros((1, 2, 2), dtype=complex)
-    c[0, 0, 1] = 1.0
-    x = LaurentLoop(2, c)
-    assert abs(loop_eval(x, 0.5j)[0, 1] - (0.5j) ** 2) < 1e-15
-    assert abs(loop_eval(x, 0.5j)[1, 0]) == 0.0
-
-
-def test_eval_delaunay_residue_loop():
-    # the loop [[c, a/lam + b], [a*lam + b, -c]] with c=0, a=3/8, b=1/8
-    a, b = 0.375, 0.125
-    c = np.zeros((3, 2, 2), dtype=complex)
-    c[0, 0, 1] = a          # lam^-1
-    c[1, 0, 1] = b
-    c[1, 1, 0] = b
-    c[2, 1, 0] = a          # lam^+1
-    x = LaurentLoop(-1, c)
-    at_one = loop_eval(x, 1.0)
-    assert np.allclose(at_one, [[0, 0.5], [0.5, 0]], atol=1e-15)
-    lam = unit_points(7, seed=3)
-    want = np.zeros((7, 2, 2), dtype=complex)
-    want[:, 0, 1] = a / lam + b
-    want[:, 1, 0] = a * lam + b
-    assert np.abs(loop_eval(x, lam) - want).max() < 1e-14
-
-
-def test_eval_at_zero_requires_nonneg_exponents():
-    x = random_loop(np.random.default_rng(0), lo=-2, hi=2)
-    with pytest.raises(ValueError):
-        loop_eval(x, 0.0)
-    # but a polynomial loop is fine at zero
-    y = random_loop(np.random.default_rng(1), lo=0, hi=2)
-    assert np.all(np.isfinite(loop_eval(y, 0.0)))
-
-
-def test_loop_shape_validation():
-    with pytest.raises(ValueError):
-        LaurentLoop(0, np.zeros((3, 2)))
-    with pytest.raises(ValueError):
-        LaurentLoop(0, np.full((1, 2, 2), np.nan))
-
-
-# ------------------------------------------------------------------ product
-
-
-def test_mul_identity():
-    rng = np.random.default_rng(2)
-    x = random_loop(rng)
-    y = loop_mul(x, identity_loop(degree=x.degree))
-    lam = unit_points(9, seed=4)
-    assert np.abs(loop_eval(y, lam) - loop_eval(x, lam)).max() < 1e-13
-
-
-def test_mul_inverse_monomials():
-    # lam*E11 + lam^-1*E22 times its inverse gives the identity loop
-    c = np.zeros((3, 2, 2), dtype=complex)
-    c[2, 0, 0] = 1.0
-    c[0, 1, 1] = 1.0
-    x = LaurentLoop(-1, c)
-    cinv = np.zeros((3, 2, 2), dtype=complex)
-    cinv[0, 0, 0] = 1.0
-    cinv[2, 1, 1] = 1.0
-    xinv = LaurentLoop(-1, cinv)
-    prod = loop_mul(x, xinv)
-    lam = unit_points(8, seed=5)
-    assert np.abs(loop_eval(prod, lam) - np.eye(2)).max() < 1e-14
-
-
-@given(st.integers(0, 2**32 - 1))
-def test_mul_matches_pointwise(seed):
-    rng = np.random.default_rng(seed)
-    x = random_loop(rng, degree=8)
-    y = random_loop(rng, degree=8)
-    z = loop_mul(x, y, tail_tol=np.inf)
-    lam = LambdaGrid(16).points
-    want = loop_eval(x, lam) @ loop_eval(y, lam)
-    assert np.abs(loop_eval(z, lam) - want).max() < 1e-12
-
-
-def test_mul_truncation_reports_tail():
-    rng = np.random.default_rng(6)
-    x = random_loop(rng, lo=-3, hi=3, degree=4)
-    y = random_loop(rng, lo=-3, hi=3, degree=4)
-    z = loop_mul(x, y, tail_tol=1e-9)
-    assert z.hi <= 4 and z.lo >= -4
-    assert z.tail > 0 and z.overflow
-
-
-# ------------------------------------------------------------------ adjoint
-
-
-def test_star_hermitian_fixed_point():
-    h = np.array([[[1.0, 2 + 1j], [2 - 1j, -3.0]]], dtype=complex)
-    x = LaurentLoop(0, h)
-    s = loop_star(x)
-    assert s.lo == 0
-    assert np.abs(s.coeffs - h).max() == 0.0
-
-
-def test_star_swaps_diagonal_monomials():
-    c = np.zeros((3, 2, 2), dtype=complex)
-    c[2, 0, 0] = 1.0
-    c[0, 1, 1] = 1.0
-    x = LaurentLoop(-1, c)  # diag(lam, 1/lam)
-    s = loop_star(x)
-    lam = unit_points(6, seed=7)
-    want = np.zeros((6, 2, 2), dtype=complex)
-    want[:, 0, 0] = 1.0 / lam
-    want[:, 1, 1] = lam
-    assert np.abs(loop_eval(s, lam) - want).max() < 1e-14
-
-
-@given(st.integers(0, 2**32 - 1))
-def test_star_is_pointwise_adjoint_on_circle(seed):
-    rng = np.random.default_rng(seed)
-    x = random_loop(rng)
-    lam = unit_points(10, seed=seed % 97)
-    want = np.conj(np.swapaxes(loop_eval(x, lam), -1, -2))
-    assert np.abs(loop_eval(loop_star(x), lam) - want).max() < 1e-12
-
-
-@given(st.integers(0, 2**32 - 1))
-def test_star_involution_exact(seed):
-    x = random_loop(np.random.default_rng(seed))
-    back = loop_star(loop_star(x))
-    assert back.lo == x.lo
-    assert np.abs(back.coeffs - x.coeffs).max() == 0.0
-
-
-@given(st.integers(0, 2**32 - 1))
-def test_star_anti_homomorphism(seed):
-    rng = np.random.default_rng(seed)
-    x = random_loop(rng, degree=8)
-    y = random_loop(rng, degree=8)
-    left = loop_mul(loop_star(x), loop_star(y), tail_tol=np.inf)
-    right = loop_star(loop_mul(y, x, tail_tol=np.inf))
-    lam = unit_points(8, seed=seed % 89)
-    assert np.abs(loop_eval(left, lam) - loop_eval(right, lam)).max() < 1e-12
-
-
-@given(st.integers(0, 2**32 - 1))
-def test_det_multiplicative(seed):
-    rng = np.random.default_rng(seed)
-    x = random_loop(rng, degree=8)
-    y = random_loop(rng, degree=8)
-    z = loop_mul(x, y, tail_tol=np.inf)
-    lam = unit_points(7, seed=seed % 83)
-    dx = np.linalg.det(loop_eval(x, lam))
-    dy = np.linalg.det(loop_eval(y, lam))
-    dz = np.linalg.det(loop_eval(z, lam))
-    scale = max(1.0, np.abs(dx * dy).max())
-    assert np.abs(dz - dx * dy).max() / scale < 1e-12
-
-
-# ------------------------------------------------------------ FFT transform
-
-
-def test_fit_constant():
-    vals = np.broadcast_to(np.eye(2, dtype=complex), (16, 2, 2))
-    x = samples_to_coeffs(vals, degree=4)
-    assert x.lo == -4 or np.abs(x.coeffs[x.exponents() != 0]).max() < 1e-15
-    assert np.allclose(loop_eval(x, 1.0), np.eye(2), atol=1e-14)
-
-
-def test_fit_monomial():
-    grid = LambdaGrid(16)
-    vals = np.zeros((16, 2, 2), dtype=complex)
-    vals[:, 0, 1] = grid.points
-    x = samples_to_coeffs(vals, degree=4)
-    coeff_at = {k: x.coeffs[i] for i, k in enumerate(x.exponents())}
-    assert abs(coeff_at[1][0, 1] - 1.0) < 1e-14
-    others = [np.abs(c).max() for k, c in coeff_at.items() if k != 1]
-    assert max(others) < 1e-14
-
-
-def test_fit_roundtrip_degree8():
-    rng = np.random.default_rng(11)
-    x = random_loop(rng, lo=-8, hi=8, degree=8)
-    grid = LambdaGrid(64)
-    back = samples_to_coeffs(coeffs_to_samples(x, grid), degree=8)
-    assert back.lo == x.lo
-    assert np.abs(back.coeffs - x.coeffs).max() < 1e-12
-
-
-def test_fit_grid_too_small():
-    vals = np.zeros((8, 2, 2), dtype=complex)
-    with pytest.raises(ValueError):
-        samples_to_coeffs(vals, degree=4)
-
-
-def test_samples_alias_reported_as_tail():
-    # a degree-6 loop sampled on 16 points, fit at degree 4: mass leaks out
-    rng = np.random.default_rng(12)
-    x = random_loop(rng, lo=-6, hi=6, degree=6)
-    vals = coeffs_to_samples(x, LambdaGrid(16))
-    fit = samples_to_coeffs(vals, degree=4, tail_tol=1e-9)
-    assert fit.tail > 1e-3
-    assert fit.overflow
+def hpd_stack(rng, shape):
+    """Hermitian positive-definite stack, lowest eigenvalue >= 0.1."""
+    a = random_stack(rng, shape)
+    return a @ np.conj(np.swapaxes(a, -1, -2)) + 0.1 * np.eye(2)
 
 
 # --------------------------------------------------------------------- grid
@@ -252,3 +35,73 @@ def test_lambda_grid_on_unit_circle():
     assert g.points[0] == 1.0
     ks = g.wavenumbers()
     assert ks.min() == -16 and ks.max() == 15
+
+
+# ------------------------------------------------------------------ kernels
+
+
+# the shapes the pipeline multiplies: Runge-Kutta stage stacks (flow),
+# the Schur recursion's row products (iwasawa), single-node stacks
+@pytest.mark.parametrize("sa, sb", [
+    ((25, 128), (25, 128)),
+    ((256, 1), (256, 34)),
+    ((1, 128), (1, 128)),
+])
+def test_mul2_matches_matmul(sa, sb):
+    rng = np.random.default_rng(0)
+    a, b = random_stack(rng, sa), random_stack(rng, sb)
+    got = _mul2(a, b)
+    want = np.matmul(a, b)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() < 1e-14 * np.abs(want).max()
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_inv2_and_det2_match_linalg(seed):
+    rng = np.random.default_rng(seed)
+    # diagonal shift keeps every matrix far from singular
+    a = random_stack(rng, (64,)) + 6.0 * np.eye(2)
+    want_det = np.linalg.det(a)
+    assert np.abs(_det2(a) - want_det).max() < 1e-14 * np.abs(want_det).max()
+    want_inv = np.linalg.inv(a)
+    assert np.abs(_inv2(a) - want_inv).max() < 1e-14 * np.abs(want_inv).max()
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_chol2_matches_cholesky_reading_lower_triangle(seed):
+    rng = np.random.default_rng(seed)
+    h = hpd_stack(rng, (3, 40))
+    want = np.linalg.cholesky(h)
+    garbage = h.copy()
+    garbage[..., 0, 1] = 1e3 * (rng.normal(size=(3, 40)) + 1j * rng.normal(size=(3, 40)))
+    got = _chol2(garbage)
+    assert np.abs(got - want).max() < 1e-13 * np.abs(want).max()
+    assert np.all(got[..., 0, 1] == 0.0)
+    assert np.all(got[..., 0, 0].imag == 0.0) and np.all(got[..., 1, 1].imag == 0.0)
+
+
+@pytest.mark.parametrize("bad", [
+    [[1.0, 0.0], [2.0, 1.0]],        # indefinite: second pivot 1 - 4 < 0
+    [[-1.0, 0.0], [0.0, 1.0]],       # indefinite: first pivot < 0
+    [[np.nan, 0.0], [0.0, 1.0]],     # NaN first pivot
+    [[1.0, 0.0], [0.0, np.nan]],     # NaN second pivot
+])
+def test_chol2_rejects_non_positive_pivot(bad):
+    h = hpd_stack(np.random.default_rng(1), (5,))
+    h[3] = np.array(bad, dtype=complex)
+    with pytest.raises(np.linalg.LinAlgError):
+        _chol2(h)
+
+
+@pytest.mark.parametrize("m", [16, 128])
+def test_dlambda_at_one_is_weighted_coefficient_sum(m):
+    rng = np.random.default_rng(m)
+    grid = LambdaGrid(m)
+    ks = np.arange(-(m // 2) + 1, m // 2)            # |k| < m/2
+    coeffs = random_stack(rng, (3, ks.size))          # X_k for three loops
+    powers = grid.points[:, None] ** ks               # (m, n)
+    samples = np.einsum("jk,bkxy->bjxy", powers, coeffs)
+    want = np.einsum("k,bkxy->bxy", ks.astype(float), coeffs)
+    got = _dlambda_at_one(samples, grid)
+    assert got.shape == (3, 2, 2)
+    assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
