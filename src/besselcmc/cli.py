@@ -56,7 +56,7 @@ class RunConfig:
     fourier_degree: int = DEFAULT_CONFIG.fourier_degree
     lambda_samples: int = DEFAULT_CONFIG.lambda_samples
     ode_tol: float = DEFAULT_CONFIG.ode_tol
-    annulus: tuple[float, float] = (0.1, 5.0)
+    annulus: tuple[float, float] = (0.1, 2.5)
     grid: tuple[int, int] = (128, 64)
     out: str | None = None
     mesh_format: str | None = None  # None: infer from the out suffix
@@ -366,7 +366,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="ODE relative tolerance (default 1e-10)")
         sp.add_argument("--annulus", type=_annulus_arg, default=None,
                         metavar="RHO_MIN:RHO_MAX",
-                        help="domain annulus (default 0.1:5.0)")
+                        help="domain annulus (default 0.1:2.5)")
         sp.add_argument("--grid", type=_grid_arg, default=None,
                         metavar="N_RADIAL:N_ANGULAR",
                         help="mesh resolution (default 128:64)")

@@ -9,9 +9,9 @@ from dataclasses import dataclass
 class PipelineConfig:
     """Knobs shared by integration, factorization and meshing.
 
-    fourier_degree   degree N: the finite Toeplitz section has 4N+2 block
-                     rows, and plus_loop_tail measures the mass of the
-                     plus-loop B beyond degree N
+    fourier_degree   degree N: the Toeplitz section has 2N+2 block rows
+                     (within the lambda grid; doubling it moves F ~1e-12),
+                     and plus_loop_tail measures B over degrees N+1..2N+1
     lambda_samples   number m of unit-circle samples; must be >= 2N+2, and
                      the factorization rejects a LambdaGrid of another size
     ode_tol          relative tolerance of the adaptive Runge-Kutta pair
@@ -34,7 +34,7 @@ class PipelineConfig:
 
     @property
     def section_rows(self) -> int:
-        return 4 * self.fourier_degree + 2
+        return 2 * self.fourier_degree + 2
 
 
 DEFAULT_CONFIG = PipelineConfig()

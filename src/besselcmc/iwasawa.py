@@ -4,9 +4,10 @@ F is unitary on every unit-circle sample, B extends holomorphically into
 the disk (nonnegative exponents only) with upper-triangular B(0) whose
 diagonal is real positive.  The method is the finite-section Bauer scheme:
 sample H = Phi* Phi; the coefficients of B are the bottom block row of the
-Cholesky factor of the block Toeplitz matrix of H's Fourier coefficients.
-A block Schur recursion on that matrix's displacement generator produces
-the row in O(nsec^2) work per node without forming the matrix.
+Cholesky factor of the block Toeplitz matrix of H's Fourier coefficients,
+cut to 2N+2 block rows for degree N (never more than the m samples, so B
+needs no folding).  A block Schur recursion on the displacement generator
+produces the row in O(nsec^2) work per node without forming the matrix.
 Everything is batched over nodes, and the per-node 2x2 algebra uses the
 closed-form kernels of loops.py.
 """
@@ -41,8 +42,8 @@ def factor_samples(phi: np.ndarray, grid: LambdaGrid, nsec: int):
     """Bauer factorization of a batch of sampled loops.
 
     phi: (B, m, 2, 2) samples on the grid, det == 1 assumed.
-    nsec: finite-section size (number of block rows); B coefficients come
-    out for exponents 0 .. nsec-1.
+    nsec: finite-section size (number of block rows, at most m); B
+    coefficients come out for exponents 0 .. nsec-1.
     Returns (F_samples (B,m,2,2), B_coeffs (B,nsec,2,2), B_samples).
 
     The section T (block (i, j) = H_{j-i}) is never built.  Its
@@ -102,12 +103,10 @@ def factor_samples(phi: np.ndarray, grid: LambdaGrid, nsec: int):
             "not admit this factorization, or the section is too large for "
             f"the sample count (section {nsec}, {m} samples)") from exc
     bk[:, 0] = alpha                   # the last pivot, exactly triangular
-    # B on the grid: lambda_j^k = lambda_j^(k mod m), so fold the
-    # coefficients mod m and take one inverse FFT
-    folded = np.zeros((nb, m, 2, 2), dtype=complex)
-    for lo in range(0, nsec, m):
-        folded[:, : min(m, nsec - lo)] += bk[:, lo : lo + m]
-    bs = np.fft.ifft(folded, axis=1) * m
+    # B on the grid: one inverse FFT of the coefficients, zero-padded to m
+    padded = np.zeros((nb, m, 2, 2), dtype=complex)
+    padded[:, :nsec] = bk
+    bs = np.fft.ifft(padded, axis=1) * m
     return _mul2(phi, _inv2(bs)), bk, bs
 
 
@@ -156,7 +155,7 @@ def _factor_batch(phi: np.ndarray, grid: LambdaGrid, cfg: PipelineConfig):
         "unitarity": _unitarity(f),
         "plus_loop_tail": _plus_tail(bk, cfg.fourier_degree),
         "normalization": _normalization(bk),
-        "reconstruction": np.abs(f @ bs - phi).reshape(phi.shape[0], -1).max(axis=1),
+        "reconstruction": np.abs(_mul2(f, bs) - phi).reshape(phi.shape[0], -1).max(axis=1),
     }
     return f, bk, bs, residuals
 

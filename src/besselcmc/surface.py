@@ -22,7 +22,7 @@ import numpy as np
 from .config import PipelineConfig, DEFAULT_CONFIG
 from .flow import _integrate_w_line
 from .iwasawa import _check_grid, iwasawa_grid
-from .loops import LambdaGrid, _adj, _dlambda_at_one, _inv2
+from .loops import LambdaGrid, _adj, _dlambda_at_one, _inv2, _mul2
 from .potentials import (
     CylinderParams,
     DelaunayResidue,
@@ -132,7 +132,7 @@ def _sym_points(frames: np.ndarray, grid: LambdaGrid):
     defect (...,)) where defect is the Hermitian-trace-free violation of
     (d_lambda F) F^-1 at lambda = 1.
     """
-    f = _dlambda_at_one(frames, grid) @ _inv2(frames[..., 0, :, :])
+    f = _mul2(_dlambda_at_one(frames, grid), _inv2(frames[..., 0, :, :]))
     fstar = _adj(f)
     tr = f[..., 0, 0] + f[..., 1, 1]
     defect = np.abs(f - fstar).max(axis=(-2, -1)) + np.abs(tr)

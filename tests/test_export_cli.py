@@ -192,6 +192,15 @@ def test_generate_deterministic(generated):
     assert (tmp / "surf-report.json").read_bytes() == report_bytes
 
 
+def test_default_generate_is_cmc(tmp_path):
+    # the default annulus and grid stay where the mesh resolves H
+    out = tmp_path / "default.obj"
+    assert main(["generate", "--r", "0.3333333333333333", "--out", str(out)]) == 0
+    report = json.loads((tmp_path / "default-report.json").read_text())
+    h = report["residuals"]["mean_curvature"]
+    assert h["stddev"] <= 0.05 * abs(h["mean"])
+
+
 def test_generate_requires_out(capsys):
     assert main(["generate", "--r", "0.5"]) == 2
     assert "out" in capsys.readouterr().err

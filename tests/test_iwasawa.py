@@ -4,18 +4,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from besselcmc import (
     CylinderParams,
+    DomainGrid,
     LambdaGrid,
     PathSpec,
     PipelineConfig,
+    cylinder_basepoint_frame,
     integrate_frame,
     iwasawa_factor,
     iwasawa_grid,
     make_cylinder_potential,
 )
-from besselcmc.iwasawa import factor_samples
+from besselcmc.iwasawa import _unitarity, factor_samples
+from besselcmc.loops import _adj, _chol2, _inv2, _mul2
+from besselcmc.surface import _spanning_tree_frames
 
 CFG = PipelineConfig(fourier_degree=8, lambda_samples=32)
 GRID = LambdaGrid(32)
@@ -158,8 +164,8 @@ def dense_bottom_row(phi, m, nsec):
 
 
 @pytest.mark.parametrize("degree, m, n_side", [
-    (8, 32, 8),     # section of 34 block rows > m/2: zeroed offsets
-    (32, 128, 3),   # section of 130 block rows > m
+    (8, 32, 8),     # section of 18 block rows > m/2: zeroed offsets
+    (32, 128, 3),   # section of 66 block rows > m/2
 ])
 def test_schur_kernel_matches_dense_cholesky(degree, m, n_side):
     grid = LambdaGrid(m)
@@ -171,6 +177,65 @@ def test_schur_kernel_matches_dense_cholesky(degree, m, n_side):
     scale = np.maximum(1.0, np.abs(bk).reshape(len(phi), -1).max(axis=1))
     err = np.abs(bk - oracle).reshape(len(phi), -1).max(axis=1)
     assert (err <= 1e-10 * scale).all(), err.max()
+
+
+# -------------------------------------------------------------- section size
+
+
+def annulus_frames(r, degree, m):
+    """Pipeline frames of cylinder r at 8x8 nodes of the annulus 0.3:3.0."""
+    grid = LambdaGrid(m)
+    cfg = PipelineConfig(degree, m)
+    p = CylinderParams(r)
+    frames = _spanning_tree_frames(make_cylinder_potential(p),
+                                   cylinder_basepoint_frame(p, grid.points),
+                                   DomainGrid(0.3, 3.0, 8, 8), grid, cfg)
+    return frames.reshape(-1, m, 2, 2), grid, cfg
+
+
+def wide_section_unitary_factor(phi, grid, nsec):
+    """F from a finite section of nsec > m block rows.
+
+    The section sees H = Phi* Phi only through H_k, |k| <= m/2.  That
+    band-limited symbol is resampled on M >= nsec points and factored as
+    L L*, so the loop L* on the M-grid has the same section; its Schur
+    coefficients B_0 .. B_{nsec-1} are summed at the m original samples.
+    """
+    m = grid.m
+    big = m
+    while big < nsec:
+        big *= 2
+    hat = np.fft.fft(_mul2(_adj(phi), phi), axis=1) / m
+    spec = np.zeros((len(phi), big, 2, 2), dtype=complex)
+    spec[:, : m // 2 + 1] = hat[:, : m // 2 + 1]
+    spec[:, big - m // 2 :] = hat[:, m // 2 :]
+    h = np.fft.ifft(spec, axis=1) * big
+    _, bk, _ = factor_samples(_adj(_chol2(h)), LambdaGrid(big), nsec)
+    powers = grid.points[:, None] ** np.arange(nsec)
+    return _mul2(phi, _inv2(np.einsum("jk,nkab->njab", powers, bk)))
+
+
+@pytest.mark.parametrize("r, degree, m", [(0.4, 32, 128), (-0.4, 8, 32)])
+def test_section_rows_agree_with_twice_the_section(r, degree, m):
+    phi, grid, cfg = annulus_frames(r, degree, m)
+    assert cfg.section_rows == 2 * degree + 2
+    f, _, _ = factor_samples(phi, grid, cfg.section_rows)
+    wide = wide_section_unitary_factor(phi, grid, 4 * degree + 2)
+    assert np.abs(f - wide).max() <= 1e-10
+
+
+def test_undersized_section_fails_the_unitarity_bound():
+    phi, grid, cfg = annulus_frames(-0.4, 8, 32)
+    f, _, _ = factor_samples(phi, grid, cfg.section_rows)
+    assert _unitarity(f).max() <= 1e-8          # criterion 8's bound
+    small, _, _ = factor_samples(phi, grid, cfg.fourier_degree + 2)
+    assert _unitarity(small).max() > 1e-8
+
+
+@given(st.integers(1, 2048), st.integers(0, 4096))
+def test_section_never_exceeds_the_lambda_grid(degree, extra):
+    cfg = PipelineConfig(degree, 2 * degree + 2 + extra)
+    assert cfg.section_rows <= cfg.lambda_samples
 
 
 def test_grid_factorization_residuals():
