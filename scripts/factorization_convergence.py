@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Plus-loop tail vs truncation degree for one family of pipeline frames.
 
-The frames are integrated once (they depend on the sample count and ODE
-tolerance, not on the truncation degree), then refactored at a range of
-degrees.  The tail mass beyond the degree should fall geometrically until
-it hits the integration noise floor.
+The frames are built once from the Frobenius series (they depend on the
+sample count, not on the truncation degree), then refactored at a range
+of degrees.  The tail mass beyond the degree should fall geometrically
+until it hits the roundoff floor.
 
     python scripts/factorization_convergence.py --r 0.3333 --degrees 4 8 16 32
 """
@@ -18,11 +18,9 @@ from besselcmc import (
     DomainGrid,
     LambdaGrid,
     PipelineConfig,
-    cylinder_basepoint_frame,
     iwasawa_grid,
-    make_cylinder_potential,
+    series_frames,
 )
-from besselcmc.surface import _spanning_tree_frames
 
 
 def main() -> None:
@@ -39,13 +37,10 @@ def main() -> None:
     m = args.lambda_samples
     p = CylinderParams(args.r)
     grid = LambdaGrid(m)
-    cfg = PipelineConfig(fourier_degree=max(args.degrees), lambda_samples=m)
 
-    print(f"integrating frames: r={args.r}, annulus {rho}, "
+    print(f"series frames: r={args.r}, annulus {rho}, "
           f"{nr}x{na} nodes, {m} lambda samples")
-    frames = _spanning_tree_frames(make_cylinder_potential(p),
-                                   cylinder_basepoint_frame(p, grid.points),
-                                   DomainGrid(*rho, nr, na), grid, cfg)
+    frames = series_frames(p, DomainGrid(*rho, nr, na), grid)
 
     print(f"{'degree':>7} {'tail':>12} {'unitarity':>12} {'reconstruction':>15}")
     prev = None

@@ -1,6 +1,6 @@
 """CMC cylinder surfaces from the Bessel equation via loop-group factorization.
 
-Pipeline: a holomorphic sl2 potential with one puncture -> frames from
+Pipeline: a holomorphic sl2 potential with one puncture -> frames solving
 d Phi = Phi xi over a lambda family -> pointwise Iwasawa splitting into a
 unitary loop and a positive plus-loop -> Sym formula -> immersed surface
 mesh in R^3, plus verification helpers for every closing condition and
@@ -54,6 +54,7 @@ from .surface import (
     end_comparison,
     mesh_from_grid,
     reflection_symmetry_check,
+    series_frames,
 )
 from .cli import RunConfig, export_mesh
 

@@ -363,7 +363,8 @@ def _build_parser() -> argparse.ArgumentParser:
                              "(default 128)")
         sp.add_argument("--tol", dest="ode_tol", metavar="TOL",
                         type=float, default=None,
-                        help="ODE relative tolerance (default 1e-10)")
+                        help="ODE relative tolerance of the closing and verification "
+                             "checks; mesh frames are closed-form (default 1e-10)")
         sp.add_argument("--annulus", type=_annulus_arg, default=None,
                         metavar="RHO_MIN:RHO_MAX",
                         help="domain annulus (default 0.1:2.5)")

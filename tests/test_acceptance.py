@@ -35,10 +35,10 @@ from besselcmc import (
     monodromy,
     mu_eigenvalue,
     reflection_symmetry_check,
+    series_frames,
     verify_gauge_chain,
     verify_mu_alpha_identity,
 )
-from besselcmc.surface import _spanning_tree_frames
 
 R_SET = (1 / 3, -0.25, 1 / math.sqrt(2), -1 / math.pi)
 
@@ -75,17 +75,13 @@ def pipeline_mesh():
 def factorization_frames():
     """Raw pipeline frames on a small grid, for refactoring at several degrees.
 
-    The frames depend only on the ODE tolerance and the sample count, so the
-    same family can be factored at degree 4, 8, 16, 32 to expose how the
-    plus-loop tail falls with the truncation degree.
+    The frames depend only on the sample count, so the same family can be
+    factored at degree 4, 8, 16, 32 to expose how the plus-loop tail falls
+    with the truncation degree.
     """
-    p = CylinderParams(1 / 3)
     grid = LambdaGrid(128)
-    cfg = PipelineConfig(fourier_degree=32, lambda_samples=128)
-    xi = make_cylinder_potential(p)
-    phi0 = cylinder_basepoint_frame(p, grid.points)
     dom = DomainGrid(0.3, 3.0, 16, 8)
-    return _spanning_tree_frames(xi, phi0, dom, grid, cfg), grid
+    return series_frames(CylinderParams(1 / 3), dom, grid), grid
 
 
 def test_criterion_01_delaunay_closed_form_oracle():

@@ -13,15 +13,14 @@ from besselcmc import (
     LambdaGrid,
     PathSpec,
     PipelineConfig,
-    cylinder_basepoint_frame,
     integrate_frame,
     iwasawa_factor,
     iwasawa_grid,
     make_cylinder_potential,
+    series_frames,
 )
 from besselcmc.iwasawa import _unitarity, factor_samples
 from besselcmc.loops import _adj, _chol2, _inv2, _mul2
-from besselcmc.surface import _spanning_tree_frames
 
 CFG = PipelineConfig(fourier_degree=8, lambda_samples=32)
 GRID = LambdaGrid(32)
@@ -185,12 +184,8 @@ def test_schur_kernel_matches_dense_cholesky(degree, m, n_side):
 def annulus_frames(r, degree, m):
     """Pipeline frames of cylinder r at 8x8 nodes of the annulus 0.3:3.0."""
     grid = LambdaGrid(m)
-    cfg = PipelineConfig(degree, m)
-    p = CylinderParams(r)
-    frames = _spanning_tree_frames(make_cylinder_potential(p),
-                                   cylinder_basepoint_frame(p, grid.points),
-                                   DomainGrid(0.3, 3.0, 8, 8), grid, cfg)
-    return frames.reshape(-1, m, 2, 2), grid, cfg
+    frames = series_frames(CylinderParams(r), DomainGrid(0.3, 3.0, 8, 8), grid)
+    return frames.reshape(-1, m, 2, 2), grid, PipelineConfig(degree, m)
 
 
 def wide_section_unitary_factor(phi, grid, nsec):

@@ -10,13 +10,20 @@ from besselcmc import (
     LambdaGrid,
     PipelineConfig,
     build_surface,
+    cylinder_basepoint_frame,
     delaunay_ab,
     delaunay_reference,
     end_comparison,
+    exp_delaunay_monodromy,
+    make_cylinder_potential,
     mesh_from_grid,
     reflection_symmetry_check,
+    series_frames,
 )
+import besselcmc.flow as flow
+import besselcmc.potentials as potentials
 import besselcmc.surface as surface
+from besselcmc.loops import _mul2
 from besselcmc.surface import _axis_profile, _profile_period
 
 CFG = PipelineConfig(fourier_degree=16, lambda_samples=64)
@@ -171,7 +178,7 @@ def test_lambda_grid_too_small_rejected_before_frames(pipeline, monkeypatch):
     def no_frames(*args, **kwargs):
         raise AssertionError("frames built for a grid the degree cannot use")
 
-    monkeypatch.setattr(surface, "_spanning_tree_frames", no_frames)
+    monkeypatch.setattr(surface, "series_frames", no_frames)
     monkeypatch.setattr(surface, "delaunay_residue_matrix", no_frames)
     small, cfg = LambdaGrid(8), PipelineConfig(8, 32)   # degree 8 needs 18 samples
     dom = DomainGrid(0.5, 2.0, 8, 8)
@@ -187,7 +194,7 @@ def test_lambda_grid_not_the_configured_size_rejected(pipeline, monkeypatch):
     def no_frames(*args, **kwargs):
         raise AssertionError("frames built on a grid the config does not name")
 
-    monkeypatch.setattr(surface, "_spanning_tree_frames", no_frames)
+    monkeypatch.setattr(surface, "series_frames", no_frames)
     monkeypatch.setattr(surface, "delaunay_residue_matrix", no_frames)
     big, cfg = LambdaGrid(64), PipelineConfig(8, 32)
     dom = DomainGrid(0.5, 2.0, 8, 8)
@@ -196,6 +203,79 @@ def test_lambda_grid_not_the_configured_size_rejected(pipeline, monkeypatch):
             build_surface(CylinderParams(1 / 3), dom, big, cfg)
         else:
             delaunay_reference(DelaunayResidue(0.375, 0.125), dom, big, cfg)
+
+
+# ------------------------------------------------------------- series frames
+
+SERIES_GRID = LambdaGrid(32)
+SERIES_R = (1 / 3, -0.25, -2.9, 0.9)
+
+
+def ring_relative(a, b):
+    """Per-ring max |a - b| over the ring's largest entry of b."""
+    n = b.shape[0]
+    return (np.abs(a - b).reshape(n, -1).max(axis=1)
+            / np.abs(b).reshape(n, -1).max(axis=1))
+
+
+@pytest.mark.parametrize("tol, bound", [(1e-10, 1e-9), (1e-13, 1e-12)])
+@pytest.mark.parametrize("r", SERIES_R)
+@pytest.mark.parametrize("annulus", [(0.3, 3.0), (0.1, 5.0)])
+def test_series_frames_match_the_ode(annulus, r, tol, bound):
+    # the Runge-Kutta flow along a spanning tree is the independent oracle;
+    # the difference is its own error (about 7e-10 and 8e-13 at worst)
+    p = CylinderParams(r)
+    dom = DomainGrid(*annulus, 5, 8)
+    cfg = PipelineConfig(8, SERIES_GRID.m, ode_tol=tol)
+    ode = surface._spanning_tree_frames(
+        make_cylinder_potential(p), cylinder_basepoint_frame(p, SERIES_GRID.points),
+        dom, SERIES_GRID, cfg)
+    err = ring_relative(series_frames(p, dom, SERIES_GRID), ode)
+    assert (err <= bound).all(), err.max()
+
+
+@pytest.mark.parametrize("r", SERIES_R)
+def test_series_seam_is_the_closed_form_monodromy(r):
+    # Phi(theta = 2 pi) = -exp(2 pi i A) Phi(theta = 0), ring by ring
+    p = CylinderParams(r)
+    frames = series_frames(p, DomainGrid(0.3, 3.0, 5, 8), SERIES_GRID)
+    M = -exp_delaunay_monodromy(DelaunayResidue(*delaunay_ab(p)), SERIES_GRID.points)
+    err = ring_relative(frames[:, -1], _mul2(M, frames[:, 0]))
+    assert (err <= 1e-13).all(), err.max()
+
+
+@pytest.mark.parametrize("r", SERIES_R)
+def test_basepoint_frame_is_the_series_at_one(r):
+    p = CylinderParams(r)
+    dom = DomainGrid(0.5, 2.0, 5, 8)
+    assert dom.u()[2] == 0.0                       # the middle ring is |z| = 1
+    frames = series_frames(p, dom, SERIES_GRID)
+    phi0 = cylinder_basepoint_frame(p, SERIES_GRID.points)
+    assert np.abs(frames[2, 0] - phi0).max() <= 1e-14
+
+
+def test_unconverged_series_raises(monkeypatch):
+    monkeypatch.setattr(potentials, "_MAX_TERMS", 3)
+    p = CylinderParams(1 / 3)
+    with pytest.raises(RuntimeError, match="not converged"):
+        cylinder_basepoint_frame(p, SERIES_GRID.points)
+    with pytest.raises(RuntimeError, match="not converged"):
+        series_frames(p, DomainGrid(0.3, 3.0, 5, 8), SERIES_GRID)
+
+
+def test_build_surface_integrates_no_ode(monkeypatch):
+    def no_ode(*args, **kwargs):
+        raise AssertionError("Runge-Kutta step taken")
+
+    monkeypatch.setattr(flow, "_rk_segment", no_ode)
+    p, dom = CylinderParams(1 / 3), DomainGrid(0.3, 3.0, 8, 8)
+    cfg = PipelineConfig(8, SERIES_GRID.m)
+    mesh = build_surface(p, dom, SERIES_GRID, cfg)
+    assert mesh.diagnostics["seam_residual"] < 1e-12
+    with pytest.raises(AssertionError, match="Runge-Kutta"):   # the patch bites
+        surface._spanning_tree_frames(
+            make_cylinder_potential(p), cylinder_basepoint_frame(p, SERIES_GRID.points),
+            dom, SERIES_GRID, cfg)
 
 
 # ------------------------------------------------------------- pipeline runs
