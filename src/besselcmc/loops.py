@@ -5,8 +5,9 @@ samples on a uniform power-of-two grid of the unit circle (LambdaGrid),
 with lambda = 1 as the first sample.  Products, inverses, determinants
 and Cholesky factors of such sample stacks are taken in closed form
 (_mul2, _inv2, _det2, _chol2), which is cheaper than generic batched
-linear algebra on 2x2 matrices.  The one derivative the pipeline
-needs, d/d-lambda at lambda = 1, is spectral (_dlambda_at_one).
+linear algebra on 2x2 matrices; _mul2_entries is the product's form for
+large stacks.  The one derivative the pipeline needs, d/d-lambda at
+lambda = 1, is spectral (_dlambda_at_one).
 """
 
 from __future__ import annotations
@@ -67,25 +68,47 @@ def _mul2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[..., :, 0:1] * b[..., 0:1, :] + a[..., :, 1:2] * b[..., 1:2, :]
 
 
+def _mul2_entries(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """_mul2 written one output entry at a time, with identical results.
+
+    _mul2's broadcast runs a length-2 inner loop per matrix, which is slow
+    on large stacks such as a batch of (nodes, m) samples; this form pays
+    twelve calls instead, which is slower on short stacks.
+    """
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b))
+    for i in range(2):
+        for j in range(2):
+            np.multiply(a[..., i, 0], b[..., 0, j], out=out[..., i, j])
+            out[..., i, j] += a[..., i, 1] * b[..., 1, j]
+    return out
+
+
+def _chol2_entries(h00: np.ndarray, h10: np.ndarray, h11: np.ndarray):
+    """Lower Cholesky factor (l00, l10, l11) of Hermitian 2x2 matrices
+    given by their real diagonal h00, h11 and lower entry h10.
+
+    The diagonal of the factor is real positive.  Raises LinAlgError
+    unless every matrix is positive definite (a NaN pivot counts as not
+    positive).
+    """
+    if not (h00 > 0).all():
+        raise np.linalg.LinAlgError("2x2 matrix not positive definite")
+    l00 = np.sqrt(h00)
+    l10 = h10 / l00
+    d1 = h11 - (l10.real ** 2 + l10.imag ** 2)
+    if not (d1 > 0).all():
+        raise np.linalg.LinAlgError("2x2 matrix not positive definite")
+    return l00, l10, np.sqrt(d1)
+
+
 def _chol2(h: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of a stack of Hermitian 2x2 matrices.
 
-    Reads the lower triangle only, as LAPACK does, and gives the factor a
-    real positive diagonal.  Raises LinAlgError unless every matrix in the
-    stack is positive definite (a NaN pivot counts as not positive).
+    Reads the lower triangle only, as LAPACK does; see _chol2_entries.
     """
-    d0 = h[..., 0, 0].real
-    if not (d0 > 0).all():
-        raise np.linalg.LinAlgError("2x2 matrix not positive definite")
-    l00 = np.sqrt(d0)
-    l10 = h[..., 1, 0] / l00
-    d1 = h[..., 1, 1].real - (l10.real ** 2 + l10.imag ** 2)
-    if not (d1 > 0).all():
-        raise np.linalg.LinAlgError("2x2 matrix not positive definite")
     out = np.zeros_like(h)
-    out[..., 0, 0] = l00
-    out[..., 1, 0] = l10
-    out[..., 1, 1] = np.sqrt(d1)
+    out[..., 0, 0], out[..., 1, 0], out[..., 1, 1] = _chol2_entries(
+        h[..., 0, 0].real, h[..., 1, 0], h[..., 1, 1].real)
     return out
 
 

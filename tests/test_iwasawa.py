@@ -178,14 +178,95 @@ def test_schur_kernel_matches_dense_cholesky(degree, m, n_side):
     assert (err <= 1e-10 * scale).all(), err.max()
 
 
-# -------------------------------------------------------------- section size
-
-
 def annulus_frames(r, degree, m):
     """Pipeline frames of cylinder r at 8x8 nodes of the annulus 0.3:3.0."""
     grid = LambdaGrid(m)
     frames = series_frames(CylinderParams(r), DomainGrid(0.3, 3.0, 8, 8), grid)
     return frames.reshape(-1, m, 2, 2), grid, PipelineConfig(degree, m)
+
+
+def complex_schur_reference(phi, grid, nsec):
+    """The block Schur recursion on a complex generator, one 2x2 product
+    at a time: factor_samples' steps without the closed-form rotation or
+    the real layout.  Returns (F_samples, B_coeffs)."""
+    nb, m = phi.shape[0], grid.m
+    hat = np.fft.fft(_mul2(_adj(phi), phi), axis=1) / m
+    row = np.zeros((nb, nsec, 2, 2), dtype=complex)
+    kept = min(nsec, m // 2 + 1)
+    row[:, :kept] = hat[:, :kept]
+    bk = np.empty_like(row)
+    try:
+        r0 = _chol2(hat[:, 0])
+        u = _mul2(_inv2(r0)[:, None], row).transpose(0, 2, 1, 3)
+        g = np.concatenate((u, u), axis=1).reshape(nb, 4, 2 * nsec)
+        g[:, 2:, :2] = 0.0
+        bk[:, -1] = g[:, :2, -2:]
+        alpha = _adj(r0)
+        theta = np.empty((nb, 4, 4), dtype=complex)
+        for k in range(1, nsec):
+            g = np.concatenate((g[:, :2, :-2], g[:, 2:, 2:]), axis=1)
+            beta = g[:, 2:, :2]
+            q = _mul2(beta, _inv2(alpha))
+            qs = _adj(q)
+            d = alpha - _mul2(qs, beta)
+            piv = _chol2(_mul2(_adj(alpha), d))
+            m1 = _mul2(_adj(piv), _inv2(d))
+            m2 = _inv2(_chol2(np.eye(2) - _mul2(q, qs)))
+            theta[:, :2, :2] = m1
+            theta[:, :2, 2:] = -_mul2(m1, qs)
+            theta[:, 2:, :2] = -_mul2(m2, q)
+            theta[:, 2:, 2:] = m2
+            g = theta @ g
+            bk[:, -1 - k] = g[:, :2, -2:]
+            alpha = _adj(piv)
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError("not positive definite") from exc
+    bk[:, 0] = alpha
+    padded = np.zeros((nb, m, 2, 2), dtype=complex)
+    padded[:, :nsec] = bk
+    bs = np.fft.ifft(padded, axis=1) * m
+    return _mul2(phi, _inv2(bs)), bk
+
+
+@pytest.mark.parametrize("r, degree, m", [
+    (0.2, 32, 128), (0.3, 32, 128), (0.4, 32, 128),        # surface workload
+    (-0.4, 8, 32), (-0.25, 8, 32), (-0.15, 8, 32),         # generate workload
+])
+def test_real_kernel_matches_the_complex_recursion(r, degree, m):
+    phi, grid, cfg = annulus_frames(r, degree, m)
+    f, bk, _ = factor_samples(phi, grid, cfg.section_rows)
+    ref_f, ref_bk = complex_schur_reference(phi, grid, cfg.section_rows)
+    # H = B* B has condition ~|B|^4 on the circle, so two roundings of the
+    # recursion differ by ~eps |B|^2 relative to B (measured: at most
+    # 9e-14 |B|^2 on these frames, at the outer ring)
+    scale = np.maximum(1.0, np.abs(ref_bk).reshape(len(phi), -1).max(axis=1)) ** 2
+    err_b = np.abs(bk - ref_bk).reshape(len(phi), -1).max(axis=1)
+    err_f = np.abs(f - ref_f).reshape(len(phi), -1).max(axis=1)
+    assert (err_b <= 1e-12 * scale).all(), (err_b / scale).max()
+    assert (err_f <= 1e-12 * scale).all(), (err_f / scale).max()
+
+
+def raising_nodes(factor, phi, grid, nsec):
+    failed = []
+    for i in range(len(phi)):
+        try:
+            factor(phi[i : i + 1], grid, nsec)
+        except RuntimeError:
+            failed.append(i)
+    return failed
+
+
+def test_real_kernel_raises_where_the_complex_recursion_does():
+    grid = LambdaGrid(128)
+    frames = series_frames(CylinderParams(-2.9), DomainGrid(0.1, 5.0, 8, 8), grid)
+    phi = frames.reshape(-1, grid.m, 2, 2)
+    nsec = PipelineConfig(32, 128).section_rows
+    failed = raising_nodes(factor_samples, phi, grid, nsec)
+    assert failed                        # outer-ring nodes lose definiteness
+    assert failed == raising_nodes(complex_schur_reference, phi, grid, nsec)
+
+
+# -------------------------------------------------------------- section size
 
 
 def wide_section_unitary_factor(phi, grid, nsec):
@@ -284,6 +365,42 @@ def test_failed_node_is_localized():
     ok = [i for i in range(6) if i != 3]
     assert np.abs(f[ok] @ b[ok] - frames[ok]).max() < 1e-9
     assert summary["reconstruction_max"] < 1e-9  # NaN node excluded
+
+
+def half_circle_loop(grid=GRID):
+    """diag(1, chi), chi = 1 on the first m/2 samples and 0 on the rest.
+
+    Every finite section of chi's Toeplitz matrix is positive definite,
+    but its least eigenvalue decays geometrically with the size, so the
+    recursion meets a non-positive pivot late, not at the first one.
+    """
+    out = np.zeros((grid.m, 2, 2), dtype=complex)
+    out[:, 0, 0] = 1.0
+    out[: grid.m // 2, 1, 1] = 1.0
+    return out
+
+
+@pytest.mark.parametrize("degree, m", [(8, 32), (32, 128)])
+def test_pivot_failure_in_the_recursion_raises(degree, m):
+    grid = LambdaGrid(m)
+    phi = half_circle_loop(grid)[None]
+    nsec = PipelineConfig(degree, m).section_rows
+    factor_samples(phi, grid, nsec // 2)      # the first half of the steps pass
+    with pytest.raises(RuntimeError, match="not positive definite"):
+        factor_samples(phi, grid, nsec)
+
+
+def test_pivot_failure_in_the_recursion_is_localized():
+    frames = np.tile(rotation_loop() @ plus_loop(), (6, 1, 1, 1))
+    frames[1] = rotation_loop()
+    clean_f, clean_b, _ = iwasawa_grid(frames, GRID, CFG)
+    frames[4] = half_circle_loop()
+    f, b, summary = iwasawa_grid(frames, GRID, CFG)
+    assert summary["failed_nodes"] == [4]
+    assert np.isnan(f[4]).all() and np.isnan(b[4]).all()
+    ok = [i for i in range(6) if i != 4]
+    assert np.abs(f[ok] - clean_f[ok]).max() <= 1e-12
+    assert np.abs(b[ok] - clean_b[ok]).max() <= 1e-12
 
 
 def test_singular_node_is_localized():

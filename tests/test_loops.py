@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from besselcmc import LambdaGrid
-from besselcmc.loops import _chol2, _det2, _dlambda_at_one, _inv2, _mul2
+from besselcmc.loops import _chol2, _det2, _dlambda_at_one, _inv2, _mul2, _mul2_entries
 
 
 def random_stack(rng, shape):
@@ -40,8 +40,8 @@ def test_lambda_grid_on_unit_circle():
 # ------------------------------------------------------------------ kernels
 
 
-# the shapes the pipeline multiplies: Runge-Kutta stage stacks (flow),
-# the Schur recursion's row products (iwasawa), single-node stacks
+# Runge-Kutta stage stacks (flow), a broadcast of one matrix per node
+# against a row of them, single-node stacks
 @pytest.mark.parametrize("sa, sb", [
     ((25, 128), (25, 128)),
     ((256, 1), (256, 34)),
@@ -54,6 +54,22 @@ def test_mul2_matches_matmul(sa, sb):
     want = np.matmul(a, b)
     assert got.shape == want.shape
     assert np.abs(got - want).max() < 1e-14 * np.abs(want).max()
+
+
+# the factorization's (nodes, m) stacks: H = Phi* Phi, F = Phi B^-1 and
+# the residuals, and the first generator row R0^-1 [H_0 .. H_65]
+@pytest.mark.parametrize("sa, sb", [
+    ((256, 128), (256, 128)),
+    ((256, 1), (256, 66)),
+])
+def test_mul2_entries_matches_matmul(sa, sb):
+    rng = np.random.default_rng(1)
+    a, b = random_stack(rng, sa), random_stack(rng, sb)
+    got = _mul2_entries(a, b)
+    want = np.matmul(a, b)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() < 1e-14 * np.abs(want).max()
+    assert np.array_equal(got, _mul2(a, b))   # same sums in the same order
 
 
 @given(st.integers(0, 2**32 - 1))
