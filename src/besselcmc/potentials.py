@@ -9,6 +9,7 @@ runs once around the origin (branch cut on the negative real axis).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -87,13 +88,21 @@ class CylinderParams:
 
 @dataclass(frozen=True)
 class DelaunayResidue:
-    """Residue data (a, b, c) with the closing condition a + b = 1/2."""
+    """Residue data (a, b, c) with the closing condition a + b = 1/2.
+
+    a, b and c must be finite reals: then A(lambda) is Hermitian on the
+    unit circle, which the Delaunay reference relies on.
+    """
 
     a: float
     b: float
     c: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("a", "b", "c"):
+            v = getattr(self, name)
+            if not isinstance(v, numbers.Real) or not np.isfinite(v):
+                raise ValueError(f"{name} must be a finite real number, got {v!r}")
         if abs(self.a + self.b - 0.5) > 1e-14:
             raise ValueError(f"a+b must equal 1/2, got {self.a + self.b}")
 

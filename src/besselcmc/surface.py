@@ -24,7 +24,7 @@ import numpy as np
 from .config import PipelineConfig, DEFAULT_CONFIG
 from .flow import _integrate_w_line
 from .iwasawa import _check_grid, iwasawa_grid
-from .loops import LambdaGrid, _adj, _dlambda_at_one, _inv2, _mul2
+from .loops import LambdaGrid, _adj, _dlambda_at_one, _inv2, _mul2, _mul2_entries
 from .potentials import (
     CylinderParams,
     DelaunayResidue,
@@ -232,15 +232,14 @@ def mesh_from_grid(points: np.ndarray, diagnostics: dict | None = None) -> Surfa
 # ---------------------------------------------------------------------------
 # pipelines
 
-def _frames_to_mesh(frames: np.ndarray, dom: DomainGrid, grid: LambdaGrid,
-                    cfg: PipelineConfig) -> SurfaceMesh:
-    """Shared tail of both pipelines: factorize, Sym, seam check, weld."""
+def _unitary_to_mesh(F: np.ndarray, dom: DomainGrid, grid: LambdaGrid,
+                     summary: dict) -> SurfaceMesh:
+    """Shared tail of both pipelines: Sym, seam check, weld.
+
+    F: (n_radial, n_angular + 1, m, 2, 2) unitary factors on the full
+    grid; summary is the factorization's, carried into the diagnostics.
+    """
     nth = dom.n_angular
-    F, _, summary = iwasawa_grid(frames, grid, cfg)
-    if summary["failed_nodes"]:
-        coords = [(k // (nth + 1), k % (nth + 1)) for k in summary["failed_nodes"]]
-        raise RuntimeError(f"Iwasawa factorization failed at grid nodes "
-                           f"(radial, angular) = {coords[:8]}")
     pts, defect = _sym_points(F, grid)
     sym_defect = float(defect.max())
     if sym_defect > 1e-5:
@@ -321,7 +320,12 @@ def build_surface(p: CylinderParams, dom: DomainGrid, grid: LambdaGrid,
     before welding.  No ODE is integrated, so cfg.ode_tol plays no part.
     """
     _check_grid(grid, cfg)
-    return _frames_to_mesh(series_frames(p, dom, grid), dom, grid, cfg)
+    F, _, summary = iwasawa_grid(series_frames(p, dom, grid), grid, cfg)
+    if summary["failed_nodes"]:
+        coords = [divmod(k, dom.n_angular + 1) for k in summary["failed_nodes"]]
+        raise RuntimeError(f"Iwasawa factorization failed at grid nodes "
+                           f"(radial, angular) = {coords[:8]}")
+    return _unitary_to_mesh(F, dom, grid, summary)
 
 
 def _spanning_tree_frames(xi, phi0: np.ndarray, dom: DomainGrid,
@@ -363,15 +367,27 @@ def delaunay_reference(res: DelaunayResidue, dom: DomainGrid, grid: LambdaGrid,
                        cfg: PipelineConfig = DEFAULT_CONFIG) -> SurfaceMesh:
     """Delaunay surface of revolution from the pure residue potential.
 
-    The flow for xi = A dz/z has the closed-form solution
-    Phi = exp(w A) in w = log z (_exp_residue), so no ODE is needed;
-    factorization and Sym are shared with build_surface.
+    The flow for xi = A dz/z has the closed-form solution Phi = exp(w A)
+    in w = log z = u + i theta (_exp_residue), so no ODE is needed, and
+    it splits as exp(i theta A) exp(u A).  For real a, b, c the residue
+    A(lambda) is Hermitian on |lambda| = 1, so exp(i theta A) is a
+    unitary loop.  The normalized Iwasawa splitting is unique (Pressley &
+    Segal, Loop Groups, 1986; Dorfmeister, Pedit & Wu, Comm. Anal. Geom.
+    6, 1998), so exp(u A) = F0 B0 gives Phi = (exp(i theta A) F0) B0 with
+    the same B0 on the whole ring.  Only the theta = 0 node of each ring
+    is factored; the other unitary factors are exp(i theta A) F0.  Sym,
+    seam and weld are shared with build_surface.
     """
     _check_grid(grid, cfg)
-    w = dom.u()[:, None] + 1j * dom.thetas()[None, :]
-    frames = _exp_residue(w, delaunay_residue_matrix(res, grid.points),
-                          mu_eigenvalue(res, grid.points))
-    return _frames_to_mesh(frames, dom, grid, cfg)
+    A = delaunay_residue_matrix(res, grid.points)
+    mu = mu_eigenvalue(res, grid.points)
+    F0, _, summary = iwasawa_grid(_exp_residue(dom.u(), A, mu), grid, cfg)
+    if summary["failed_nodes"]:
+        raise RuntimeError(f"Iwasawa factorization failed at reference rings "
+                           f"(radial) = {summary['failed_nodes'][:8]}")
+    turn = _exp_residue(1j * dom.thetas(), A, mu)           # (n_angular + 1, m, 2, 2)
+    F = _mul2_entries(turn[None], F0[:, None])
+    return _unitary_to_mesh(F, dom, grid, summary)
 
 
 # ---------------------------------------------------------------------------

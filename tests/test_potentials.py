@@ -186,6 +186,27 @@ def test_param_validation():
     DelaunayResidue(0.75, -0.25)
 
 
+@pytest.mark.parametrize("abc", [
+    (np.nan, 0.25, 0.0),                    # NaN compares False in the a+b check
+    (0.25, np.nan, 0.0),
+    (np.inf, -np.inf, 0.0),
+    (0.25 + 0.1j, 0.25 - 0.1j, 0.0),        # complex, yet a+b = 1/2
+    (0.375, 0.125, np.nan),
+    (0.375, 0.125, np.inf),
+    (0.375, 0.125, 0.1j),
+])
+def test_residue_rejects_nonfinite_or_complex(abc):
+    with pytest.raises(ValueError, match="finite real"):
+        DelaunayResidue(*abc)
+
+
+def test_residue_accepts_numpy_and_int_reals():
+    res = DelaunayResidue(np.float64(0.375), np.float32(0.125), c=1)
+    lam = LambdaGrid(16).points
+    A = delaunay_residue_matrix(res, lam)
+    assert np.abs(A - np.conj(np.swapaxes(A, -1, -2))).max() < 1e-15   # Hermitian
+
+
 def test_t_real_on_circle():
     lam = LambdaGrid(64).points
     t = t_of_lambda(lam)

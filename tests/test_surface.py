@@ -13,10 +13,13 @@ from besselcmc import (
     cylinder_basepoint_frame,
     delaunay_ab,
     delaunay_reference,
+    delaunay_residue_matrix,
     end_comparison,
     exp_delaunay_monodromy,
+    iwasawa_grid,
     make_cylinder_potential,
     mesh_from_grid,
+    mu_eigenvalue,
     reflection_symmetry_check,
     series_frames,
 )
@@ -384,6 +387,57 @@ def test_reference_seam_and_symmetry(unduloid_reference):
     assert unduloid_reference.diagnostics["seam_residual"] < 1e-5
     rep = reflection_symmetry_check(unduloid_reference)
     assert rep.max_deviation < 1e-6            # surface of revolution
+
+
+def full_grid_reference(res, dom, grid, cfg):
+    """The reference factored at every (u, theta) node: exp(w A) = F B."""
+    w = dom.u()[:, None] + 1j * dom.thetas()[None, :]
+    frames = surface._exp_residue(w, delaunay_residue_matrix(res, grid.points),
+                                  mu_eigenvalue(res, grid.points))
+    F, _, summary = iwasawa_grid(frames, grid, cfg)
+    assert summary["failed_nodes"] == []
+    pts, _ = surface._sym_points(F, grid)
+    return pts[:, :dom.n_angular]
+
+
+# The unduloid starts at |z| = 0.01: nearer 0 the full-grid oracle's own
+# roundoff grows (at |z| = 0.001 its ring radii spread by 1.5e-10, those of
+# the rotated reference by 6e-13), and the two differ by 2e-10 of the size.
+@pytest.mark.parametrize("res, dom", [
+    (DelaunayResidue(0.375, 0.125), DomainGrid(0.01, 5.0, 48, 16)),    # unduloid
+    (DelaunayResidue(0.75, -0.25), DomainGrid(0.05, 3.0, 32, 16)),     # nodoid
+    (DelaunayResidue(0.25, 0.25), DomainGrid(0.3, 3.0, 24, 16)),       # round cylinder
+])
+def test_reference_rotates_one_factor_per_ring(res, dom):
+    # exp(i theta A) is unitary, so F(u, theta) = exp(i theta A) F(u, 0)
+    # by uniqueness of the splitting: one factored node per ring suffices
+    mesh = delaunay_reference(res, dom, GRID, CFG)
+    assert mesh.diagnostics["iwasawa"]["nodes"] == dom.n_radial
+    oracle = full_grid_reference(res, dom, GRID, CFG)
+    err = np.abs(mesh.vertices - oracle).max()
+    assert err <= 1e-10 * mesh.bbox_diagonal(), err
+
+
+def failing_iwasawa_grid(bad):
+    """iwasawa_grid that reports node bad (flat index) as failed."""
+    def fake(phis, grid, cfg):
+        F, B, summary = iwasawa_grid(phis, grid, cfg)
+        return F, B, {**summary, "failed_nodes": [bad]}
+    return fake
+
+
+def test_reference_failure_names_the_ring(monkeypatch):
+    monkeypatch.setattr(surface, "iwasawa_grid", failing_iwasawa_grid(5))
+    with pytest.raises(RuntimeError, match=r"reference rings \(radial\) = \[5\]"):
+        delaunay_reference(DelaunayResidue(0.375, 0.125), DomainGrid(0.3, 3.0, 8, 8),
+                           SERIES_GRID, PipelineConfig(8, SERIES_GRID.m))
+
+
+def test_cylinder_failure_names_the_node(monkeypatch):
+    monkeypatch.setattr(surface, "iwasawa_grid", failing_iwasawa_grid(2 * 9 + 3))
+    with pytest.raises(RuntimeError, match=r"\(radial, angular\) = \[\(2, 3\)\]"):
+        build_surface(CylinderParams(1 / 3), DomainGrid(0.3, 3.0, 8, 8),
+                      SERIES_GRID, PipelineConfig(8, SERIES_GRID.m))
 
 
 def test_noise_breaks_reflection(unduloid_reference):
