@@ -18,8 +18,6 @@ from .potentials import (
     bessel_gauge_g1,
     bessel_gauge_g2,
     cylinder_basepoint_frame,
-    cylinder_gauge_g1,
-    cylinder_gauge_g2,
     delaunay_ab,
     delaunay_residue_matrix,
     gauge_transform,
@@ -34,7 +32,6 @@ from .potentials import (
     verify_symmetry_relations,
 )
 from .flow import (
-    FrameSolution,
     MonodromyReport,
     PathSpec,
     closing_report,
@@ -44,7 +41,7 @@ from .flow import (
     trace_law_check,
 )
 from .bessel import ScalarSolution, bessel_integrate, frame_from_scalar, scalar_residual
-from .iwasawa import IwasawaPair, iwasawa_factor, iwasawa_grid
+from .iwasawa import iwasawa_grid
 from .surface import (
     DomainGrid,
     SurfaceMesh,

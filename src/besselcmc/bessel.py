@@ -38,30 +38,25 @@ class ScalarSolution:
 
 def bessel_integrate(alpha: complex, path: PathSpec, y0: complex, dy0: complex,
                      cfg: PipelineConfig = DEFAULT_CONFIG) -> ScalarSolution:
-    """Integrate the Bessel equation of order alpha along a w-path.
+    """Integrate the Bessel equation of order alpha along a straight w-path.
 
     y0, dy0 are the value and z-derivative at the path start.  In the w
     chart the state is (y, y_w) with y_w = z y_z and
 
         d/dw (y, y_w) = (y_w, (alpha^2 - e^{2w}) y).
     """
-    w_start = path.segments[0][0]
-    z_start = np.exp(w_start)
+    w0, dw = path.w0, path.w1 - path.w0
     a2 = complex(alpha) ** 2
 
+    def coeff(s):
+        z2 = np.exp(2.0 * (w0 + s * dw))
+        return np.array([[0.0, (a2 - z2) * dw], [dw, 0.0]], dtype=complex)
+
     # row-vector form: (y, v) -> (y, v) @ [[0, a2 - z^2], [1, 0]]
-    state = np.array([[[complex(y0), z_start * complex(dy0)],
+    state = np.array([[[complex(y0), np.exp(w0) * complex(dy0)],
                        [0.0, 0.0]]], dtype=complex)
-    for w0, w1 in path.segments:
-        dw = w1 - w0
-
-        def coeff(s, w0=w0, dw=dw):
-            z2 = np.exp(2.0 * (w0 + s * dw))
-            return np.array([[0.0, (a2 - z2) * dw], [dw, 0.0]], dtype=complex)
-
-        state, _ = _rk_segment(coeff, state, 0.0, 1.0, cfg.ode_tol)
-    w_end = path.segments[-1][1]
-    z_end = np.exp(w_end)
+    state, _ = _rk_segment(coeff, state, 0.0, 1.0, cfg.ode_tol)
+    z_end = np.exp(path.w1)
     y, v = state[0, 0]
     dy = v / z_end
     d2y = -dy / z_end - (1.0 - a2 / z_end**2) * y

@@ -173,7 +173,7 @@ def _check_bessel(cfg: RunConfig):
     the check itself.
     """
     pcfg = cfg.pipeline()
-    path = PathSpec.line(0.0, complex(np.log(3.0)))
+    path = PathSpec(0.0, complex(np.log(3.0)))
     grid = LambdaGrid(4)  # the potential ignores lambda; smallest legal grid
 
     def nu(z):
@@ -184,10 +184,10 @@ def _check_bessel(cfg: RunConfig):
         y1 = bessel_integrate(alpha, path, 1.0, 0.0, pcfg)
         y2 = bessel_integrate(alpha, path, 0.0, 1.0, pcfg)
         scal = frame_from_scalar(y1, y2, nu)
-        sol = integrate_frame(make_bessel_potential(alpha), path,
+        end = integrate_frame(make_bessel_potential(alpha), path,
                               np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
                               grid, pcfg)
-        frame_dev = max(frame_dev, float(np.abs(sol.end() - scal).max()))
+        frame_dev = max(frame_dev, float(np.abs(end - scal).max()))
         zw = y1.z * (y1.dy * y2.y - y2.dy * y1.y)
         wronskian_drift = max(wronskian_drift, abs(zw - (-1.0)))
 

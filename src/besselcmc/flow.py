@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import PipelineConfig, DEFAULT_CONFIG
-from .loops import LambdaGrid, _det2, _dlambda_at_one, _inv2, _mul2
+from .loops import LambdaGrid, _dlambda_at_one, _inv2, _mul2
 from .potentials import (
     PotentialSpec,
     DelaunayResidue,
@@ -30,7 +30,6 @@ from .potentials import (
 
 __all__ = [
     "PathSpec",
-    "FrameSolution",
     "MonodromyReport",
     "integrate_frame",
     "monodromy",
@@ -45,55 +44,27 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PathSpec:
-    """Piecewise-straight path in the w = log z coordinate.
+    """Straight path w0 -> w1 in the w = log z coordinate."""
 
-    segments: tuple of (w_start, w_end) pairs, consecutive and oriented.
-    """
-
-    segments: tuple[tuple[complex, complex], ...]
-
-    def __post_init__(self) -> None:
-        for (a0, a1), (b0, b1) in zip(self.segments, self.segments[1:]):
-            if abs(a1 - b0) > 1e-12:
-                raise ValueError("path segments are not consecutive")
+    w0: complex
+    w1: complex
 
     @classmethod
-    def circle(cls, radius: float = 1.0, w0: complex | None = None,
-               turns: int = 1) -> "PathSpec":
-        """turns counterclockwise circuits at |z| = radius, from arg z = 0."""
-        start = math.log(radius) if w0 is None else w0
-        return cls(((start, start + 2j * np.pi * turns),))
+    def circle(cls) -> "PathSpec":
+        """One counterclockwise circuit of |z| = 1 from z = 1."""
+        return cls(0.0, 2j * np.pi)
 
     @classmethod
-    def line(cls, w0: complex, w1: complex) -> "PathSpec":
-        return cls(((w0, w1),))
-
-    @classmethod
-    def radial(cls, z_from: float, z_to: float, theta: float = 0.0) -> "PathSpec":
-        """Ray between radii at fixed angle (radii positive)."""
-        return cls(((math.log(z_from) + 1j * theta, math.log(z_to) + 1j * theta),))
+    def radial(cls, z_from: float, z_to: float) -> "PathSpec":
+        """Ray along the positive real axis between radii z_from and z_to."""
+        return cls(math.log(z_from), math.log(z_to))
 
     def check_poles(self, xi: PotentialSpec) -> None:
         # in the w chart the only reachable pole would be one with z != 0
+        z = np.exp(self.w0 + np.linspace(0.0, 1.0, 64) * (self.w1 - self.w0))
         for pole, _ in xi.pole_locations:
-            if pole == 0:
-                continue
-            for w0, w1 in self.segments:
-                s = np.linspace(0.0, 1.0, 64)
-                if np.min(np.abs(np.exp(w0 + s * (w1 - w0)) - pole)) < 1e-9:
-                    raise ValueError(f"path passes through pole z={pole}")
-
-
-@dataclass(frozen=True)
-class FrameSolution:
-    """Frames along a path: frames[0] is the (m, 2, 2) starting family and
-    frames[k] the family at the end of the k-th path segment."""
-
-    frames: np.ndarray
-    det_drift: float
-
-    def end(self) -> np.ndarray:
-        return self.frames[-1]
+            if pole != 0 and np.min(np.abs(z - pole)) < 1e-9:
+                raise ValueError(f"path passes through pole z={pole}")
 
 
 @dataclass(frozen=True)
@@ -239,21 +210,15 @@ def _phi0_samples(phi0, grid: LambdaGrid) -> np.ndarray:
 
 
 def integrate_frame(xi: PotentialSpec, path: PathSpec, phi0,
-                    grid: LambdaGrid, cfg: PipelineConfig = DEFAULT_CONFIG) -> FrameSolution:
+                    grid: LambdaGrid, cfg: PipelineConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Solve d Phi = Phi xi along the path for every lambda sample.
 
     phi0 may be None (identity), a constant matrix or an (m, 2, 2) sample
-    family.
+    family.  Returns the (m, 2, 2) frames at the end of the path.
     """
     path.check_poles(xi)
-    y = _phi0_samples(phi0, grid)[None]           # batch of one
-    det0 = _det2(y[0])
-    frames = [y[0].copy()]
-    for w0, w1 in path.segments:
-        y = _integrate_w_line(xi, grid.points, [w0], [w1], y, cfg.ode_tol)[-1]
-        frames.append(y[0].copy())
-    drift = float(np.abs(_det2(frames[-1]) - det0).max())
-    return FrameSolution(np.array(frames), drift)
+    y0 = _phi0_samples(phi0, grid)[None]          # batch of one
+    return _integrate_w_line(xi, grid.points, [path.w0], [path.w1], y0, cfg.ode_tol)[-1, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +265,8 @@ def monodromy(xi: PotentialSpec, grid: LambdaGrid,
     the unitary loop -exp(2 pi i A).
     Returns (M samples, MonodromyReport).
     """
-    sol = integrate_frame(xi, PathSpec.circle(), frame0, grid, cfg)
-    M = _mul2(sol.end(), _inv2(sol.frames[0]))
+    phi0 = _phi0_samples(frame0, grid)
+    M = _mul2(integrate_frame(xi, PathSpec.circle(), phi0, grid, cfg), _inv2(phi0))
     return M, closing_report(M, grid, res)
 
 

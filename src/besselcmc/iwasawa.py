@@ -17,28 +17,12 @@ few per-node scalars and applied as one real 8x8 product per node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .config import PipelineConfig, DEFAULT_CONFIG
-from .loops import LambdaGrid, _adj, _chol2, _chol2_entries, _det2, _inv2, _mul2_entries
+from .loops import LambdaGrid, _adj, _chol2, _chol2_entries, _inv2, _mul2_entries
 
-__all__ = ["IwasawaPair", "iwasawa_factor", "iwasawa_grid", "factor_samples"]
-
-
-@dataclass(frozen=True)
-class IwasawaPair:
-    """One factorization Phi = F B with residual diagnostics.
-
-    F_samples / B_samples are the factors on the grid samples.
-    residuals: unitarity, plus_loop_tail, reconstruction, normalization
-    (the per-node values iwasawa_grid summarizes) and det_drift.
-    """
-
-    residuals: dict
-    F_samples: np.ndarray
-    B_samples: np.ndarray
+__all__ = ["iwasawa_grid", "factor_samples"]
 
 
 def factor_samples(phi: np.ndarray, grid: LambdaGrid, nsec: int):
@@ -191,53 +175,6 @@ def _check_grid(grid: LambdaGrid, cfg: PipelineConfig) -> None:
             f"lambda_samples={cfg.lambda_samples}")
 
 
-def _factor_batch(phi: np.ndarray, grid: LambdaGrid, cfg: PipelineConfig):
-    """factor_samples plus the per-node residuals of both front ends.
-
-    phi: (B, m, 2, 2) samples.  Returns (F_samples, B_coeffs, B_samples,
-    residuals); residuals maps unitarity, plus_loop_tail, normalization
-    and reconstruction |F B - Phi| on the samples to (B,) arrays.
-    """
-    _check_grid(grid, cfg)
-    f, bk, bs = factor_samples(phi, grid, cfg.section_rows)
-    residuals = {
-        "unitarity": _unitarity(f),
-        "plus_loop_tail": _plus_tail(bk, cfg.fourier_degree),
-        "normalization": _normalization(bk),
-        "reconstruction": np.abs(_mul2_entries(f, bs) - phi).reshape(phi.shape[0], -1).max(axis=1),
-    }
-    return f, bk, bs, residuals
-
-
-def iwasawa_factor(phi, grid: LambdaGrid,
-                   cfg: PipelineConfig = DEFAULT_CONFIG) -> IwasawaPair:
-    """Factor a single loop given as (m, 2, 2) samples on the grid.
-
-    The loop must have unit determinant; small drift is renormalized away
-    (and reported as det_drift), anything beyond 1e-6 is rejected.  The
-    other residuals are computed as in iwasawa_grid, for this one node.
-    """
-    samples = np.asarray(phi, dtype=complex)
-    if samples.shape != (grid.m, 2, 2):
-        raise ValueError(f"expected ({grid.m}, 2, 2) samples, got {samples.shape}")
-    det = _det2(samples)
-    drift = float(np.abs(det - 1.0).max())
-    if drift > 1e-6:
-        raise ValueError(f"determinant drifts from 1 by {drift:.2e}; not an SL(2) loop")
-    if drift > 1e-8:
-        samples = samples / np.sqrt(det)[:, None, None]
-
-    f, bk, bs, res = _factor_batch(samples[None], grid, cfg)
-    residuals = {k: float(v[0]) for k, v in res.items()}
-    tail = residuals["plus_loop_tail"]
-    if tail > 1e-3 * max(1.0, float(np.abs(bk).max())):
-        raise RuntimeError(
-            f"finite section did not converge (tail mass {tail:.2e} beyond "
-            f"degree {cfg.fourier_degree}); increase the degree or section size")
-    residuals["det_drift"] = drift
-    return IwasawaPair(residuals, f[0], bs[0])
-
-
 _CHUNK = 256  # nodes per batch; bounds the real (nodes, 8, 2 nsec) generator stack
 
 
@@ -245,13 +182,18 @@ def iwasawa_grid(phis, grid: LambdaGrid,
                  cfg: PipelineConfig = DEFAULT_CONFIG):
     """Factor a whole family of sampled loops, chunked to bound memory.
 
-    phis: (..., m, 2, 2) samples; leading axes index the grid of nodes.
-    Chunks are factored one after another in the calling thread.
-    Returns (F_samples, B_samples, summary); summary collects worst-case
-    and mean residuals plus the indices of any nodes whose factorization
-    failed.
+    phis: (..., m, 2, 2) samples; leading axes index the nodes (one loop
+    is phis[None]).  Chunks are factored one after another in the calling
+    thread; a chunk that raises is retried node by node, and nodes that
+    still fail get NaN factors.  Returns (F_samples, B_samples, summary);
+    summary holds the node count, the failed node indices, the mean
+    unitarity and the worst unitarity, plus_loop_tail, normalization and
+    reconstruction |F B - Phi| over the nodes that factored.
     """
+    _check_grid(grid, cfg)
     phis = np.asarray(phis, dtype=complex)
+    if phis.shape[-3:] != (grid.m, 2, 2):
+        raise ValueError(f"expected (..., {grid.m}, 2, 2) samples, got {phis.shape}")
     lead = phis.shape[:-3]
     flat = phis.reshape((-1, grid.m, 2, 2))
     n = flat.shape[0]
@@ -262,10 +204,14 @@ def iwasawa_grid(phis, grid: LambdaGrid,
     failed: list[int] = []
 
     def stats(lo: int, hi: int) -> None:
-        f, _, bs, r = _factor_batch(flat[lo:hi], grid, cfg)
+        phi = flat[lo:hi]
+        f, bk, bs = factor_samples(phi, grid, cfg.section_rows)
         f_all[lo:hi], b_all[lo:hi] = f, bs
-        for k, v in r.items():
-            res[k][lo:hi] = v
+        res["unitarity"][lo:hi] = _unitarity(f)
+        res["plus_loop_tail"][lo:hi] = _plus_tail(bk, cfg.fourier_degree)
+        res["normalization"][lo:hi] = _normalization(bk)
+        res["reconstruction"][lo:hi] = (
+            np.abs(_mul2_entries(f, bs) - phi).reshape(hi - lo, -1).max(axis=1))
 
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)

@@ -38,8 +38,6 @@ __all__ = [
     "bessel_gauge_g1",
     "bessel_gauge_g2",
     "lambda_gauge",
-    "cylinder_gauge_g1",
-    "cylinder_gauge_g2",
 ]
 
 
@@ -261,35 +259,6 @@ def lambda_gauge() -> GaugeSpec:
         label="Lambda")
 
 
-def cylinder_gauge_g1() -> GaugeSpec:
-    """g1c = diag(z^1/2, z^-1/2); flips sign under one turn around 0."""
-    return _diag_gauge(
-        lambda z, lam: z ** 0.5, lambda z, lam: z ** -0.5,
-        lambda z, lam: 0.5 * z ** -0.5, lambda z, lam: -0.5 * z ** -1.5,
-        label="g1c")
-
-
-def cylinder_gauge_g2(p: CylinderParams) -> GaugeSpec:
-    """g2c = [[1, 0], [-lambda/2, a + b lambda]], z-independent."""
-    a, b = delaunay_ab(p)
-
-    def evaluate(z, lam):
-        z, lam = np.broadcast_arrays(np.asarray(z, dtype=complex),
-                                     np.asarray(lam, dtype=complex))
-        g = np.zeros(z.shape + (2, 2), dtype=complex)
-        g[..., 0, 0] = 1.0
-        g[..., 1, 0] = -0.5 * lam
-        g[..., 1, 1] = a + b * lam
-        return g
-
-    def derivative(z, lam):
-        z = np.broadcast_arrays(np.asarray(z, dtype=complex),
-                                np.asarray(lam, dtype=complex))[0]
-        return np.zeros(z.shape + (2, 2), dtype=complex)
-
-    return GaugeSpec(evaluate, derivative, "g2c")
-
-
 def gauge_transform(xi: PotentialSpec, g: GaugeSpec) -> PotentialSpec:
     """xi.g = g^-1 xi g + g^-1 dg/dz."""
 
@@ -404,19 +373,26 @@ def _frobenius_coefficients(p: CylinderParams, lam, rho_max: float) -> np.ndarra
 
         Phi(z) = z^A P(z) (a + b lambda)^{1/2} g2c^{-1} g1c(z)^{-1},
 
-    and the constant right factor is folded into the returned
+    with g1c(z) = diag(z^1/2, z^-1/2) and g2c = [[1, 0], [-lambda/2,
+    a + b lambda]], and the constant right factor is folded into the returned
     coefficients C_j = P_2j (a + b lambda)^{1/2} g2c^{-1}, shape
     (terms, m, 2, 2).  Terms stop once rho_max^2j |P_2j| drops below
     eps times the largest term.
 
-    Raises ValueError for r <= -3, where the eigenvalue gap 2 mu crosses
-    an integer on the circle and the recurrence becomes resonant, and
-    RuntimeError when the series has not converged within _MAX_TERMS terms.
+    Raises ValueError for r <= -3 and RuntimeError when the series has not
+    converged within _MAX_TERMS terms.  For r <= -3 the eigenvalue gap
+    2 mu reaches 2 on the circle (at lambda = -1 for r = -3), so the
+    recurrence is resonant; the reason no frame exists is the monodromy
+    itself: there its trace is -2 but it is not -I, a nontrivial Jordan
+    block, which no change of initial frame can make unitary, and
+    unitarizability is the closing condition (Kilian, Kobayashi, Rossman &
+    Schmitt, J. London Math. Soc. 75, 2007).
     """
     if p.r <= -3.0:
         raise ValueError(
-            "basepoint frame is resonant for r <= -3 "
-            "(eigenvalue gap reaches an integer on the unit circle)")
+            "no unitary basepoint frame for r <= -3: the monodromy has a "
+            "nontrivial Jordan block (trace -2, not -I) where the eigenvalue "
+            "gap 2 mu reaches 2 on the unit circle, so it cannot be unitarized")
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
     a, b = delaunay_ab(p)
     A = delaunay_residue_matrix(DelaunayResidue(a, b), lam)     # (m, 2, 2)
@@ -467,6 +443,6 @@ def cylinder_basepoint_frame(p: CylinderParams, lam_points) -> np.ndarray:
     puncture: their monodromy is the unitary loop -exp(2 pi i A), which the
     identity-seeded monodromy is only conjugate to.
 
-    Raises for r <= -3, where the recurrence becomes resonant.
+    Raises for r <= -3, where the monodromy cannot be unitarized.
     """
     return _frobenius_coefficients(p, lam_points, 1.0).sum(axis=0)

@@ -156,7 +156,7 @@ def test_criterion_06_gauge_chain():
 
 
 def test_criterion_07_scalar_matrix_cross_validation():
-    path = PathSpec.line(0.0, math.log(3.0))
+    path = PathSpec(0.0, math.log(3.0))
     grid = LambdaGrid(4)
     cfg = PipelineConfig(fourier_degree=1, lambda_samples=4)
     phi0 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -164,8 +164,8 @@ def test_criterion_07_scalar_matrix_cross_validation():
         y1 = bessel_integrate(alpha, path, 1.0, 0.0, cfg)
         y2 = bessel_integrate(alpha, path, 0.0, 1.0, cfg)
         scal = frame_from_scalar(y1, y2, lambda z: 1.0 / z)
-        sol = integrate_frame(make_bessel_potential(alpha), path, phi0, grid, cfg)
-        frame_dev = float(np.abs(sol.end()[0] - scal).max())
+        end = integrate_frame(make_bessel_potential(alpha), path, phi0, grid, cfg)
+        frame_dev = float(np.abs(end[0] - scal).max())
         zw_drift = abs(y1.z * (y1.dy * y2.y - y2.dy * y1.y) - (-1.0))
         print(f"criterion-07 alpha={alpha}: frame deviation {frame_dev:.3e} "
               f"(bound 1e-07), weighted-Wronskian drift {zw_drift:.3e} (bound 1e-09)")

@@ -98,7 +98,7 @@ def test_frame_assembly_rejects_bad_pairs():
 def test_weighted_wronskian_constant():
     # z W(z) is conserved; the chosen initial data fixes it at -1
     for w_end in (math.log(2.0), math.log(3.0), math.log(2.0) + 1.0j):
-        path = PathSpec.line(0.0, w_end)
+        path = PathSpec(0.0, w_end)
         y1, y2 = fundamental_pair(0.3, path)
         zw = y1.z * (y1.dy * y2.y - y2.dy * y1.y)
         assert abs(zw - (-1.0)) < 1e-9
@@ -112,8 +112,8 @@ def test_scalar_frame_matches_matrix_flow():
 
     grid = LambdaGrid(4)
     phi0 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    sol = integrate_frame(make_bessel_potential(alpha), path, phi0, grid, CFG)
-    assert np.abs(sol.end()[0] - frame_scalar).max() < 1e-7
+    end = integrate_frame(make_bessel_potential(alpha), path, phi0, grid, CFG)
+    assert np.abs(end[0] - frame_scalar).max() < 1e-7
 
 
 def test_scalar_and_matrix_monodromy_traces_agree():
@@ -130,6 +130,6 @@ def test_scalar_and_matrix_monodromy_traces_agree():
 
 def test_residual_reported_along_complex_path():
     alpha = 0.3 + 0.1j
-    path = PathSpec.line(0.0, math.log(2.0) + 0.8j)
+    path = PathSpec(0.0, math.log(2.0) + 0.8j)
     sol = bessel_integrate(alpha, path, 0.3, 0.9, CFG)
     assert abs(scalar_residual(NU, rho_of(alpha), sol, sol.z)) < 1e-8

@@ -14,7 +14,6 @@ from besselcmc import (
     PathSpec,
     PipelineConfig,
     integrate_frame,
-    iwasawa_factor,
     iwasawa_grid,
     make_cylinder_potential,
     series_frames,
@@ -47,24 +46,30 @@ def plus_loop(grid=GRID):
     return out
 
 
+def factor_one(phi):
+    """(F, B, summary) of one sampled loop through iwasawa_grid."""
+    f, b, summary = iwasawa_grid(phi[None], GRID, CFG)
+    return f[0], b[0], summary
+
+
 # ------------------------------------------------------------------- oracles
 
 
 def test_unitary_input_gives_trivial_plus_factor():
     phi = rotation_loop()
-    pair = iwasawa_factor(phi, GRID, CFG)
-    assert np.abs(pair.B_samples - np.eye(2)).max() < 1e-10
-    assert np.abs(pair.F_samples - phi).max() < 1e-10
-    assert pair.residuals["unitarity"] < 1e-10
-    # reconstruction is |F B - Phi| on the samples, as in iwasawa_grid
-    assert pair.residuals["reconstruction"] < 1e-9
+    f, b, summary = factor_one(phi)
+    assert np.abs(b - np.eye(2)).max() < 1e-10
+    assert np.abs(f - phi).max() < 1e-10
+    assert summary["unitarity_max"] < 1e-10
+    # reconstruction is |F B - Phi| on the samples
+    assert summary["reconstruction_max"] < 1e-9
 
 
 def test_constant_positive_diagonal_goes_to_plus_factor():
     phi = np.tile(np.diag([2.0, 0.5]).astype(complex), (GRID.m, 1, 1))
-    pair = iwasawa_factor(phi, GRID, CFG)
-    assert np.abs(pair.F_samples - np.eye(2)).max() < 1e-10
-    assert np.abs(pair.B_samples - np.diag([2.0, 0.5])).max() < 1e-10
+    f, b, _ = factor_one(phi)
+    assert np.abs(f - np.eye(2)).max() < 1e-10
+    assert np.abs(b - np.diag([2.0, 0.5])).max() < 1e-10
 
 
 def test_constant_matrix_against_cholesky_oracle():
@@ -75,25 +80,25 @@ def test_constant_matrix_against_cholesky_oracle():
     H = np.conj(c.T) @ c
     B = np.conj(np.linalg.cholesky(H).T)
     F = c @ np.linalg.inv(B)
-    pair = iwasawa_factor(np.tile(c, (GRID.m, 1, 1)), GRID, CFG)
-    assert np.abs(pair.B_samples - B).max() < 1e-10
-    assert np.abs(pair.F_samples - F).max() < 1e-10
+    f, b, _ = factor_one(np.tile(c, (GRID.m, 1, 1)))
+    assert np.abs(b - B).max() < 1e-10
+    assert np.abs(f - F).max() < 1e-10
 
 
 def test_recovers_known_product():
     f = rotation_loop()
     b = plus_loop()
-    pair = iwasawa_factor(f @ b, GRID, CFG)
-    assert np.abs(pair.F_samples - f).max() < 1e-9
-    assert np.abs(pair.B_samples - b).max() < 1e-9
+    got_f, got_b, _ = factor_one(f @ b)
+    assert np.abs(got_f - f).max() < 1e-9
+    assert np.abs(got_b - b).max() < 1e-9
 
 
 def test_refactoring_is_idempotent():
     phi = rotation_loop() @ plus_loop()
-    pair = iwasawa_factor(phi, GRID, CFG)
-    again = iwasawa_factor(pair.F_samples @ pair.B_samples, GRID, CFG)
-    assert np.abs(again.F_samples - pair.F_samples).max() < 1e-9
-    assert np.abs(again.B_samples - pair.B_samples).max() < 1e-9
+    f, b, _ = factor_one(phi)
+    again_f, again_b, _ = factor_one(f @ b)
+    assert np.abs(again_f - f).max() < 1e-9
+    assert np.abs(again_b - b).max() < 1e-9
 
 
 # ---------------------------------------------------------------- invariances
@@ -103,17 +108,17 @@ def test_left_unitary_covariance():
     phi = rotation_loop() @ plus_loop()
     u = np.array([[0.6, 0.8j], [0.8j, 0.6]], dtype=complex)  # unitary, det 1
     assert np.abs(u @ np.conj(u.T) - np.eye(2)).max() < 1e-15
-    base = iwasawa_factor(phi, GRID, CFG)
-    moved = iwasawa_factor(u @ phi, GRID, CFG)
-    assert np.abs(moved.B_samples - base.B_samples).max() < 1e-9
-    assert np.abs(moved.F_samples - u @ base.F_samples).max() < 1e-9
+    base_f, base_b, _ = factor_one(phi)
+    moved_f, moved_b, _ = factor_one(u @ phi)
+    assert np.abs(moved_b - base_b).max() < 1e-9
+    assert np.abs(moved_f - u @ base_f).max() < 1e-9
 
 
 def test_determinant_splits_without_winding():
     phi = rotation_loop() @ plus_loop()
-    pair = iwasawa_factor(phi, GRID, CFG)
-    det_f = np.linalg.det(pair.F_samples)
-    det_b = np.linalg.det(pair.B_samples)
+    f, b, _ = factor_one(phi)
+    det_f = np.linalg.det(f)
+    det_b = np.linalg.det(b)
     assert np.abs(det_f * det_b - np.linalg.det(phi)).max() < 1e-8
     # det F has no winding around the circle
     ang = np.unwrap(np.angle(det_f))
@@ -121,9 +126,9 @@ def test_determinant_splits_without_winding():
 
 
 def test_normalization_reported():
-    pair = iwasawa_factor(rotation_loop() @ plus_loop(), GRID, CFG)
-    assert pair.residuals["normalization"] < 1e-10
-    assert pair.residuals["plus_loop_tail"] < 1e-9
+    _, _, summary = factor_one(rotation_loop() @ plus_loop())
+    assert summary["normalization_max"] < 1e-10
+    assert summary["plus_loop_tail_max"] < 1e-9
 
 
 # ------------------------------------------------------------------ batching
@@ -139,8 +144,8 @@ def cylinder_frames_on_grid(n_rho=8, n_theta=8, rho_lo=0.5, rho_hi=2.0,
     out = np.empty((n_rho, n_theta, grid.m, 2, 2), dtype=complex)
     for i, rho in enumerate(rhos):
         for j, th in enumerate(thetas):
-            path = PathSpec.line(0.0, math.log(rho) + 1j * th)
-            out[i, j] = integrate_frame(xi, path, None, grid, cfg).end()
+            path = PathSpec(0.0, math.log(rho) + 1j * th)
+            out[i, j] = integrate_frame(xi, path, None, grid, cfg)
     return out
 
 
@@ -333,8 +338,8 @@ def test_factor_varies_smoothly_along_ray():
         frames = np.empty((n_stations, GRID.m, 2, 2), dtype=complex)
         for i, rho in enumerate(rhos):
             frames[i] = integrate_frame(
-                xi, PathSpec.radial(1.0, rho) if rho > 1 else PathSpec.line(0.0, 0.0),
-                None, GRID, cfg).end()
+                xi, PathSpec.radial(1.0, rho) if rho > 1 else PathSpec(0.0, 0.0),
+                None, GRID, cfg)
         f, _, _ = iwasawa_grid(frames, GRID, cfg)
         return f
 
@@ -343,17 +348,6 @@ def test_factor_varies_smoothly_along_ray():
     jump = np.abs(np.diff(coarse, axis=0)).max()
     deriv = np.abs(np.diff(fine, axis=0)).max() / (1.0 / 16.0)
     assert jump <= 10.0 * (1.0 / 8.0) * deriv
-
-
-def test_single_and_grid_front_ends_agree():
-    phi = rotation_loop() @ plus_loop()
-    pair = iwasawa_factor(phi, GRID, CFG)
-    f, b, summary = iwasawa_grid(phi[None], GRID, CFG)
-    assert pair.residuals["det_drift"] <= 1e-8   # input not renormalized
-    assert np.array_equal(pair.F_samples, f[0])
-    assert np.array_equal(pair.B_samples, b[0])
-    for key in ("unitarity", "plus_loop_tail", "normalization", "reconstruction"):
-        assert pair.residuals[key] == summary[f"{key}_max"], key
 
 
 def test_failed_node_is_localized():
@@ -421,41 +415,22 @@ def test_singular_node_is_localized():
 # ---------------------------------------------------------------- validation
 
 
-def test_determinant_drift_rejected():
-    phi = np.tile(1.001 * np.eye(2, dtype=complex), (GRID.m, 1, 1))
-    with pytest.raises(ValueError):
-        iwasawa_factor(phi, GRID, CFG)
-
-
-def test_small_drift_renormalized():
-    phi = np.tile((1.0 + 5e-8) * np.eye(2, dtype=complex), (GRID.m, 1, 1))
-    pair = iwasawa_factor(phi, GRID, CFG)
-    assert pair.residuals["det_drift"] < 1e-6
-    assert np.abs(pair.F_samples @ pair.B_samples - np.eye(2)).max() < 1e-7
-
-
-@pytest.mark.parametrize("front_end", ["factor", "grid"])
+@pytest.mark.parametrize("front_end", ["grid"])
 def test_lambda_grid_too_small_for_degree_rejected(front_end):
     small = LambdaGrid(8)   # degree 8 needs at least 18 samples
     phi = rotation_loop(small) @ plus_loop(small)
     with pytest.raises(ValueError, match="lambda samples"):
-        if front_end == "factor":
-            iwasawa_factor(phi, small, CFG)
-        else:
-            iwasawa_grid(phi[None], small, CFG)
+        iwasawa_grid(phi[None], small, CFG)
 
 
-@pytest.mark.parametrize("front_end", ["factor", "grid"])
+@pytest.mark.parametrize("front_end", ["grid"])
 def test_lambda_grid_not_the_configured_size_rejected(front_end):
     big = LambdaGrid(64)    # CFG says 32 samples
     phi = rotation_loop(big) @ plus_loop(big)
     with pytest.raises(ValueError, match="lambda_samples=32"):
-        if front_end == "factor":
-            iwasawa_factor(phi, big, CFG)
-        else:
-            iwasawa_grid(phi[None], big, CFG)
+        iwasawa_grid(phi[None], big, CFG)
 
 
 def test_sample_shape_checked():
     with pytest.raises(ValueError):
-        iwasawa_factor(np.eye(2, dtype=complex)[None], GRID, CFG)
+        iwasawa_grid(np.eye(2, dtype=complex)[None], GRID, CFG)

@@ -10,12 +10,11 @@ from besselcmc import (
     DelaunayResidue,
     GaugeSpec,
     LambdaGrid,
+    PipelineConfig,
     alpha_of,
     bessel_gauge_g1,
     bessel_gauge_g2,
     cylinder_basepoint_frame,
-    cylinder_gauge_g1,
-    cylinder_gauge_g2,
     delaunay_ab,
     delaunay_residue_matrix,
     gauge_transform,
@@ -23,6 +22,7 @@ from besselcmc import (
     make_bessel_potential,
     make_cylinder_potential,
     make_delaunay_potential,
+    monodromy,
     mu_eigenvalue,
     t_of_lambda,
     verify_gauge_chain,
@@ -227,7 +227,6 @@ def _fd_derivative(g: GaugeSpec, z, lam, h=1e-6):
 
 @pytest.mark.parametrize("gauge", [
     bessel_gauge_g1(), bessel_gauge_g2(), lambda_gauge(),
-    cylinder_gauge_g1(), cylinder_gauge_g2(CylinderParams(1 / 3)),
 ], ids=lambda g: g.description)
 def test_gauge_derivative_consistent(gauge):
     z = 1.3 + 0.4j
@@ -331,5 +330,19 @@ def test_basepoint_frame_unimodular():
 def test_basepoint_frame_resonant_range_rejected():
     lam = LambdaGrid(8).points
     for r in (-3.0, -5.0):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="cannot be unitarized"):
             cylinder_basepoint_frame(CylinderParams(r), lam)
+
+
+def test_monodromy_is_a_jordan_block_at_r_minus_three():
+    # why r <= -3 is rejected: at lambda = -1, where 2 mu = 2, the monodromy
+    # has trace -2 and det 1 but is not -I, so it is not diagonalizable and
+    # no change of basepoint frame makes it unitary
+    grid = LambdaGrid(32)
+    assert abs(grid.points[16] + 1.0) < 1e-15
+    M, _ = monodromy(make_cylinder_potential(CylinderParams(-3.0)), grid,
+                     PipelineConfig(8, 32, 1e-12))
+    m = M[16]
+    assert abs(np.trace(m) + 2.0) <= 1e-8
+    assert abs(np.linalg.det(m) - 1.0) <= 1e-8
+    assert np.abs(m + np.eye(2)).max() > 1.0
