@@ -6,12 +6,14 @@ rotational term — and identified with R^3 through the Pauli basis,
 x_i = (1/2) Re tr(sigma_i f).  The resulting discrete mean curvature is
 whatever this normalization produces; constancy is the meaningful check.
 
-Frames are closed-form at every grid node: the Frobenius series of the
-cylinder system times z^A in w = log z, continued to theta = 2 pi, so the
-theta = 2 pi column lands back on theta = 0 up to the monodromy, which the
-closing conditions turn into an honest seam.  The Runge-Kutta flow over a
-spanning tree of the grid (_spanning_tree_frames) is kept as an
-independent oracle for the series.
+Frames are closed-form: the Frobenius series of the cylinder system times
+z^A in w = log z.  build_surface builds and factors only the columns
+0 <= theta <= pi and fills 2 pi - theta from theta by the reflection
+symmetry of the real-coefficient potential and the monodromy M, so the
+theta = 2 pi column is M times the reflected theta = 0 one, which the
+closing conditions turn into an honest seam.  series_frames continues the
+series over the whole grid; the Runge-Kutta flow over a spanning tree of
+the grid (_spanning_tree_frames) is kept as an independent oracle for it.
 """
 
 from __future__ import annotations
@@ -58,9 +60,11 @@ class DomainGrid:
     Nodes are z_jk = exp(u_j + i theta_k) with u uniform in
     [log rho_min, log rho_max] (u()) and theta uniform in [0, 2 pi]
     (thetas(), n_angular + 1 values: the last one is theta = 2 pi, where
-    the pipelines continue the frames once round before welding the
-    seam).  The curvature statistics skip two rings at each end, so
-    n_radial >= 5 leaves at least one interior ring.
+    the pipelines carry the frames once round, by the reflection and the
+    monodromy for the cylinder and by exp(i theta A) for the Delaunay
+    reference, before welding the seam).  The curvature statistics skip
+    two rings at each end, so n_radial >= 5 leaves at least one interior
+    ring.
     """
 
     rho_min: float
@@ -275,18 +279,13 @@ def _exp_residue(w: np.ndarray, A: np.ndarray, mu: np.ndarray) -> np.ndarray:
             + (w[..., None] * _sinhc(arg))[..., None, None] * A)
 
 
-def series_frames(p: CylinderParams, dom: DomainGrid, grid: LambdaGrid) -> np.ndarray:
-    """Cylinder frames on every grid node from the Frobenius series.
+def _series_columns(p: CylinderParams, dom: DomainGrid, grid: LambdaGrid,
+                    theta: np.ndarray) -> np.ndarray:
+    """series_frames on the angular columns theta of every ring.
 
-        Phi(z) = (a + b lambda)^{1/2} z^A P(z) g2c^{-1} g1c(z)^{-1}
-
-    with w = log z = u + i theta, z^A = exp(w A) and g1c(z)^{-1} =
-    diag(e^{-w/2}, e^{w/2}).  P(z) times the constant right factor is one
-    (n_angular + 1, terms) x (terms, 4m) product per ring.  Rings are
-    built one at a time into the output.
-
-    Returns (n_radial, n_angular + 1, m, 2, 2); the last angular slot is
-    the theta = 2 pi continuation, -exp(2 pi i A) times the theta = 0 one.
+    P(z) times the constant right factor is one (columns, terms) x
+    (terms, 4m) product per ring.  Rings are built one at a time into the
+    output, shape (n_radial, columns, m, 2, 2).
     """
     lam = grid.points
     coeffs = _frobenius_coefficients(p, lam, dom.rho_max)
@@ -295,8 +294,7 @@ def series_frames(p: CylinderParams, dom: DomainGrid, grid: LambdaGrid) -> np.nd
     res = DelaunayResidue(*delaunay_ab(p))
     A = delaunay_residue_matrix(res, lam)
     mu = mu_eigenvalue(res, lam)
-    theta = dom.thetas()
-    out = np.empty((dom.n_radial, dom.n_angular + 1, grid.m, 2, 2), dtype=complex)
+    out = np.empty((dom.n_radial, len(theta), grid.m, 2, 2), dtype=complex)
     for i, u in enumerate(dom.u()):
         w = u + 1j * theta
         # einsum, not @: OpenBLAS splits a product this small over threads
@@ -309,22 +307,63 @@ def series_frames(p: CylinderParams, dom: DomainGrid, grid: LambdaGrid) -> np.nd
     return out
 
 
+def series_frames(p: CylinderParams, dom: DomainGrid, grid: LambdaGrid) -> np.ndarray:
+    """Cylinder frames on every grid node from the Frobenius series.
+
+        Phi(z) = (a + b lambda)^{1/2} z^A P(z) g2c^{-1} g1c(z)^{-1}
+
+    with w = log z = u + i theta, z^A = exp(w A) and g1c(z)^{-1} =
+    diag(e^{-w/2}, e^{w/2}).
+
+    Returns (n_radial, n_angular + 1, m, 2, 2); the last angular slot is
+    the theta = 2 pi continuation, -exp(2 pi i A) times the theta = 0 one.
+    """
+    return _series_columns(p, dom, grid, dom.thetas())
+
+
 def build_surface(p: CylinderParams, dom: DomainGrid, grid: LambdaGrid,
                   cfg: PipelineConfig = DEFAULT_CONFIG) -> SurfaceMesh:
     """CMC cylinder surface for parameter r over the annulus grid.
 
-    Frames are the closed-form series_frames, normalized like the
+    Frames are the closed-form series frames, normalized like the
     basepoint family at z = 1 (which makes the monodromy the unitary loop
-    -exp(2 pi i A), so the seam can close).  The theta = 2 pi column is a
-    genuine analytic continuation and is compared against theta = 0
-    before welding.  No ODE is integrated, so cfg.ode_tol plays no part.
+    M = -exp(2 pi i A), so the seam can close).  Only the columns
+    theta_k, k = 0 .. n_angular // 2, are built and factored.  The
+    potential has real coefficients in lambda, so on |lambda| = 1
+    Phi(u, -theta)(lambda) = conj Phi(u, theta)(conj lambda); conj X(conj
+    lambda) maps unitary loops and normalized plus loops to themselves,
+    and the normalized Iwasawa splitting is unique (Pressley & Segal,
+    Loop Groups, 1986; Dorfmeister, Pedit & Wu, Comm. Anal. Geom. 6,
+    1998), so F(u, -theta) = conj F(u, theta)(conj lambda).  One turn
+    multiplies on the left by the unitary M, hence
+
+        F(u, 2 pi - theta) = M conj F(u, theta)(conj lambda),
+
+    and conj lambda_j = lambda_{-j mod m} on the grid.  The other columns,
+    the theta = 2 pi one included, are filled this way; the seam compares
+    the theta = 0 column with its own image under M and conj, which
+    closes only where M(1) = +-I and M'(1) = 0.  No ODE is integrated, so
+    cfg.ode_tol plays no part.
     """
     _check_grid(grid, cfg)
-    F, _, summary = iwasawa_grid(series_frames(p, dom, grid), grid, cfg)
+    n = dom.n_angular
+    half = n // 2 + 1
+    F_half, B_half, summary = iwasawa_grid(
+        _series_columns(p, dom, grid, dom.thetas()[:half]), grid, cfg)
+    del B_half          # unused; freed early, like F_half below, to keep the peak low
     if summary["failed_nodes"]:
-        coords = [divmod(k, dom.n_angular + 1) for k in summary["failed_nodes"]]
+        coords = [divmod(k, half) for k in summary["failed_nodes"]]
         raise RuntimeError(f"Iwasawa factorization failed at grid nodes "
                            f"(radial, angular) = {coords[:8]}")
+    res = DelaunayResidue(*delaunay_ab(p))
+    A = delaunay_residue_matrix(res, grid.points)
+    M = -_exp_residue(np.array(2j * np.pi), A, mu_eigenvalue(res, grid.points))
+    rev = -np.arange(grid.m) % grid.m                        # lambda -> conj lambda
+    F = np.empty((dom.n_radial, n + 1, grid.m, 2, 2), dtype=complex)
+    F[:, :half] = F_half
+    for k in range(n - n // 2):                              # column n - k from k
+        F[:, n - k] = _mul2_entries(M, np.conj(F_half[:, k, rev]))
+    del F_half          # Sym takes two full-size temporaries of its own
     return _unitary_to_mesh(F, dom, grid, summary)
 
 

@@ -418,6 +418,37 @@ def test_reference_rotates_one_factor_per_ring(res, dom):
     assert err <= 1e-10 * mesh.bbox_diagonal(), err
 
 
+MIRROR_GRID, MIRROR_CFG = LambdaGrid(128), PipelineConfig(32, 128)
+
+
+@pytest.mark.parametrize("n_angular", [24, 25])
+@pytest.mark.parametrize("r", [0.3, 1 / 3, -0.25, 0.9, -1.5])
+def test_mirrored_columns_match_the_full_grid(r, n_angular, monkeypatch):
+    # build_surface factors theta <= pi and fills the rest from
+    # F(u, 2 pi - theta) = M conj F(u, theta)(conj lambda); the oracle
+    # factors every node of the series frames
+    p, dom = CylinderParams(r), DomainGrid(0.3, 3.0, 48, n_angular)
+    seen = {}
+    tail = surface._unitary_to_mesh
+
+    def keep_frames(F, *args):
+        seen["F"] = F
+        return tail(F, *args)
+
+    monkeypatch.setattr(surface, "_unitary_to_mesh", keep_frames)
+    mesh = build_surface(p, dom, MIRROR_GRID, MIRROR_CFG)
+    assert mesh.diagnostics["iwasawa"]["nodes"] == 48 * (n_angular // 2 + 1)
+    F, _, summary = iwasawa_grid(series_frames(p, dom, MIRROR_GRID),
+                                 MIRROR_GRID, MIRROR_CFG)
+    assert summary["failed_nodes"] == []
+    oracle = tail(F, dom, MIRROR_GRID, summary)
+    assert np.abs(seen["F"] - F).max() <= 1e-9        # measured <= 5.1e-11
+    err = np.abs(mesh.vertices - oracle.vertices).max()
+    assert err <= 2e-9 * oracle.bbox_diagonal(), err  # measured <= 2.8e-10
+    assert mesh.diagnostics["seam_residual"] <= 1e-12
+    assert oracle.diagnostics["seam_residual"] <= 1e-12
+
+
 def failing_iwasawa_grid(bad):
     """iwasawa_grid that reports node bad (flat index) as failed."""
     def fake(phis, grid, cfg):
@@ -434,9 +465,19 @@ def test_reference_failure_names_the_ring(monkeypatch):
 
 
 def test_cylinder_failure_names_the_node(monkeypatch):
-    monkeypatch.setattr(surface, "iwasawa_grid", failing_iwasawa_grid(2 * 9 + 3))
+    # build_surface factors the n_angular // 2 + 1 = 5 columns theta <= pi,
+    # so flat node indices run over that half grid
+    monkeypatch.setattr(surface, "iwasawa_grid", failing_iwasawa_grid(2 * 5 + 3))
     with pytest.raises(RuntimeError, match=r"\(radial, angular\) = \[\(2, 3\)\]"):
         build_surface(CylinderParams(1 / 3), DomainGrid(0.3, 3.0, 8, 8),
+                      SERIES_GRID, PipelineConfig(8, SERIES_GRID.m))
+
+
+def test_cylinder_failure_names_the_node_odd_angular(monkeypatch):
+    # 11 angles: the columns theta_0 .. theta_5 are factored
+    monkeypatch.setattr(surface, "iwasawa_grid", failing_iwasawa_grid(2 * 6 + 3))
+    with pytest.raises(RuntimeError, match=r"\(radial, angular\) = \[\(2, 3\)\]"):
+        build_surface(CylinderParams(1 / 3), DomainGrid(0.3, 3.0, 8, 11),
                       SERIES_GRID, PipelineConfig(8, SERIES_GRID.m))
 
 
