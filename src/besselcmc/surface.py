@@ -25,7 +25,7 @@ import numpy as np
 
 from .config import PipelineConfig, DEFAULT_CONFIG
 from .flow import _integrate_w_line
-from .iwasawa import _check_grid, iwasawa_grid
+from .iwasawa import _CHUNK, _check_grid, iwasawa_grid
 from .loops import LambdaGrid, _adj, _dlambda_at_one, _inv2, _mul2, _mul2_entries
 from .potentials import (
     CylinderParams,
@@ -236,15 +236,35 @@ def mesh_from_grid(points: np.ndarray, diagnostics: dict | None = None) -> Surfa
 # ---------------------------------------------------------------------------
 # pipelines
 
-def _unitary_to_mesh(F: np.ndarray, dom: DomainGrid, grid: LambdaGrid,
-                     summary: dict) -> SurfaceMesh:
-    """Shared tail of both pipelines: Sym, seam check, weld.
+def _sym_rings(frames, dom: DomainGrid, grid: LambdaGrid):
+    """Sym over the whole grid, one block of rings at a time.
 
-    F: (n_radial, n_angular + 1, m, 2, 2) unitary factors on the full
-    grid; summary is the factorization's, carried into the diagnostics.
+    frames(lo, hi): (hi - lo, n_angular + 1, m, 2, 2) unitary factors of
+    rings lo .. hi - 1.  A block holds at most _CHUNK nodes theta <= pi,
+    so fewer than 2 _CHUNK nodes in all.  The frames and Sym's
+    temporaries never span more than one block, so their size does not
+    grow with n_radial, and at m <= 128 every array stays under the
+    4 MiB at which numpy asks the kernel for transparent huge pages
+    (those made the peak memory of one run differ from the next).
+    Returns the points (n_radial, n_angular + 1, 3) and the Sym defects.
+    """
+    shape = (dom.n_radial, dom.n_angular + 1)
+    pts, defect = np.empty(shape + (3,)), np.empty(shape)
+    rows = max(1, _CHUNK // (dom.n_angular // 2 + 1))
+    for lo in range(0, dom.n_radial, rows):
+        hi = min(lo + rows, dom.n_radial)
+        pts[lo:hi], defect[lo:hi] = _sym_points(frames(lo, hi), grid)
+    return pts, defect
+
+
+def _points_to_mesh(pts: np.ndarray, defect: np.ndarray, dom: DomainGrid,
+                    summary: dict) -> SurfaceMesh:
+    """Shared tail of both pipelines: Sym-defect warning, seam check, weld.
+
+    pts, defect: _sym_rings output; summary is the factorization's,
+    carried into the diagnostics.
     """
     nth = dom.n_angular
-    pts, defect = _sym_points(F, grid)
     sym_defect = float(defect.max())
     if sym_defect > 1e-5:
         warnings.warn(f"Sym output defect {sym_defect:.2e}; frames inconsistent",
@@ -259,6 +279,14 @@ def _unitary_to_mesh(F: np.ndarray, dom: DomainGrid, grid: LambdaGrid,
         "iwasawa": summary,
     }
     return mesh_from_grid(welded, diagnostics)
+
+
+def _joined_summary(parts: list[dict]) -> dict:
+    """One summary for successive failure-free iwasawa_grid calls."""
+    nodes = sum(s["nodes"] for s in parts)
+    return {"nodes": nodes, "failed_nodes": [],
+            "unitarity_mean": sum(s["unitarity_mean"] * s["nodes"] for s in parts) / nodes,
+            **{k: float(np.max([s[k] for s in parts])) for k in parts[0] if k.endswith("_max")}}
 
 
 def _sinhc(x: np.ndarray) -> np.ndarray:
@@ -280,12 +308,12 @@ def _exp_residue(w: np.ndarray, A: np.ndarray, mu: np.ndarray) -> np.ndarray:
 
 
 def _series_columns(p: CylinderParams, dom: DomainGrid, grid: LambdaGrid,
-                    theta: np.ndarray) -> np.ndarray:
-    """series_frames on the angular columns theta of every ring.
+                    theta: np.ndarray):
+    """series_frames on the angular columns theta, a block of rings at a time.
 
-    P(z) times the constant right factor is one (columns, terms) x
-    (terms, 4m) product per ring.  Rings are built one at a time into the
-    output, shape (n_radial, columns, m, 2, 2).
+    Returns rings(lo, hi), the frames of rings lo .. hi - 1, shape
+    (hi - lo, columns, m, 2, 2).  P(z) times the constant right factor is
+    one (columns, terms) x (terms, 4m) product per ring.
     """
     lam = grid.points
     coeffs = _frobenius_coefficients(p, lam, dom.rho_max)
@@ -294,17 +322,20 @@ def _series_columns(p: CylinderParams, dom: DomainGrid, grid: LambdaGrid,
     res = DelaunayResidue(*delaunay_ab(p))
     A = delaunay_residue_matrix(res, lam)
     mu = mu_eigenvalue(res, lam)
-    out = np.empty((dom.n_radial, len(theta), grid.m, 2, 2), dtype=complex)
-    for i, u in enumerate(dom.u()):
-        w = u + 1j * theta
-        # einsum, not @: OpenBLAS splits a product this small over threads
-        # and can then take ~16 ms per ring on 2 vCPUs instead of ~0.5 ms
-        ring = np.einsum("kj,jc->kc", np.exp(np.outer(w, powers)), flat)
-        ring = ring.reshape(-1, grid.m, 2, 2)
-        out[i] = _mul2(_exp_residue(w, A, mu), ring)
-        out[i, ..., 0] *= np.exp(-0.5 * w)[:, None, None]
-        out[i, ..., 1] *= np.exp(0.5 * w)[:, None, None]
-    return out
+
+    def rings(lo: int, hi: int) -> np.ndarray:
+        out = np.empty((hi - lo, len(theta), grid.m, 2, 2), dtype=complex)
+        for i, u in enumerate(dom.u()[lo:hi]):
+            w = u + 1j * theta
+            # einsum, not @: OpenBLAS splits a product this small over threads
+            # and can then take ~16 ms per ring on 2 vCPUs instead of ~0.5 ms
+            ring = np.einsum("kj,jc->kc", np.exp(np.outer(w, powers)), flat)
+            ring = ring.reshape(-1, grid.m, 2, 2)
+            out[i] = _mul2(_exp_residue(w, A, mu), ring)
+            out[i, ..., 0] *= np.exp(-0.5 * w)[:, None, None]
+            out[i, ..., 1] *= np.exp(0.5 * w)[:, None, None]
+        return out
+    return rings
 
 
 def series_frames(p: CylinderParams, dom: DomainGrid, grid: LambdaGrid) -> np.ndarray:
@@ -318,7 +349,7 @@ def series_frames(p: CylinderParams, dom: DomainGrid, grid: LambdaGrid) -> np.nd
     Returns (n_radial, n_angular + 1, m, 2, 2); the last angular slot is
     the theta = 2 pi continuation, -exp(2 pi i A) times the theta = 0 one.
     """
-    return _series_columns(p, dom, grid, dom.thetas())
+    return _series_columns(p, dom, grid, dom.thetas())(0, dom.n_radial)
 
 
 def build_surface(p: CylinderParams, dom: DomainGrid, grid: LambdaGrid,
@@ -342,29 +373,36 @@ def build_surface(p: CylinderParams, dom: DomainGrid, grid: LambdaGrid,
     and conj lambda_j = lambda_{-j mod m} on the grid.  The other columns,
     the theta = 2 pi one included, are filled this way; the seam compares
     the theta = 0 column with its own image under M and conj, which
-    closes only where M(1) = +-I and M'(1) = 0.  No ODE is integrated, so
-    cfg.ode_tol plays no part.
+    closes only where M(1) = +-I and M'(1) = 0.  Building, factoring,
+    mirroring and Sym run one block of rings at a time (_sym_rings); the
+    first block with a failed node raises, naming its nodes.  No ODE is
+    integrated, so cfg.ode_tol plays no part.
     """
     _check_grid(grid, cfg)
     n = dom.n_angular
     half = n // 2 + 1
-    F_half, B_half, summary = iwasawa_grid(
-        _series_columns(p, dom, grid, dom.thetas()[:half]), grid, cfg)
-    del B_half          # unused; freed early, like F_half below, to keep the peak low
-    if summary["failed_nodes"]:
-        coords = [divmod(k, half) for k in summary["failed_nodes"]]
-        raise RuntimeError(f"Iwasawa factorization failed at grid nodes "
-                           f"(radial, angular) = {coords[:8]}")
+    series = _series_columns(p, dom, grid, dom.thetas()[:half])
     res = DelaunayResidue(*delaunay_ab(p))
     A = delaunay_residue_matrix(res, grid.points)
     M = -_exp_residue(np.array(2j * np.pi), A, mu_eigenvalue(res, grid.points))
     rev = -np.arange(grid.m) % grid.m                        # lambda -> conj lambda
-    F = np.empty((dom.n_radial, n + 1, grid.m, 2, 2), dtype=complex)
-    F[:, :half] = F_half
-    for k in range(n - n // 2):                              # column n - k from k
-        F[:, n - k] = _mul2_entries(M, np.conj(F_half[:, k, rev]))
-    del F_half          # Sym takes two full-size temporaries of its own
-    return _unitary_to_mesh(F, dom, grid, summary)
+    parts = []
+
+    def frames(lo: int, hi: int) -> np.ndarray:
+        F_half, _, part = iwasawa_grid(series(lo, hi), grid, cfg)
+        if part["failed_nodes"]:
+            coords = [divmod(k + lo * half, half) for k in part["failed_nodes"]]
+            raise RuntimeError(f"Iwasawa factorization failed at grid nodes "
+                               f"(radial, angular) = {coords[:8]}")
+        parts.append(part)
+        F = np.empty((hi - lo, n + 1, grid.m, 2, 2), dtype=complex)
+        F[:, :half] = F_half
+        for k in range(n - n // 2):                          # column n - k from k
+            F[:, n - k] = _mul2_entries(M, np.conj(F_half[:, k, rev]))
+        return F
+
+    pts, defect = _sym_rings(frames, dom, grid)
+    return _points_to_mesh(pts, defect, dom, _joined_summary(parts))
 
 
 def _spanning_tree_frames(xi, phi0: np.ndarray, dom: DomainGrid,
@@ -425,8 +463,9 @@ def delaunay_reference(res: DelaunayResidue, dom: DomainGrid, grid: LambdaGrid,
         raise RuntimeError(f"Iwasawa factorization failed at reference rings "
                            f"(radial) = {summary['failed_nodes'][:8]}")
     turn = _exp_residue(1j * dom.thetas(), A, mu)           # (n_angular + 1, m, 2, 2)
-    F = _mul2_entries(turn[None], F0[:, None])
-    return _unitary_to_mesh(F, dom, grid, summary)
+    pts, defect = _sym_rings(lambda lo, hi: _mul2_entries(turn[None], F0[lo:hi, None]),
+                             dom, grid)
+    return _points_to_mesh(pts, defect, dom, summary)
 
 
 # ---------------------------------------------------------------------------

@@ -428,21 +428,25 @@ def test_mirrored_columns_match_the_full_grid(r, n_angular, monkeypatch):
     # F(u, 2 pi - theta) = M conj F(u, theta)(conj lambda); the oracle
     # factors every node of the series frames
     p, dom = CylinderParams(r), DomainGrid(0.3, 3.0, 48, n_angular)
-    seen = {}
-    tail = surface._unitary_to_mesh
+    blocks = []
+    sym = surface._sym_rings
 
-    def keep_frames(F, *args):
-        seen["F"] = F
-        return tail(F, *args)
+    def keep_frames(frames, *args):
+        def kept(lo, hi):
+            blocks.append(frames(lo, hi))
+            return blocks[-1]
+        return sym(kept, *args)
 
-    monkeypatch.setattr(surface, "_unitary_to_mesh", keep_frames)
+    monkeypatch.setattr(surface, "_sym_rings", keep_frames)
     mesh = build_surface(p, dom, MIRROR_GRID, MIRROR_CFG)
     assert mesh.diagnostics["iwasawa"]["nodes"] == 48 * (n_angular // 2 + 1)
+    assert len(blocks) == 3                            # 19 + 19 + 10 rings
     F, _, summary = iwasawa_grid(series_frames(p, dom, MIRROR_GRID),
                                  MIRROR_GRID, MIRROR_CFG)
     assert summary["failed_nodes"] == []
-    oracle = tail(F, dom, MIRROR_GRID, summary)
-    assert np.abs(seen["F"] - F).max() <= 1e-9        # measured <= 5.1e-11
+    oracle = surface._points_to_mesh(*sym(lambda lo, hi: F[lo:hi], dom, MIRROR_GRID),
+                                     dom, summary)
+    assert np.abs(np.concatenate(blocks) - F).max() <= 1e-9    # measured <= 5.1e-11
     err = np.abs(mesh.vertices - oracle.vertices).max()
     assert err <= 2e-9 * oracle.bbox_diagonal(), err  # measured <= 2.8e-10
     assert mesh.diagnostics["seam_residual"] <= 1e-12
@@ -479,6 +483,22 @@ def test_cylinder_failure_names_the_node_odd_angular(monkeypatch):
     with pytest.raises(RuntimeError, match=r"\(radial, angular\) = \[\(2, 3\)\]"):
         build_surface(CylinderParams(1 / 3), DomainGrid(0.3, 3.0, 8, 11),
                       SERIES_GRID, PipelineConfig(8, SERIES_GRID.m))
+
+
+def test_cylinder_failure_in_a_later_block_names_the_node(monkeypatch):
+    # 256 // 5 = 51 rings per block: the second call starts at ring 51
+    calls = []
+
+    def fake(phis, grid, cfg):
+        calls.append(len(phis))
+        F, B, summary = iwasawa_grid(phis, grid, cfg)
+        return F, B, {**summary, "failed_nodes": [3] if len(calls) == 2 else []}
+
+    monkeypatch.setattr(surface, "iwasawa_grid", fake)
+    with pytest.raises(RuntimeError, match=r"\(radial, angular\) = \[\(51, 3\)\]"):
+        build_surface(CylinderParams(1 / 3), DomainGrid(0.3, 3.0, 60, 8),
+                      SERIES_GRID, PipelineConfig(8, SERIES_GRID.m))
+    assert calls == [51, 9]
 
 
 def test_noise_breaks_reflection(unduloid_reference):
