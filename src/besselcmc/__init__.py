@@ -48,7 +48,7 @@ from .surface import (
     SymmetryReport,
     build_surface,
     delaunay_reference,
-    end_comparison,
+    end_distance,
     mesh_from_grid,
     reflection_symmetry_check,
     series_frames,

@@ -42,6 +42,7 @@ from .surface import (
     SurfaceMesh,
     build_surface,
     delaunay_reference,
+    end_distance,
     reflection_symmetry_check,
 )
 
@@ -281,17 +282,20 @@ def cmd_generate(cfg: RunConfig) -> tuple[dict, list[str]]:
     """Full pipeline run: cylinder mesh, Delaunay reference mesh, report.
 
     The pass verdict gates on seam closure and the monodromy closing
-    residuals; mean curvature and reflection symmetry are reported as
+    residuals; mean curvature, reflection symmetry and the per-ring
+    distance to the Delaunay reference (end_distance) are reported as
     informational residuals (their own thresholds live in the
     verification suite, where grid resolution is controlled).
     """
     if cfg.out is None:
         raise ValueError("generate requires --out <path>")
-    # settle the output format before any pipeline work
+    # settle the output format and directory before any pipeline work
     out = Path(cfg.out)
     fmt = cfg.mesh_format or out.suffix.lstrip(".").lower() or "obj"
     if fmt not in ("obj", "ply"):
         raise ValueError(f"unknown mesh format {fmt!r} (use obj or ply)")
+    if not out.parent.is_dir():
+        raise ValueError(f"output directory {str(out.parent)!r} does not exist")
     p = cfg.params()
     pcfg = cfg.pipeline()
     grid = cfg.lambda_grid()
@@ -321,6 +325,7 @@ def cmd_generate(cfg: RunConfig) -> tuple[dict, list[str]]:
                      "plane_offset": offset},
         "iwasawa": mesh.diagnostics["iwasawa"],
         "reference_seam_residual": reference.diagnostics["seam_residual"],
+        "reference_distance": end_distance(mesh, reference),
     }
     thresholds["seam_residual"] = 1e-5
     report = _report("generate", residuals, thresholds, cfg)

@@ -86,18 +86,17 @@ class CylinderParams:
 
 @dataclass(frozen=True)
 class DelaunayResidue:
-    """Residue data (a, b, c) with the closing condition a + b = 1/2.
+    """Residue data (a, b) with the closing condition a + b = 1/2.
 
-    a, b and c must be finite reals: then A(lambda) is Hermitian on the
+    a and b must be finite reals: then A(lambda) is Hermitian on the
     unit circle, which the Delaunay reference relies on.
     """
 
     a: float
     b: float
-    c: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("a", "b", "c"):
+        for name in ("a", "b"):
             v = getattr(self, name)
             if not isinstance(v, numbers.Real) or not np.isfinite(v):
                 raise ValueError(f"{name} must be a finite real number, got {v!r}")
@@ -140,11 +139,9 @@ def mu_eigenvalue(res: DelaunayResidue, lam) -> np.ndarray:
 
 
 def delaunay_residue_matrix(res: DelaunayResidue, lam) -> np.ndarray:
-    """A(lambda) = [[c, a/lambda + b], [a lambda + b, -c]]; shape (..., 2, 2)."""
+    """A(lambda) = [[0, a/lambda + b], [a lambda + b, 0]]; shape (..., 2, 2)."""
     lam = np.asarray(lam, dtype=complex)
     A = np.zeros(lam.shape + (2, 2), dtype=complex)
-    A[..., 0, 0] = res.c
-    A[..., 1, 1] = -res.c
     A[..., 0, 1] = res.a / lam + res.b
     A[..., 1, 0] = res.a * lam + res.b
     return A

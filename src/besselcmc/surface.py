@@ -43,7 +43,7 @@ __all__ = [
     "SymmetryReport",
     "build_surface",
     "delaunay_reference",
-    "end_comparison",
+    "end_distance",
     "reflection_symmetry_check",
     "mesh_from_grid",
     "series_frames",
@@ -446,7 +446,7 @@ def delaunay_reference(res: DelaunayResidue, dom: DomainGrid, grid: LambdaGrid,
 
     The flow for xi = A dz/z has the closed-form solution Phi = exp(w A)
     in w = log z = u + i theta (_exp_residue), so no ODE is needed, and
-    it splits as exp(i theta A) exp(u A).  For real a, b, c the residue
+    it splits as exp(i theta A) exp(u A).  For real a, b the residue
     A(lambda) is Hermitian on |lambda| = 1, so exp(i theta A) is a
     unitary loop.  The normalized Iwasawa splitting is unique (Pressley &
     Segal, Loop Groups, 1986; Dorfmeister, Pedit & Wu, Comm. Anal. Geom.
@@ -494,66 +494,18 @@ def reflection_symmetry_check(mesh: SurfaceMesh) -> SymmetryReport:
     return SymmetryReport((normal, offset), deviation)
 
 
-def _axis_profile(mesh: SurfaceMesh, rows: np.ndarray | None = None):
-    """Axial coordinate and ring radius against a PCA-fitted axis.
+def end_distance(cylinder: SurfaceMesh, reference: SurfaceMesh) -> np.ndarray:
+    """Per-ring distance between a cylinder and its Delaunay reference.
 
-    rows restricts which radial rings participate (default: all).
-    Returns (s per ring, mean radius per ring), s increasing with row
-    index.  Raises when the rings are not tubular about a line.
+    Both pipelines share one normalization: Phi_cyl = z^A P(z) times right
+    factors that leave F unchanged, with P = I + O(z^2), so on the same
+    DomainGrid the two vertices at each node (u, theta) approach each
+    other as |z| -> 0 with no rigid fit.  Returns, for each ring, the max
+    over theta of |v_cyl - v_ref| relative to the cylinder's bounding-box
+    diagonal; shape (n_radial,).
     """
-    V = mesh.vertices if rows is None else mesh.vertices[rows]
-    centroids = V.mean(axis=1)
-    c0 = centroids.mean(axis=0)
-    X = centroids - c0
-    _, sv, vt = np.linalg.svd(X, full_matrices=False)
-    if sv[0] < 1e-12 or sv[1] > 0.2 * sv[0]:
-        raise ValueError("axis fit failed: ring centroids not collinear "
-                         f"(singular values {sv.tolist()})")
-    d = vt[0]
-    s = (V - c0) @ d                               # (rows, na)
-    rho = np.linalg.norm((V - c0) - s[..., None] * d, axis=-1)
-    s_ring = s.mean(axis=1)
-    if s_ring[-1] < s_ring[0]:
-        s_ring, rho = -s_ring, rho
-    return s_ring, rho.mean(axis=1)
-
-
-def _profile_period(s: np.ndarray, rho: np.ndarray) -> float | None:
-    """Dominant oscillation period of a radial profile, via peak spacing."""
-    inner = (rho[1:-1] > rho[:-2]) & (rho[1:-1] >= rho[2:])
-    peaks = np.flatnonzero(inner) + 1
-    if len(peaks) < 2:
-        return None
-    return float(np.median(np.diff(s[peaks])))
-
-
-def end_comparison(cylinder: SurfaceMesh, reference: SurfaceMesh,
-                   n_periods: int = 2) -> float:
-    """Relative sup-deviation of end radial profiles (diagnostic).
-
-    Both meshes are reduced to (axial coordinate, ring radius) against
-    their own fitted axes, which removes the ambient rigid motion except
-    for an axial shift; the shift is fitted by scanning.  The comparison
-    window covers n_periods of the reference profile starting at the
-    z -> 0 end (row 0).
-    """
-    s_ref, rho_ref = _axis_profile(reference)
-    period = _profile_period(s_ref, rho_ref)
-    nr = cylinder.n_radial
-    # fit the cylinder's axis on the tubular end region only; the other
-    # end is irregular and would drag the fit
-    rows = np.arange(max(8, nr // 3))
-    s_cyl, rho_cyl = _axis_profile(cylinder, rows)
-    span = (n_periods * period) if period is not None else (s_ref[-1] - s_ref[0])
-    window = np.abs(s_cyl - s_cyl[0]) <= span
-    if window.sum() < 4:
-        window = rows < max(4, nr // 4)
-    sw, rw = s_cyl[window], rho_cyl[window]
-
-    scale = float(np.abs(rho_ref).max())
-    shifts = np.linspace(s_ref[0] - sw[0], s_ref[-1] - sw[-1], 241)
-    best = np.inf
-    for s0 in shifts:
-        ref = np.interp(sw + s0, s_ref, rho_ref)
-        best = min(best, float(np.abs(ref - rw).max()))
-    return best / max(scale, 1e-300)
+    if cylinder.vertices.shape != reference.vertices.shape:
+        raise ValueError(f"vertex grids differ: {cylinder.vertices.shape} "
+                         f"vs {reference.vertices.shape}")
+    gap = np.linalg.norm(cylinder.vertices - reference.vertices, axis=-1)
+    return gap.max(axis=1) / cylinder.bbox_diagonal()

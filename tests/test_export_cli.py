@@ -181,6 +181,9 @@ def test_generate_writes_three_files(generated, capsys):
     assert report["residuals"]["seam_residual"] <= 1e-5
     assert "mean_curvature" in report["residuals"]
     assert "symmetry" in report["residuals"]
+    distance = report["residuals"]["reference_distance"]
+    assert len(distance) == report["config"]["grid"][0]
+    assert np.all(np.isfinite(distance))
 
 
 def test_generate_deterministic(generated):
@@ -214,6 +217,18 @@ def test_generate_rejects_format_before_pipeline(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "monodromy", no_pipeline)
     assert main(["generate", "--r", "0.5", "--out", str(tmp_path / "m.stl")]) == 2
     assert "stl" in capsys.readouterr().err
+
+
+def test_generate_rejects_missing_directory_before_pipeline(tmp_path, monkeypatch, capsys):
+    def no_pipeline(*args, **kwargs):
+        raise AssertionError("pipeline ran before the directory was checked")
+
+    monkeypatch.setattr(cli, "build_surface", no_pipeline)
+    monkeypatch.setattr(cli, "monodromy", no_pipeline)
+    out = tmp_path / "nodir" / "c.obj"
+    assert main(["generate", "--r", "0.5", "--out", str(out)]) == 2
+    assert "nodir" in capsys.readouterr().err
+    assert not out.parent.exists()
 
 
 def test_generate_ply_format(tmp_path):

@@ -9,12 +9,13 @@ from besselcmc import (
     DomainGrid,
     LambdaGrid,
     PipelineConfig,
+    SurfaceMesh,
     build_surface,
     cylinder_basepoint_frame,
     delaunay_ab,
     delaunay_reference,
     delaunay_residue_matrix,
-    end_comparison,
+    end_distance,
     exp_delaunay_monodromy,
     iwasawa_grid,
     make_cylinder_potential,
@@ -27,7 +28,6 @@ import besselcmc.flow as flow
 import besselcmc.potentials as potentials
 import besselcmc.surface as surface
 from besselcmc.loops import _mul2
-from besselcmc.surface import _axis_profile, _profile_period
 
 CFG = PipelineConfig(fourier_degree=16, lambda_samples=64)
 GRID = LambdaGrid(64)
@@ -342,6 +342,39 @@ def test_parameter_changes_shape_not_curvature(cylinder_mesh):
 # -------------------------------------------------------- reference surfaces
 
 
+def _axis_profile(mesh: SurfaceMesh, rows: np.ndarray | None = None):
+    """Axial coordinate and ring radius against a PCA-fitted axis.
+
+    rows restricts which radial rings participate (default: all).
+    Returns (s per ring, mean radius per ring), s increasing with row
+    index.  Raises when the rings are not tubular about a line.
+    """
+    V = mesh.vertices if rows is None else mesh.vertices[rows]
+    centroids = V.mean(axis=1)
+    c0 = centroids.mean(axis=0)
+    X = centroids - c0
+    _, sv, vt = np.linalg.svd(X, full_matrices=False)
+    if sv[0] < 1e-12 or sv[1] > 0.2 * sv[0]:
+        raise ValueError("axis fit failed: ring centroids not collinear "
+                         f"(singular values {sv.tolist()})")
+    d = vt[0]
+    s = (V - c0) @ d                               # (rows, na)
+    rho = np.linalg.norm((V - c0) - s[..., None] * d, axis=-1)
+    s_ring = s.mean(axis=1)
+    if s_ring[-1] < s_ring[0]:
+        s_ring, rho = -s_ring, rho
+    return s_ring, rho.mean(axis=1)
+
+
+def _profile_period(s: np.ndarray, rho: np.ndarray) -> float | None:
+    """Dominant oscillation period of a radial profile, via peak spacing."""
+    inner = (rho[1:-1] > rho[:-2]) & (rho[1:-1] >= rho[2:])
+    peaks = np.flatnonzero(inner) + 1
+    if len(peaks) < 2:
+        return None
+    return float(np.median(np.diff(s[peaks])))
+
+
 @pytest.fixture(scope="module")
 def unduloid_reference():
     return delaunay_reference(DelaunayResidue(0.375, 0.125),
@@ -510,20 +543,27 @@ def test_noise_breaks_reflection(unduloid_reference):
     assert rep.max_deviation > 5e-3
 
 
-# ------------------------------------------------------------ end comparison
+# -------------------------------------------------------------- end distance
 
 
-def test_end_comparison_self_is_zero(unduloid_reference):
-    assert end_comparison(unduloid_reference, unduloid_reference) < 1e-12
+def test_end_distance_self_is_zero(unduloid_reference):
+    d = end_distance(unduloid_reference, unduloid_reference)
+    assert d.shape == (unduloid_reference.n_radial,)
+    assert np.all(d == 0.0)
 
 
-def test_end_comparison_controls(deep_cylinder_mesh):
+def test_end_distance_controls(deep_cylinder_mesh):
     dom = DomainGrid(0.05, 3.0, 96, 24)
     a, b = delaunay_ab(CylinderParams(1 / 3))
     right = delaunay_reference(DelaunayResidue(a, b), dom, GRID, CFG)
     wrong = delaunay_reference(DelaunayResidue(0.75, -0.25), dom, GRID, CFG)
-    dev_right = end_comparison(deep_cylinder_mesh, right)
-    dev_wrong = end_comparison(deep_cylinder_mesh, wrong)
+    dev_right = end_distance(deep_cylinder_mesh, right)[0]
+    dev_wrong = end_distance(deep_cylinder_mesh, wrong)[0]
     assert dev_right < 1e-4
     assert dev_wrong > 0.1
     assert dev_wrong > 100.0 * dev_right
+
+
+def test_end_distance_rejects_other_grids(deep_cylinder_mesh, unduloid_reference):
+    with pytest.raises(ValueError, match="vertex grids differ"):
+        end_distance(deep_cylinder_mesh, unduloid_reference)
