@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import PipelineConfig, DEFAULT_CONFIG
-from .loops import LambdaGrid, _dlambda_at_one, _inv2, _mul2
+from .loops import LambdaGrid, _adj, _dlambda_at_one, _exp2, _inv2, _mul2
 from .potentials import (
     PotentialSpec,
     DelaunayResidue,
@@ -234,8 +234,7 @@ def closing_report(M: np.ndarray, grid: LambdaGrid,
     |tr M + 2 cos(2 pi mu)| is included (the sign is fixed by the
     half-integer gauge flipping under a circuit: M_gauged = -M).
     """
-    star = np.conj(np.transpose(M, (0, 2, 1)))
-    unitarity = float(np.abs(M @ star - np.eye(2)).max())
+    unitarity = float(np.abs(M @ _adj(M) - np.eye(2)).max())
 
     eye = np.eye(2)
     d_plus = float(np.abs(M[0] - eye).max())
@@ -273,22 +272,19 @@ def monodromy(xi: PotentialSpec, grid: LambdaGrid,
 def exp_delaunay_monodromy(res: DelaunayResidue, lam) -> np.ndarray:
     """Closed-form monodromy exp(2 pi i A(lambda)) of the pure residue system.
 
-    For trace-free A with eigenvalues +-mu:
+    For trace-free A with eigenvalues +-mu this is loops._exp2 at
+    w = 2 pi i:
         exp(2 pi i A) = cos(2 pi mu) I + i (sin(2 pi mu)/mu) A,
     continued through mu = 0 by sin(2 pi mu)/mu -> 2 pi.  (Printed
     expansions of this formula sometimes drop the factor i on the second
     term; the exponential itself is what the trace law and the numeric
-    oracle confirm.)
+    oracle confirm.)  lam may be a scalar, giving one (2, 2) matrix.
     """
     lam = np.asarray(lam, dtype=complex)
     scalar = lam.ndim == 0
     lam = np.atleast_1d(lam)
-    A = delaunay_residue_matrix(res, lam)
-    mu = mu_eigenvalue(res, lam)
-    # sin(2 pi mu)/mu = 2 pi sinc(2 mu), exact at mu = 0
-    coeff = 2.0 * np.pi * np.sinc(2.0 * mu)
-    M = (np.cos(2.0 * np.pi * mu)[..., None, None] * np.eye(2)
-         + 1j * coeff[..., None, None] * A)
+    M = _exp2(np.array(2j * np.pi), delaunay_residue_matrix(res, lam),
+              mu_eigenvalue(res, lam))
     return M[0] if scalar else M
 
 

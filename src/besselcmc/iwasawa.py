@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import PipelineConfig, DEFAULT_CONFIG
-from .loops import LambdaGrid, _adj, _chol2, _chol2_entries, _inv2, _mul2_entries
+from .loops import LambdaGrid, _adj, _chol2, _chol2_entries, _inv2, _mul2
 
 __all__ = ["iwasawa_grid", "factor_samples"]
 
@@ -59,7 +59,7 @@ def factor_samples(phi: np.ndarray, grid: LambdaGrid, nsec: int):
     if not np.isfinite(phi).all():
         # catch bad nodes here and let the caller localize them
         raise RuntimeError("loop samples contain non-finite entries")
-    hat = np.fft.fft(_mul2_entries(_adj(phi), phi), axis=1) / m   # H_k at index k mod m
+    hat = np.fft.fft(_mul2(_adj(phi), phi), axis=1) / m   # H_k at index k mod m
     # first block row H_0 .. H_{nsec-1}; offsets beyond the m resolved
     # coefficients are genuinely tiny (m >= 2N+2 and H decays): zero them
     # rather than alias-wrap, so the section stays a true Toeplitz matrix
@@ -83,7 +83,7 @@ def factor_samples(phi: np.ndarray, grid: LambdaGrid, nsec: int):
         r0 = _chol2(hat[:, 0])
         # u* = R0^-1 [H_0 .. H_{nsec-1}] (the first column of the factor,
         # adjoined), v* = u* with its first block 0
-        u = _mul2_entries(_inv2(r0)[:, None], row).transpose(0, 2, 1, 3)
+        u = _mul2(_inv2(r0)[:, None], row).transpose(0, 2, 1, 3)
         u = u.reshape(nb, 2, 2 * nsec)
         g = np.empty((nb, 8, 2 * nsec))
         g[:, 0:2], g[:, 2:4] = u.real, u.imag
@@ -140,7 +140,7 @@ def factor_samples(phi: np.ndarray, grid: LambdaGrid, nsec: int):
     padded = np.zeros((nb, m, 2, 2), dtype=complex)
     padded[:, :nsec] = bk
     bs = np.fft.ifft(padded, axis=1) * m
-    return _mul2_entries(phi, _inv2(bs)), bk, bs
+    return _mul2(phi, _inv2(bs)), bk, bs
 
 
 def _plus_tail(bk: np.ndarray, degree: int) -> np.ndarray:
@@ -149,7 +149,7 @@ def _plus_tail(bk: np.ndarray, degree: int) -> np.ndarray:
 
 
 def _unitarity(f: np.ndarray) -> np.ndarray:
-    return np.abs(_mul2_entries(f, _adj(f)) - np.eye(2)).reshape(f.shape[0], -1).max(axis=1)
+    return np.abs(_mul2(f, _adj(f)) - np.eye(2)).reshape(f.shape[0], -1).max(axis=1)
 
 
 def _normalization(bk: np.ndarray) -> np.ndarray:
@@ -211,7 +211,7 @@ def iwasawa_grid(phis, grid: LambdaGrid,
         res["plus_loop_tail"][lo:hi] = _plus_tail(bk, cfg.fourier_degree)
         res["normalization"][lo:hi] = _normalization(bk)
         res["reconstruction"][lo:hi] = (
-            np.abs(_mul2_entries(f, bs) - phi).reshape(hi - lo, -1).max(axis=1))
+            np.abs(_mul2(f, bs) - phi).reshape(hi - lo, -1).max(axis=1))
 
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)

@@ -5,9 +5,9 @@ samples on a uniform power-of-two grid of the unit circle (LambdaGrid),
 with lambda = 1 as the first sample.  Products, inverses, determinants
 and Cholesky factors of such sample stacks are taken in closed form
 (_mul2, _inv2, _det2, _chol2), which is cheaper than generic batched
-linear algebra on 2x2 matrices; _mul2_entries is the product's form for
-large stacks.  The one derivative the pipeline needs, d/d-lambda at
-lambda = 1, is spectral (_dlambda_at_one).
+linear algebra on 2x2 matrices, and so is the exponential exp(w A) of a
+trace-free residue (_exp2).  The one derivative the pipeline needs,
+d/d-lambda at lambda = 1, is spectral (_dlambda_at_one).
 """
 
 from __future__ import annotations
@@ -59,28 +59,48 @@ def _adj(a: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(a, -1, -2))
 
 
+# Stacks of at least this many matrices take _mul2's per-entry loop.  On
+# 2 vCPUs the crossover fell between 256 and 512 matrices: below it the
+# broadcast is up to 3x faster (a (1, 128) stage product 20 us against
+# 42 us), from 512 on the loop wins, by 3.5x at (256, 32) (246 us against
+# 861 us).
+_ENTRIES_FROM = 512
+
+
 def _mul2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Closed-form product of (broadcastable) stacks of 2x2 matrices.
 
     Generic matmul on small stacks pays a per-matrix dispatch that costs
-    more than the eight products.
+    more than the eight products.  The broadcast form runs a length-2
+    inner loop per matrix, which is slow on large stacks such as a batch
+    of (nodes, m) samples; from _ENTRIES_FROM matrices on, one output
+    entry is taken at a time instead.  Both forms take the same sums in
+    the same order, so their bits agree.  The size test reads .size only:
+    the flow calls this ~28k times per verify check.
     """
-    return a[..., :, 0:1] * b[..., 0:1, :] + a[..., :, 1:2] * b[..., 1:2, :]
-
-
-def _mul2_entries(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """_mul2 written one output entry at a time, with identical results.
-
-    _mul2's broadcast runs a length-2 inner loop per matrix, which is slow
-    on large stacks such as a batch of (nodes, m) samples; this form pays
-    twelve calls instead, which is slower on short stacks.
-    """
+    if max(a.size, b.size) < 4 * _ENTRIES_FROM:
+        return a[..., :, 0:1] * b[..., 0:1, :] + a[..., :, 1:2] * b[..., 1:2, :]
     out = np.empty(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b))
     for i in range(2):
         for j in range(2):
             np.multiply(a[..., i, 0], b[..., 0, j], out=out[..., i, j])
             out[..., i, j] += a[..., i, 1] * b[..., 1, j]
     return out
+
+
+def _exp2(w: np.ndarray, A: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """exp(w A) = cosh(w mu) I + w sinhc(w mu) A for trace-free A.
+
+    w: (...) exponents, e.g. values of log z; A: (m, 2, 2) with eigenvalues
+    +-mu (m,).  sinhc(x) = sinh(x)/x is continued through x = 0 by its
+    Taylor polynomial.  Returns (..., m, 2, 2).
+    """
+    arg = w[..., None] * mu
+    small = np.abs(arg) < 1e-4
+    safe = np.where(small, 1.0, arg)
+    sinhc = np.where(small, 1.0 + arg * arg / 6.0, np.sinh(safe) / safe)
+    return (np.cosh(arg)[..., None, None] * np.eye(2)
+            + (w[..., None] * sinhc)[..., None, None] * A)
 
 
 def _chol2_entries(h00: np.ndarray, h10: np.ndarray, h11: np.ndarray):

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import PipelineConfig, DEFAULT_CONFIG
-from .flow import _integrate_w_line
+from .flow import _integrate_w_line, exp_delaunay_monodromy
 from .iwasawa import _CHUNK, _check_grid, iwasawa_grid
-from .loops import LambdaGrid, _adj, _dlambda_at_one, _inv2, _mul2, _mul2_entries
+from .loops import LambdaGrid, _adj, _dlambda_at_one, _exp2, _inv2, _mul2
 from .potentials import (
     CylinderParams,
     DelaunayResidue,
@@ -223,6 +223,9 @@ def mesh_from_grid(points: np.ndarray, diagnostics: dict | None = None) -> Surfa
     points = np.asarray(points, dtype=float)
     if points.ndim != 3 or points.shape[2] != 3:
         raise ValueError("expected points of shape (n_radial, n_angular, 3)")
+    if points.shape[0] < 5:
+        # the curvature statistics skip two rings at each end
+        raise ValueError(f"need at least 5 rings, got {points.shape[0]}")
     if not np.all(np.isfinite(points)):
         bad = np.argwhere(~np.isfinite(points).all(axis=2))
         raise RuntimeError(f"non-finite vertices at grid nodes {bad[:8].tolist()}")
@@ -236,35 +239,28 @@ def mesh_from_grid(points: np.ndarray, diagnostics: dict | None = None) -> Surfa
 # ---------------------------------------------------------------------------
 # pipelines
 
-def _sym_rings(frames, dom: DomainGrid, grid: LambdaGrid):
-    """Sym over the whole grid, one block of rings at a time.
+def _frames_to_mesh(frames, dom: DomainGrid, grid: LambdaGrid,
+                    parts: list[dict]) -> SurfaceMesh:
+    """Shared tail of both pipelines: Sym, Sym-defect warning, seam check, weld.
 
     frames(lo, hi): (hi - lo, n_angular + 1, m, 2, 2) unitary factors of
-    rings lo .. hi - 1.  A block holds at most _CHUNK nodes theta <= pi,
-    so fewer than 2 _CHUNK nodes in all.  The frames and Sym's
-    temporaries never span more than one block, so their size does not
-    grow with n_radial, and at m <= 128 every array stays under the
-    4 MiB at which numpy asks the kernel for transparent huge pages
-    (those made the peak memory of one run differ from the next).
-    Returns the points (n_radial, n_angular + 1, 3) and the Sym defects.
+    rings lo .. hi - 1.  Sym runs one block of rings at a time; a block
+    holds at most _CHUNK nodes theta <= pi, so fewer than 2 _CHUNK nodes
+    in all.  The frames and Sym's temporaries never span more than one
+    block, so their size does not grow with n_radial, and at m <= 128
+    every array stays under the 4 MiB at which numpy asks the kernel for
+    transparent huge pages (those made the peak memory of one run differ
+    from the next).  parts: the summaries of failure-free iwasawa_grid
+    calls, complete once every block is built (frames may append to it);
+    their merge is carried into the diagnostics.
     """
-    shape = (dom.n_radial, dom.n_angular + 1)
+    nth = dom.n_angular
+    shape = (dom.n_radial, nth + 1)
     pts, defect = np.empty(shape + (3,)), np.empty(shape)
-    rows = max(1, _CHUNK // (dom.n_angular // 2 + 1))
+    rows = max(1, _CHUNK // (nth // 2 + 1))
     for lo in range(0, dom.n_radial, rows):
         hi = min(lo + rows, dom.n_radial)
         pts[lo:hi], defect[lo:hi] = _sym_points(frames(lo, hi), grid)
-    return pts, defect
-
-
-def _points_to_mesh(pts: np.ndarray, defect: np.ndarray, dom: DomainGrid,
-                    summary: dict) -> SurfaceMesh:
-    """Shared tail of both pipelines: Sym-defect warning, seam check, weld.
-
-    pts, defect: _sym_rings output; summary is the factorization's,
-    carried into the diagnostics.
-    """
-    nth = dom.n_angular
     sym_defect = float(defect.max())
     if sym_defect > 1e-5:
         warnings.warn(f"Sym output defect {sym_defect:.2e}; frames inconsistent",
@@ -273,38 +269,17 @@ def _points_to_mesh(pts: np.ndarray, defect: np.ndarray, dom: DomainGrid,
     span = welded.reshape(-1, 3)
     diag = float(np.linalg.norm(span.max(axis=0) - span.min(axis=0)))
     seam = float(np.abs(pts[:, nth] - pts[:, 0]).max()) / max(diag, 1e-300)
+    nodes = sum(s["nodes"] for s in parts)
+    summary = {
+        "nodes": nodes, "failed_nodes": [],
+        "unitarity_mean": sum(s["unitarity_mean"] * s["nodes"] for s in parts) / nodes,
+        **{k: float(np.max([s[k] for s in parts])) for k in parts[0] if k.endswith("_max")}}
     diagnostics = {
         "seam_residual": seam,
         "sym_defect": sym_defect,
         "iwasawa": summary,
     }
     return mesh_from_grid(welded, diagnostics)
-
-
-def _joined_summary(parts: list[dict]) -> dict:
-    """One summary for successive failure-free iwasawa_grid calls."""
-    nodes = sum(s["nodes"] for s in parts)
-    return {"nodes": nodes, "failed_nodes": [],
-            "unitarity_mean": sum(s["unitarity_mean"] * s["nodes"] for s in parts) / nodes,
-            **{k: float(np.max([s[k] for s in parts])) for k in parts[0] if k.endswith("_max")}}
-
-
-def _sinhc(x: np.ndarray) -> np.ndarray:
-    """sinh(x)/x, stable through x = 0."""
-    small = np.abs(x) < 1e-4
-    safe = np.where(small, 1.0, x)
-    return np.where(small, 1.0 + x * x / 6.0, np.sinh(safe) / safe)
-
-
-def _exp_residue(w: np.ndarray, A: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """z^A = exp(w A) = cosh(w mu) I + w sinhc(w mu) A for trace-free A.
-
-    w: (...) values of log z; A: (m, 2, 2) with eigenvalues +-mu (m,).
-    Returns (..., m, 2, 2).
-    """
-    arg = w[..., None] * mu
-    return (np.cosh(arg)[..., None, None] * np.eye(2)
-            + (w[..., None] * _sinhc(arg))[..., None, None] * A)
 
 
 def _series_columns(p: CylinderParams, dom: DomainGrid, grid: LambdaGrid,
@@ -331,7 +306,7 @@ def _series_columns(p: CylinderParams, dom: DomainGrid, grid: LambdaGrid,
             # and can then take ~16 ms per ring on 2 vCPUs instead of ~0.5 ms
             ring = np.einsum("kj,jc->kc", np.exp(np.outer(w, powers)), flat)
             ring = ring.reshape(-1, grid.m, 2, 2)
-            out[i] = _mul2(_exp_residue(w, A, mu), ring)
+            out[i] = _mul2(_exp2(w, A, mu), ring)
             out[i, ..., 0] *= np.exp(-0.5 * w)[:, None, None]
             out[i, ..., 1] *= np.exp(0.5 * w)[:, None, None]
         return out
@@ -374,17 +349,15 @@ def build_surface(p: CylinderParams, dom: DomainGrid, grid: LambdaGrid,
     the theta = 2 pi one included, are filled this way; the seam compares
     the theta = 0 column with its own image under M and conj, which
     closes only where M(1) = +-I and M'(1) = 0.  Building, factoring,
-    mirroring and Sym run one block of rings at a time (_sym_rings); the
-    first block with a failed node raises, naming its nodes.  No ODE is
-    integrated, so cfg.ode_tol plays no part.
+    mirroring and Sym run one block of rings at a time (_frames_to_mesh);
+    the first block with a failed node raises, naming its nodes.  No ODE
+    is integrated, so cfg.ode_tol plays no part.
     """
     _check_grid(grid, cfg)
     n = dom.n_angular
     half = n // 2 + 1
     series = _series_columns(p, dom, grid, dom.thetas()[:half])
-    res = DelaunayResidue(*delaunay_ab(p))
-    A = delaunay_residue_matrix(res, grid.points)
-    M = -_exp_residue(np.array(2j * np.pi), A, mu_eigenvalue(res, grid.points))
+    M = -exp_delaunay_monodromy(DelaunayResidue(*delaunay_ab(p)), grid.points)
     rev = -np.arange(grid.m) % grid.m                        # lambda -> conj lambda
     parts = []
 
@@ -398,11 +371,10 @@ def build_surface(p: CylinderParams, dom: DomainGrid, grid: LambdaGrid,
         F = np.empty((hi - lo, n + 1, grid.m, 2, 2), dtype=complex)
         F[:, :half] = F_half
         for k in range(n - n // 2):                          # column n - k from k
-            F[:, n - k] = _mul2_entries(M, np.conj(F_half[:, k, rev]))
+            F[:, n - k] = _mul2(M, np.conj(F_half[:, k, rev]))
         return F
 
-    pts, defect = _sym_rings(frames, dom, grid)
-    return _points_to_mesh(pts, defect, dom, _joined_summary(parts))
+    return _frames_to_mesh(frames, dom, grid, parts)
 
 
 def _spanning_tree_frames(xi, phi0: np.ndarray, dom: DomainGrid,
@@ -445,7 +417,7 @@ def delaunay_reference(res: DelaunayResidue, dom: DomainGrid, grid: LambdaGrid,
     """Delaunay surface of revolution from the pure residue potential.
 
     The flow for xi = A dz/z has the closed-form solution Phi = exp(w A)
-    in w = log z = u + i theta (_exp_residue), so no ODE is needed, and
+    in w = log z = u + i theta (loops._exp2), so no ODE is needed, and
     it splits as exp(i theta A) exp(u A).  For real a, b the residue
     A(lambda) is Hermitian on |lambda| = 1, so exp(i theta A) is a
     unitary loop.  The normalized Iwasawa splitting is unique (Pressley &
@@ -458,14 +430,13 @@ def delaunay_reference(res: DelaunayResidue, dom: DomainGrid, grid: LambdaGrid,
     _check_grid(grid, cfg)
     A = delaunay_residue_matrix(res, grid.points)
     mu = mu_eigenvalue(res, grid.points)
-    F0, _, summary = iwasawa_grid(_exp_residue(dom.u(), A, mu), grid, cfg)
+    F0, _, summary = iwasawa_grid(_exp2(dom.u(), A, mu), grid, cfg)
     if summary["failed_nodes"]:
         raise RuntimeError(f"Iwasawa factorization failed at reference rings "
                            f"(radial) = {summary['failed_nodes'][:8]}")
-    turn = _exp_residue(1j * dom.thetas(), A, mu)           # (n_angular + 1, m, 2, 2)
-    pts, defect = _sym_rings(lambda lo, hi: _mul2_entries(turn[None], F0[lo:hi, None]),
-                             dom, grid)
-    return _points_to_mesh(pts, defect, dom, summary)
+    turn = _exp2(1j * dom.thetas(), A, mu)                  # (n_angular + 1, m, 2, 2)
+    return _frames_to_mesh(lambda lo, hi: _mul2(turn[None], F0[lo:hi, None]),
+                           dom, grid, [summary])
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from besselcmc import (
     trace_law_check,
 )
 from besselcmc.flow import _rk_segment
+from besselcmc.loops import _exp2
 from besselcmc.potentials import PotentialSpec
 
 CFG = PipelineConfig(fourier_degree=4, lambda_samples=16)
@@ -129,6 +130,26 @@ def test_exp_delaunay_against_taylor_exponential():
         A = delaunay_residue_matrix(res, lam)
         want = _expm(2j * np.pi * A)
         assert np.abs(exp_delaunay_monodromy(res, lam) - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("res", [
+    DelaunayResidue(0.375, 0.125),     # unduloid
+    DelaunayResidue(0.75, -0.25),      # nodoid
+    DelaunayResidue(0.25, 0.25),       # round cylinder: mu(-1) = 0
+])
+@pytest.mark.parametrize("w", [
+    math.log(0.3), math.log(3.0),      # real
+    1.1j, 2j * np.pi,                  # imaginary
+    0.4 + 2j,                          # complex
+    3e-5, 1e-5j,                       # |w mu| < 1e-4: the sinhc polynomial
+])
+def test_exp2_against_taylor_exponential(res, w):
+    grid = LambdaGrid(16)
+    A = delaunay_residue_matrix(res, grid.points)
+    got = _exp2(np.array(w), A, mu_eigenvalue(res, grid.points))
+    want = np.stack([_expm(w * a) for a in A])
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 # ----------------------------------------------------------- cylinder runs

@@ -25,6 +25,7 @@ from besselcmc import (
     series_frames,
 )
 import besselcmc.flow as flow
+import besselcmc.loops as loops
 import besselcmc.potentials as potentials
 import besselcmc.surface as surface
 from besselcmc.loops import _mul2
@@ -120,6 +121,8 @@ def test_spectral_matches_finite_differences():
 def test_mesh_validation():
     with pytest.raises(ValueError):
         mesh_from_grid(np.zeros((4, 8)))
+    with pytest.raises(ValueError):           # no interior ring for H_stats
+        mesh_from_grid(np.random.default_rng(0).normal(size=(4, 8, 3)))
     pts = np.random.default_rng(0).normal(size=(6, 8, 3))
     pts[2, 3, 1] = np.nan
     with pytest.raises(RuntimeError):
@@ -425,8 +428,8 @@ def test_reference_seam_and_symmetry(unduloid_reference):
 def full_grid_reference(res, dom, grid, cfg):
     """The reference factored at every (u, theta) node: exp(w A) = F B."""
     w = dom.u()[:, None] + 1j * dom.thetas()[None, :]
-    frames = surface._exp_residue(w, delaunay_residue_matrix(res, grid.points),
-                                  mu_eigenvalue(res, grid.points))
+    frames = loops._exp2(w, delaunay_residue_matrix(res, grid.points),
+                         mu_eigenvalue(res, grid.points))
     F, _, summary = iwasawa_grid(frames, grid, cfg)
     assert summary["failed_nodes"] == []
     pts, _ = surface._sym_points(F, grid)
@@ -462,23 +465,22 @@ def test_mirrored_columns_match_the_full_grid(r, n_angular, monkeypatch):
     # factors every node of the series frames
     p, dom = CylinderParams(r), DomainGrid(0.3, 3.0, 48, n_angular)
     blocks = []
-    sym = surface._sym_rings
+    tail = surface._frames_to_mesh
 
     def keep_frames(frames, *args):
         def kept(lo, hi):
             blocks.append(frames(lo, hi))
             return blocks[-1]
-        return sym(kept, *args)
+        return tail(kept, *args)
 
-    monkeypatch.setattr(surface, "_sym_rings", keep_frames)
+    monkeypatch.setattr(surface, "_frames_to_mesh", keep_frames)
     mesh = build_surface(p, dom, MIRROR_GRID, MIRROR_CFG)
     assert mesh.diagnostics["iwasawa"]["nodes"] == 48 * (n_angular // 2 + 1)
     assert len(blocks) == 3                            # 19 + 19 + 10 rings
     F, _, summary = iwasawa_grid(series_frames(p, dom, MIRROR_GRID),
                                  MIRROR_GRID, MIRROR_CFG)
     assert summary["failed_nodes"] == []
-    oracle = surface._points_to_mesh(*sym(lambda lo, hi: F[lo:hi], dom, MIRROR_GRID),
-                                     dom, summary)
+    oracle = tail(lambda lo, hi: F[lo:hi], dom, MIRROR_GRID, [summary])
     assert np.abs(np.concatenate(blocks) - F).max() <= 1e-9    # measured <= 5.1e-11
     err = np.abs(mesh.vertices - oracle.vertices).max()
     assert err <= 2e-9 * oracle.bbox_diagonal(), err  # measured <= 2.8e-10
