@@ -49,8 +49,10 @@ def bessel_integrate(alpha: complex, path: PathSpec, y0: complex, dy0: complex,
     a2 = complex(alpha) ** 2
 
     def coeff(s):
-        z2 = np.exp(2.0 * (w0 + s * dw))
-        return np.array([[0.0, (a2 - z2) * dw], [dw, 0.0]], dtype=complex)
+        c = np.zeros((len(s), 1, 2, 2), dtype=complex)
+        c[:, 0, 0, 1] = (a2 - np.exp(2.0 * (w0 + s * dw))) * dw
+        c[:, 0, 1, 0] = dw
+        return c
 
     # row-vector form: (y, v) -> (y, v) @ [[0, a2 - z^2], [1, 0]]
     state = np.array([[[complex(y0), np.exp(w0) * complex(dy0)],

@@ -260,6 +260,12 @@ def _dump_report(report: dict) -> str:
 # ---------------------------------------------------------------------------
 # commands
 
+def _require_out_dir(out) -> None:
+    """Fail before any work when the output path's directory is missing."""
+    if out is not None and not Path(out).parent.is_dir():
+        raise ValueError(f"output directory {str(Path(out).parent)!r} does not exist")
+
+
 def cmd_verify(cfg: RunConfig, which: str, sabotage: float = 0.0) -> dict:
     """Run one named check; returns the report dict.
 
@@ -294,8 +300,7 @@ def cmd_generate(cfg: RunConfig) -> tuple[dict, list[str]]:
     fmt = cfg.mesh_format or out.suffix.lstrip(".").lower() or "obj"
     if fmt not in ("obj", "ply"):
         raise ValueError(f"unknown mesh format {fmt!r} (use obj or ply)")
-    if not out.parent.is_dir():
-        raise ValueError(f"output directory {str(out.parent)!r} does not exist")
+    _require_out_dir(out)
     p = cfg.params()
     pcfg = cfg.pipeline()
     grid = cfg.lambda_grid()
@@ -458,6 +463,7 @@ def main(argv=None) -> int:
             for path in paths:
                 print(f"wrote {path}")
         else:
+            _require_out_dir(cfg.out)
             report = cmd_verify(cfg, args.check, sabotage=args.sabotage)
             if cfg.out is not None:
                 Path(cfg.out).write_text(_dump_report(report), encoding="ascii")

@@ -5,11 +5,11 @@ the straight segment w -> w + 2 pi i and the simple pole of dz/z becomes a
 constant coefficient.  The integrator is an adaptive embedded Cash-Karp
 5(4) pair stepping a whole family of independent 2x2 systems (all lambda
 samples, and all rays of a surface sweep) in lockstep: the step size is
-controlled by the worst error across the family.  Its stage products
-Y coeff(s) are the closed-form 2x2 product loops._mul2 (generic matmul
-pays a per-matrix dispatch on such stacks), and each stage argument, the
-5th-order solution and the error estimate are summed in place into one
-new array each.
+controlled by the worst error across the family.  Each attempted step
+makes one coefficient call, a stack over its six stage points s_i; the
+stage products Y coeff(s_i) are the closed-form loops._mul2, and each
+stage argument, the 5th-order solution and the error estimate are summed
+in place into one new array.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ class MonodromyReport:
 # ---------------------------------------------------------------------------
 # Cash-Karp 5(4) tableau
 
-_CK_C = (0.0, 1 / 5, 3 / 10, 3 / 5, 1.0, 7 / 8)
+_CK_C = np.array([0.0, 1 / 5, 3 / 10, 3 / 5, 1.0, 7 / 8])
 _CK_A = (
     (),
     (1 / 5,),
@@ -128,9 +128,9 @@ def _stage_sum(h, weights, k, y=None):
 def _rk_segment(coeff, y, s0, s1, rtol, atol=1e-14, h0=None):
     """Advance Y' = Y coeff(s) from s0 to s1 for a stacked family.
 
-    coeff maps a scalar s to an array broadcastable against y
-    (shape (..., 2, 2)).  A single adaptive step size serves the whole
-    family; the error norm is the worst scaled RMS across members.
+    coeff maps the (6,) stage points s + _CK_C h of a step, once per step,
+    to a stack c with c[i] broadcastable against y (shape (..., 2, 2)).
+    One step size serves the family; the error norm is its worst scaled RMS.
     Returns (y_end, last_h) so a caller chaining segments can reuse h.
     """
     span = s1 - s0
@@ -145,9 +145,10 @@ def _rk_segment(coeff, y, s0, s1, rtol, atol=1e-14, h0=None):
     while (s1 - s) * direction > 1e-15 * abs(span):
         if abs(h) > abs(s1 - s):
             h = s1 - s
-        k[0] = _mul2(y, coeff(s))
+        c = coeff(s + _CK_C * h)
+        k[0] = _mul2(y, c[0])
         for i in range(1, 6):
-            k[i] = _mul2(_stage_sum(h, _CK_A[i], k, y), coeff(s + _CK_C[i] * h))
+            k[i] = _mul2(_stage_sum(h, _CK_A[i], k, y), c[i])
         y5 = _stage_sum(h, _CK_B5, k, y)
         ay5 = np.abs(y5)
         # worst scaled RMS; sqrt and the division by 4 commute with max
@@ -182,7 +183,7 @@ def _integrate_w_line(xi, lam, w0, w1, y0, rtol, stations=None):
     dw = w1 - w0
 
     def coeff(s):
-        z = np.exp(w0 + s * dw)          # (B, 1) -> broadcast with lam
+        z = np.exp(w0 + s[:, None, None] * dw)   # (6, B, 1) against lam (1, m)
         return xi(z, lam) * (z * dw)[..., None, None]
 
     ss = [float(t) for t in (stations if stations is not None else [])]

@@ -46,7 +46,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """Evaluator for a meromorphic sl2-valued 1-form (coefficient of dz)."""
+    """Evaluator for a meromorphic sl2-valued 1-form (coefficient of dz);
+    evaluate(z, lam) broadcasts z of any leading shape against lam."""
 
     evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
     pole_locations: tuple[tuple[complex, int], ...]

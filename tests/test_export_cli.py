@@ -149,6 +149,18 @@ def test_unwritable_out_is_bad_input(capsys):
     assert code == 2
 
 
+def test_verify_rejects_missing_directory_before_check(tmp_path, monkeypatch, capsys):
+    def no_check(cfg):
+        raise AssertionError("check ran before the directory was checked")
+
+    monkeypatch.setattr(cli, "_CHECK_FUNCS", dict.fromkeys(cli.CHECKS, no_check))
+    out = tmp_path / "nodir" / "x.json"
+    assert main(["verify", "monodromy", "--r", "0.5", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "output directory" in err and "nodir" in err and "does not exist" in err
+    assert not out.parent.exists()
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()

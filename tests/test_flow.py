@@ -11,6 +11,7 @@ from besselcmc import (
     LambdaGrid,
     PathSpec,
     PipelineConfig,
+    bessel_integrate,
     closing_report,
     cylinder_basepoint_frame,
     delaunay_ab,
@@ -23,6 +24,7 @@ from besselcmc import (
     mu_eigenvalue,
     trace_law_check,
 )
+from besselcmc import bessel, flow
 from besselcmc.flow import _rk_segment
 from besselcmc.loops import _exp2
 from besselcmc.potentials import PotentialSpec
@@ -312,8 +314,9 @@ _REF_E = _REF_B5 - _REF_B4
 
 
 def reference_rk_segment(coeff, y, s0, s1, rtol, atol=1e-14, h0=None):
-    """The plain Cash-Karp loop: generic matmul stage products and
-    generator stage sums, with the same controller as flow._rk_segment."""
+    """The plain Cash-Karp loop: one coefficient call per stage (element
+    [0] of a one-point call), generic matmul stage products and generator
+    stage sums, with the same controller as flow._rk_segment."""
     span = s1 - s0
     h = h0 if h0 is not None else span / 32.0
     h = math.copysign(min(abs(h), abs(span)), span)
@@ -322,10 +325,10 @@ def reference_rk_segment(coeff, y, s0, s1, rtol, atol=1e-14, h0=None):
     while (s1 - s) * np.sign(span) > 1e-15 * abs(span):
         if abs(h) > abs(s1 - s):
             h = s1 - s
-        k[0] = y @ coeff(s)
+        k[0] = y @ coeff(np.array([s]))[0]
         for i in range(1, 6):
             yi = y + h * sum(a * kj for a, kj in zip(_REF_A[i], k[:i]))
-            k[i] = yi @ coeff(s + _REF_C[i] * h)
+            k[i] = yi @ coeff(np.array([s + _REF_C[i] * h]))[0]
         y5 = y + h * sum(b * ki for b, ki in zip(_REF_B5, k) if b != 0.0)
         err = h * sum(e * ki for e, ki in zip(_REF_E, k) if e != 0.0)
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
@@ -353,14 +356,14 @@ def counted(coeff):
 
 def cylinder_ray_coeff(n_rays=4, m=32):
     """Stacked coefficient of n_rays radial rays |z| in [1, 2.5], the
-    layout of the surface sweep: (n_rays, m, 2, 2) per evaluation."""
+    layout of the surface sweep: (n_rays, m, 2, 2) per stage point."""
     xi = make_cylinder_potential(CylinderParams(-0.25))
     lam = LambdaGrid(m).points[None, :]
     theta = np.linspace(0.0, 2.0 * np.pi, n_rays, endpoint=False)[:, None]
     w0, dw = 1j * theta, math.log(2.5) + 0j * theta
 
     def coeff(s):
-        z = np.exp(w0 + s * dw)
+        z = np.exp(w0 + s[:, None, None] * dw)
         return xi(z, lam) * (z * dw)[..., None, None]
 
     y0 = np.tile(np.eye(2, dtype=complex), (n_rays, m, 1, 1))
@@ -368,13 +371,15 @@ def cylinder_ray_coeff(n_rays=4, m=32):
 
 
 def bessel_state_coeff(alpha=0.7, w1=math.log(3.0) + 0.5j):
-    """Row-vector Bessel system: coeff is a bare (2, 2) against a (1, 2, 2)
-    state, as in bessel.bessel_integrate."""
+    """Row-vector Bessel system: a bare (2, 2) per stage point against a
+    (1, 2, 2) state."""
     a2 = alpha * alpha
 
     def coeff(s):
-        z2 = np.exp(2.0 * s * w1)
-        return np.array([[0.0, (a2 - z2) * w1], [w1, 0.0]], dtype=complex)
+        c = np.zeros((len(s), 2, 2), dtype=complex)
+        c[:, 0, 1] = (a2 - np.exp(2.0 * s * w1)) * w1
+        c[:, 1, 0] = w1
+        return c
 
     y0 = np.array([[[1.0, 0.3], [0.0, 0.0]]], dtype=complex)
     return coeff, y0
@@ -387,7 +392,7 @@ def test_rk_segment_matches_plain_loop(case):
     old_coeff, old_calls = counted(coeff)
     y_new, h_new = _rk_segment(new_coeff, y0, 0.0, 1.0, 1e-10)
     y_old, h_old = reference_rk_segment(old_coeff, y0, 0.0, 1.0, 1e-10)
-    assert new_calls[0] == old_calls[0] > 6
+    assert old_calls[0] == 6 * new_calls[0] > 36      # one call per attempted step
     assert y_new.shape == y_old.shape == y0.shape
     assert np.abs(y_new - y_old).max() <= 1e-12 * np.abs(y_old).max()
     # the next step size follows the error estimate, a difference of
@@ -399,4 +404,38 @@ def test_rk_segment_step_underflow_raises():
     stiff = 1e12 * np.diag([1.0, -1.0]).astype(complex)
     y0 = np.eye(2, dtype=complex)[None]
     with pytest.raises(RuntimeError, match="step-size underflow"):
-        _rk_segment(lambda s: stiff, y0, 0.0, 1.0, 1e-10)
+        _rk_segment(lambda s: np.broadcast_to(stiff, s.shape + (2, 2)), y0, 0.0, 1.0, 1e-10)
+
+
+def closing_and_bessel_outputs():
+    """The cylinder monodromy (r = 1/3, m = 128, from the basepoint frame)
+    and a scalar Bessel solution (alpha = 0.3 + 0.1i, z: 1 -> 3)."""
+    p, grid = CylinderParams(1 / 3), LambdaGrid(128)
+    cfg = PipelineConfig(fourier_degree=32, lambda_samples=128)
+    M, _ = monodromy(make_cylinder_potential(p), grid, cfg,
+                     frame0=cylinder_basepoint_frame(p, grid.points))
+    return M, bessel_integrate(0.3 + 0.1j, PathSpec.radial(1.0, 3.0), 1.0, 0.0, cfg)
+
+
+def test_batched_coefficient_adds_no_rounding(monkeypatch):
+    """One coefficient call on all six stage points gives the bits of six
+    one-point calls, for both producers of stage stacks."""
+    M, sol = closing_and_bessel_outputs()
+    patched = set()
+
+    def per_point(module):
+        real = module._rk_segment
+
+        def stepper(coeff, *args, **kwargs):
+            patched.add(module.__name__)
+            return real(lambda s: np.stack([coeff(s[i:i + 1])[0] for i in range(len(s))]),
+                        *args, **kwargs)
+        return stepper
+
+    for module in (flow, bessel):
+        monkeypatch.setattr(module, "_rk_segment", per_point(module))
+    M1, sol1 = closing_and_bessel_outputs()
+    assert patched == {"besselcmc.flow", "besselcmc.bessel"}    # both patches bite
+    assert np.array_equal(M1, M)
+    for field in ("y", "dy", "d2y"):
+        assert np.array_equal(getattr(sol1, field), getattr(sol, field))
