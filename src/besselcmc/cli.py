@@ -81,26 +81,20 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 # mesh export
 
-def _fmt(x: float) -> str:
-    return "%.17g" % x
-
-
 def export_mesh(mesh: SurfaceMesh, fmt: str, path) -> None:
     """Write the welded quad mesh as ASCII OBJ or PLY.
 
-    Output is byte-stable: identical meshes produce identical files.
-    OBJ uses 1-based `f` indices; PLY counts from 0 as usual.
+    Output is byte-stable: identical meshes produce identical files, and
+    %.17g coordinates parse back to the same doubles.  OBJ uses 1-based
+    `f` indices; PLY counts from 0 as usual.
     """
     verts = mesh.vertices.reshape(-1, 3)
     faces = mesh.faces
-    lines = []
     if fmt == "obj":
-        for v in verts:
-            lines.append(f"v {_fmt(v[0])} {_fmt(v[1])} {_fmt(v[2])}")
-        for f in faces:
-            lines.append("f %d %d %d %d" % (f[0] + 1, f[1] + 1, f[2] + 1, f[3] + 1))
+        head, faces = [], faces + 1
+        vline, fline = "v %.17g %.17g %.17g\n", "f %d %d %d %d\n"
     elif fmt == "ply":
-        lines += [
+        head = [
             "ply",
             "format ascii 1.0",
             f"element vertex {len(verts)}",
@@ -111,13 +105,16 @@ def export_mesh(mesh: SurfaceMesh, fmt: str, path) -> None:
             "property list uchar int vertex_indices",
             "end_header",
         ]
-        for v in verts:
-            lines.append(f"{_fmt(v[0])} {_fmt(v[1])} {_fmt(v[2])}")
-        for f in faces:
-            lines.append("4 %d %d %d %d" % (f[0], f[1], f[2], f[3]))
+        vline, fline = "%.17g %.17g %.17g\n", "4 %d %d %d %d\n"
     else:
         raise ValueError(f"unknown mesh format {fmt!r} (use obj or ply)")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    with open(path, "w", encoding="ascii") as out:
+        out.writelines(h + "\n" for h in head)
+        # a block of rows at a time: every row of a 96x48 mesh as Python
+        # objects at once raised the peak RSS of `generate` by 2 MB
+        for rows, line in ((verts, vline), (faces, fline)):
+            for lo in range(0, len(rows), 1024):
+                out.writelines(line % tuple(r) for r in rows[lo:lo + 1024].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +288,10 @@ def cmd_generate(cfg: RunConfig) -> tuple[dict, list[str]]:
     residuals; mean curvature, reflection symmetry and the per-ring
     distance to the Delaunay reference (end_distance) are reported as
     informational residuals (their own thresholds live in the
-    verification suite, where grid resolution is controlled).
+    verification suite, where grid resolution is controlled).  Both meshes
+    mirror their columns theta > pi, so the two seams and the cylinder's
+    symmetry.max_deviation read |Sym(M)|, the closing condition M'(1) = 0
+    plus roundoff, not an independent check.
     """
     if cfg.out is None:
         raise ValueError("generate requires --out <path>")

@@ -7,13 +7,12 @@ x_i = (1/2) Re tr(sigma_i f).  The resulting discrete mean curvature is
 whatever this normalization produces; constancy is the meaningful check.
 
 Frames are closed-form: the Frobenius series of the cylinder system times
-z^A in w = log z.  build_surface builds and factors only the columns
-0 <= theta <= pi and fills 2 pi - theta from theta by the reflection
-symmetry of the real-coefficient potential and the monodromy M, so the
-theta = 2 pi column is M times the reflected theta = 0 one, which the
-closing conditions turn into an honest seam.  series_frames continues the
-series over the whole grid; the Runge-Kutta flow over a spanning tree of
-the grid (_spanning_tree_frames) is kept as an independent oracle for it.
+z^A in w = log z.  Both pipelines factor and Sym-evaluate only the columns
+0 <= theta <= pi; the shared tail (_frames_to_mesh) places the others by
+the rigid motion that the reflection symmetry of the real-coefficient
+potential induces on the points.  series_frames continues the series over
+the whole grid; the Runge-Kutta flow over a spanning tree of the grid
+(_spanning_tree_frames) is kept as an independent oracle for it.
 """
 
 from __future__ import annotations
@@ -59,12 +58,11 @@ class DomainGrid:
 
     Nodes are z_jk = exp(u_j + i theta_k) with u uniform in
     [log rho_min, log rho_max] (u()) and theta uniform in [0, 2 pi]
-    (thetas(), n_angular + 1 values: the last one is theta = 2 pi, where
-    the pipelines carry the frames once round, by the reflection and the
-    monodromy for the cylinder and by exp(i theta A) for the Delaunay
-    reference, before welding the seam).  The curvature statistics skip
-    two rings at each end, so n_radial >= 5 leaves at least one interior
-    ring.
+    (thetas(), n_angular + 1 values: the last one is theta = 2 pi).  The
+    pipelines factor the columns theta <= pi and place the others, the
+    theta = 2 pi one included, as mirror images under the monodromy before
+    welding the seam.  The curvature statistics skip two rings at each
+    end, so n_radial >= 5 leaves at least one interior ring.
     """
 
     rho_min: float
@@ -239,28 +237,33 @@ def mesh_from_grid(points: np.ndarray, diagnostics: dict | None = None) -> Surfa
 # ---------------------------------------------------------------------------
 # pipelines
 
-def _frames_to_mesh(frames, dom: DomainGrid, grid: LambdaGrid,
+def _frames_to_mesh(frames, M: np.ndarray, dom: DomainGrid, grid: LambdaGrid,
                     parts: list[dict]) -> SurfaceMesh:
-    """Shared tail of both pipelines: Sym, Sym-defect warning, seam check, weld.
+    """Shared tail of both pipelines: Sym, mirror, defect warning, seam, weld.
 
-    frames(lo, hi): (hi - lo, n_angular + 1, m, 2, 2) unitary factors of
-    rings lo .. hi - 1.  Sym runs one block of rings at a time; a block
-    holds at most _CHUNK nodes theta <= pi, so fewer than 2 _CHUNK nodes
-    in all.  The frames and Sym's temporaries never span more than one
-    block, so their size does not grow with n_radial, and at m <= 128
-    every array stays under the 4 MiB at which numpy asks the kernel for
-    transparent huge pages (those made the peak memory of one run differ
-    from the next).  parts: the summaries of failure-free iwasawa_grid
-    calls, complete once every block is built (frames may append to it);
-    their merge is carried into the diagnostics.
+    frames(lo, hi): (hi - lo, n_angular // 2 + 1, m, 2, 2) unitary factors
+    of rings lo .. hi - 1 on the columns theta <= pi, the only ones Sym
+    sees.  A block holds at most _CHUNK nodes, so the frames and Sym's
+    temporaries do not grow with n_radial, and at m <= 128 every array
+    stays under the 4 MiB at which numpy asks the kernel for transparent
+    huge pages (those made the peak memory of one run differ from the
+    next).  M: the (m, 2, 2) monodromy, with M(1) = +-I and F(u, 2 pi -
+    theta) = M conj F(u, theta)(conj lambda); conj negates x2, so column
+    n_angular - k sits at (x1, -x2, x3) + Sym(M) from column k and has its
+    Sym defect.  x2 vanishes at theta = 0, so the seam reads |Sym(M)|: the
+    closing condition M'(1) = 0 plus roundoff.  parts: the summaries of
+    failure-free iwasawa_grid calls, complete once every block is built
+    (frames may append to it); their merge goes into the diagnostics.
     """
     nth = dom.n_angular
-    shape = (dom.n_radial, nth + 1)
-    pts, defect = np.empty(shape + (3,)), np.empty(shape)
-    rows = max(1, _CHUNK // (nth // 2 + 1))
+    half = nth // 2 + 1
+    pts, defect = np.empty((dom.n_radial, nth + 1, 3)), np.empty((dom.n_radial, half))
+    rows = max(1, _CHUNK // half)
     for lo in range(0, dom.n_radial, rows):
         hi = min(lo + rows, dom.n_radial)
-        pts[lo:hi], defect[lo:hi] = _sym_points(frames(lo, hi), grid)
+        pts[lo:hi, :half], defect[lo:hi] = _sym_points(frames(lo, hi), grid)
+    shift, _ = _sym_points(M, grid)
+    pts[:, half:] = pts[:, nth - half::-1] * (1.0, -1.0, 1.0) + shift
     sym_defect = float(defect.max())
     if sym_defect > 1e-5:
         warnings.warn(f"Sym output defect {sym_defect:.2e}; frames inconsistent",
@@ -333,8 +336,8 @@ def build_surface(p: CylinderParams, dom: DomainGrid, grid: LambdaGrid,
 
     Frames are the closed-form series frames, normalized like the
     basepoint family at z = 1 (which makes the monodromy the unitary loop
-    M = -exp(2 pi i A), so the seam can close).  Only the columns
-    theta_k, k = 0 .. n_angular // 2, are built and factored.  The
+    M = -exp(2 pi i A), with M(1) = I).  Only the columns theta_k,
+    k = 0 .. n_angular // 2, are built, factored and Sym-evaluated.  The
     potential has real coefficients in lambda, so on |lambda| = 1
     Phi(u, -theta)(lambda) = conj Phi(u, theta)(conj lambda); conj X(conj
     lambda) maps unitary loops and normalized plus loops to themselves,
@@ -345,36 +348,28 @@ def build_surface(p: CylinderParams, dom: DomainGrid, grid: LambdaGrid,
 
         F(u, 2 pi - theta) = M conj F(u, theta)(conj lambda),
 
-    and conj lambda_j = lambda_{-j mod m} on the grid.  The other columns,
-    the theta = 2 pi one included, are filled this way; the seam compares
-    the theta = 0 column with its own image under M and conj, which
-    closes only where M(1) = +-I and M'(1) = 0.  Building, factoring,
-    mirroring and Sym run one block of rings at a time (_frames_to_mesh);
-    the first block with a failed node raises, naming its nodes.  No ODE
-    is integrated, so cfg.ode_tol plays no part.
+    and _frames_to_mesh places the other columns, the theta = 2 pi one
+    included, by the rigid motion this induces on the Sym points.
+    Building, factoring and Sym run one block of rings at a time; the
+    first block with a failed node raises, naming its nodes.  No ODE is
+    integrated, so cfg.ode_tol plays no part.
     """
     _check_grid(grid, cfg)
-    n = dom.n_angular
-    half = n // 2 + 1
+    half = dom.n_angular // 2 + 1
     series = _series_columns(p, dom, grid, dom.thetas()[:half])
     M = -exp_delaunay_monodromy(DelaunayResidue(*delaunay_ab(p)), grid.points)
-    rev = -np.arange(grid.m) % grid.m                        # lambda -> conj lambda
     parts = []
 
     def frames(lo: int, hi: int) -> np.ndarray:
-        F_half, _, part = iwasawa_grid(series(lo, hi), grid, cfg)
+        F, _, part = iwasawa_grid(series(lo, hi), grid, cfg)
         if part["failed_nodes"]:
             coords = [divmod(k + lo * half, half) for k in part["failed_nodes"]]
             raise RuntimeError(f"Iwasawa factorization failed at grid nodes "
                                f"(radial, angular) = {coords[:8]}")
         parts.append(part)
-        F = np.empty((hi - lo, n + 1, grid.m, 2, 2), dtype=complex)
-        F[:, :half] = F_half
-        for k in range(n - n // 2):                          # column n - k from k
-            F[:, n - k] = _mul2(M, np.conj(F_half[:, k, rev]))
         return F
 
-    return _frames_to_mesh(frames, dom, grid, parts)
+    return _frames_to_mesh(frames, M, dom, grid, parts)
 
 
 def _spanning_tree_frames(xi, phi0: np.ndarray, dom: DomainGrid,
@@ -424,8 +419,9 @@ def delaunay_reference(res: DelaunayResidue, dom: DomainGrid, grid: LambdaGrid,
     Segal, Loop Groups, 1986; Dorfmeister, Pedit & Wu, Comm. Anal. Geom.
     6, 1998), so exp(u A) = F0 B0 gives Phi = (exp(i theta A) F0) B0 with
     the same B0 on the whole ring.  Only the theta = 0 node of each ring
-    is factored; the other unitary factors are exp(i theta A) F0.  Sym,
-    seam and weld are shared with build_surface.
+    is factored; the factors for theta <= pi are exp(i theta A) F0, and
+    _frames_to_mesh mirrors the rest with M = exp(2 pi i A) (A has real
+    coefficients in lambda, as the cylinder potential does).
     """
     _check_grid(grid, cfg)
     A = delaunay_residue_matrix(res, grid.points)
@@ -434,9 +430,10 @@ def delaunay_reference(res: DelaunayResidue, dom: DomainGrid, grid: LambdaGrid,
     if summary["failed_nodes"]:
         raise RuntimeError(f"Iwasawa factorization failed at reference rings "
                            f"(radial) = {summary['failed_nodes'][:8]}")
-    turn = _exp2(1j * dom.thetas(), A, mu)                  # (n_angular + 1, m, 2, 2)
+    turn = _exp2(1j * dom.thetas()[:dom.n_angular // 2 + 1], A, mu)
+    M = exp_delaunay_monodromy(res, grid.points)
     return _frames_to_mesh(lambda lo, hi: _mul2(turn[None], F0[lo:hi, None]),
-                           dom, grid, [summary])
+                           M, dom, grid, [summary])
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,23 @@ def test_export_byte_stable(tmp_path):
         assert p1.read_bytes() == p2.read_bytes()
 
 
+@pytest.mark.parametrize("fmt, prefix, skip", [("obj", "v ", 0), ("ply", "", 9)])
+def test_export_coordinates_round_trip(fmt, prefix, skip, tmp_path):
+    # %.17g carries every double: signed zero, subnormals and huge values
+    mesh = single_quad_mesh()
+    verts = mesh.vertices.copy()
+    verts[0, 0] = [-0.0, 5e-324, 1e300]
+    verts[1, 1] = [1 / 3, -np.pi * 1e-300, np.nextafter(1.0, 2.0)]
+    mesh = SurfaceMesh(verts, mesh.faces, mesh.normals, {}, {})
+    path = tmp_path / f"quad.{fmt}"
+    export_mesh(mesh, fmt, path)
+    lines = path.read_text().splitlines()[skip:skip + 4]
+    assert all(l.startswith(prefix) for l in lines)
+    parsed = np.array([[float(x) for x in l[len(prefix):].split()] for l in lines])
+    assert parsed.shape == (4, 3)
+    assert parsed.tobytes() == verts.reshape(-1, 3).tobytes()   # -0.0 keeps its sign
+
+
 def test_export_unknown_format(tmp_path):
     with pytest.raises(ValueError):
         export_mesh(single_quad_mesh(), "stl", tmp_path / "x.stl")

@@ -441,6 +441,7 @@ def full_grid_reference(res, dom, grid, cfg):
 # the rotated reference by 6e-13), and the two differ by 2e-10 of the size.
 @pytest.mark.parametrize("res, dom", [
     (DelaunayResidue(0.375, 0.125), DomainGrid(0.01, 5.0, 48, 16)),    # unduloid
+    (DelaunayResidue(0.375, 0.125), DomainGrid(0.01, 5.0, 48, 15)),    # odd n_angular
     (DelaunayResidue(0.75, -0.25), DomainGrid(0.05, 3.0, 32, 16)),     # nodoid
     (DelaunayResidue(0.25, 0.25), DomainGrid(0.3, 3.0, 24, 16)),       # round cylinder
 ])
@@ -460,10 +461,12 @@ MIRROR_GRID, MIRROR_CFG = LambdaGrid(128), PipelineConfig(32, 128)
 @pytest.mark.parametrize("n_angular", [24, 25])
 @pytest.mark.parametrize("r", [0.3, 1 / 3, -0.25, 0.9, -1.5])
 def test_mirrored_columns_match_the_full_grid(r, n_angular, monkeypatch):
-    # build_surface factors theta <= pi and fills the rest from
-    # F(u, 2 pi - theta) = M conj F(u, theta)(conj lambda); the oracle
-    # factors every node of the series frames
-    p, dom = CylinderParams(r), DomainGrid(0.3, 3.0, 48, n_angular)
+    # build_surface factors theta <= pi and places the rest by the rigid
+    # motion that F(u, 2 pi - theta) = M conj F(u, theta)(conj lambda)
+    # induces on the points; the oracle factors every node of the series
+    # frames and runs Sym on all of them, without the shared tail
+    n = n_angular
+    p, dom = CylinderParams(r), DomainGrid(0.3, 3.0, 48, n)
     blocks = []
     tail = surface._frames_to_mesh
 
@@ -475,17 +478,45 @@ def test_mirrored_columns_match_the_full_grid(r, n_angular, monkeypatch):
 
     monkeypatch.setattr(surface, "_frames_to_mesh", keep_frames)
     mesh = build_surface(p, dom, MIRROR_GRID, MIRROR_CFG)
-    assert mesh.diagnostics["iwasawa"]["nodes"] == 48 * (n_angular // 2 + 1)
+    assert mesh.diagnostics["iwasawa"]["nodes"] == 48 * (n // 2 + 1)
     assert len(blocks) == 3                            # 19 + 19 + 10 rings
     F, _, summary = iwasawa_grid(series_frames(p, dom, MIRROR_GRID),
                                  MIRROR_GRID, MIRROR_CFG)
     assert summary["failed_nodes"] == []
-    oracle = tail(lambda lo, hi: F[lo:hi], dom, MIRROR_GRID, [summary])
-    assert np.abs(np.concatenate(blocks) - F).max() <= 1e-9    # measured <= 5.1e-11
+    pts, _ = surface._sym_points(F, MIRROR_GRID)
+    oracle = mesh_from_grid(pts[:, :n])
+    seam = np.abs(pts[:, n] - pts[:, 0]).max() / oracle.bbox_diagonal()
+    err = np.abs(np.concatenate(blocks) - F[:, :n // 2 + 1]).max()
+    assert err <= 1e-9, err                            # measured <= 5.1e-11
     err = np.abs(mesh.vertices - oracle.vertices).max()
-    assert err <= 2e-9 * oracle.bbox_diagonal(), err  # measured <= 2.8e-10
+    assert err <= 2e-9 * oracle.bbox_diagonal(), err  # measured <= 2.73e-10
     assert mesh.diagnostics["seam_residual"] <= 1e-12
-    assert oracle.diagnostics["seam_residual"] <= 1e-12
+    assert seam <= 1e-12
+
+
+@pytest.mark.parametrize("n_angular", [8, 9])
+@pytest.mark.parametrize("pipeline", ["cylinder", "delaunay"])
+def test_sym_runs_on_the_factored_columns_only(pipeline, n_angular, monkeypatch):
+    # the columns theta > pi are a rigid motion of the others: Sym sees
+    # the theta <= pi frames, one block at a time, and the monodromy once
+    dom, cfg = DomainGrid(0.3, 3.0, 8, n_angular), PipelineConfig(8, SERIES_GRID.m)
+    shapes = []
+    sym = surface._sym_points
+
+    def recorded(frames, grid):
+        shapes.append(frames.shape)
+        return sym(frames, grid)
+
+    monkeypatch.setattr(surface, "_sym_points", recorded)
+    if pipeline == "cylinder":
+        build_surface(CylinderParams(1 / 3), dom, SERIES_GRID, cfg)
+    else:
+        delaunay_reference(DelaunayResidue(0.375, 0.125), dom, SERIES_GRID, cfg)
+    monodromy = [s for s in shapes if len(s) == 3]
+    blocks = [s for s in shapes if len(s) == 5]
+    assert monodromy == [(SERIES_GRID.m, 2, 2)]
+    assert len(blocks) == len(shapes) - 1
+    assert sum(np.prod(s[:2]) for s in blocks) == 8 * (n_angular // 2 + 1)
 
 
 def failing_iwasawa_grid(bad):
