@@ -16,6 +16,7 @@ import numpy as np
 
 from .config import PipelineConfig, DEFAULT_CONFIG
 from .flow import PathSpec, _rk_segment
+from .loops import _mat2
 
 __all__ = ["ScalarSolution", "bessel_integrate", "frame_from_scalar", "scalar_residual"]
 
@@ -47,12 +48,10 @@ def bessel_integrate(alpha: complex, path: PathSpec, y0: complex, dy0: complex,
     """
     w0, dw = path.w0, path.w1 - path.w0
     a2 = complex(alpha) ** 2
+    w2, dw2 = 2.0 * w0, 2.0 * dw          # e^{2w}: doubling first is exact
 
     def coeff(s):
-        c = np.zeros((len(s), 1, 2, 2), dtype=complex)
-        c[:, 0, 0, 1] = (a2 - np.exp(2.0 * (w0 + s * dw))) * dw
-        c[:, 0, 1, 0] = dw
-        return c
+        return _mat2(0, ((a2 - np.exp(w2 + s * dw2)) * dw)[:, None], dw, 0)
 
     # row-vector form: (y, v) -> (y, v) @ [[0, a2 - z^2], [1, 0]]
     state = np.array([[[complex(y0), np.exp(w0) * complex(dy0)],

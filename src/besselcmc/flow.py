@@ -235,7 +235,7 @@ def closing_report(M: np.ndarray, grid: LambdaGrid,
     |tr M + 2 cos(2 pi mu)| is included (the sign is fixed by the
     half-integer gauge flipping under a circuit: M_gauged = -M).
     """
-    unitarity = float(np.abs(M @ _adj(M) - np.eye(2)).max())
+    unitarity = float(np.abs(_mul2(M, _adj(M)) - np.eye(2)).max())
 
     eye = np.eye(2)
     d_plus = float(np.abs(M[0] - eye).max())

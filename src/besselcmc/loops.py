@@ -2,12 +2,15 @@
 
 A loop is a map lambda -> X(lambda) into 2x2 complex matrices, held as its
 samples on a uniform power-of-two grid of the unit circle (LambdaGrid),
-with lambda = 1 as the first sample.  Products, inverses, determinants
-and Cholesky factors of such sample stacks are taken in closed form
-(_mul2, _inv2, _det2, _chol2), which is cheaper than generic batched
-linear algebra on 2x2 matrices, and so is the exponential exp(w A) of a
-trace-free residue (_exp2).  The one derivative the pipeline needs,
-d/d-lambda at lambda = 1, is spectral (_dlambda_at_one).
+with lambda = 1 as the first sample.  Every 2x2 stack the package builds
+comes from one constructor, _mat2(a00, a01, a10, a11), which broadcasts
+its four entries.  Products, inverses, determinants and Cholesky factors
+of such stacks are taken in closed form (_mul2, _inv2, _det2, _chol2),
+which is cheaper than generic batched linear algebra on 2x2 matrices, and
+so is the exponential exp(w A) of a trace-free residue (_exp2); no
+np.linalg call touches a 2x2 stack.  The one derivative the pipeline
+needs, d/d-lambda at lambda = 1, is spectral: one weighted sum over the
+samples (_dlambda_at_one).
 """
 
 from __future__ import annotations
@@ -38,6 +41,33 @@ class LambdaGrid:
         return (np.fft.fftfreq(self.m) * self.m).astype(int)
 
 
+_ENTRY = ((..., 0, 0), (..., 0, 1), (..., 1, 0), (..., 1, 1))
+
+
+def _mat2(a00, a01, a10, a11) -> np.ndarray:
+    """The complex stack [[a00, a01], [a10, a11]] of broadcastable entries.
+
+    Entries are arrays or scalars; the stack has their broadcast shape.
+    np.broadcast is asked only when the array entries' shapes differ, and
+    a scalar zero entry is left to the zero fill: each would cost about as
+    much as a small ufunc call, and the flow evaluates a potential on
+    every Cash-Karp step.
+    """
+    entries = (a00, a01, a10, a11)
+    shape = ()
+    for e in entries:
+        if isinstance(e, np.ndarray) and e.shape != shape:
+            if shape:
+                shape = np.broadcast(*entries).shape
+                break
+            shape = e.shape
+    out = np.zeros(shape + (2, 2), dtype=complex)
+    for ij, e in zip(_ENTRY, entries):
+        if isinstance(e, np.ndarray) or e != 0:
+            out[ij] = e
+    return out
+
+
 def _det2(a: np.ndarray) -> np.ndarray:
     """Closed-form determinant of a stack of 2x2 matrices."""
     return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
@@ -45,13 +75,8 @@ def _det2(a: np.ndarray) -> np.ndarray:
 
 def _inv2(a: np.ndarray) -> np.ndarray:
     """Closed-form inverse of a stack of 2x2 matrices."""
-    det = _det2(a)
-    out = np.empty_like(a)
-    out[..., 0, 0] = a[..., 1, 1]
-    out[..., 1, 1] = a[..., 0, 0]
-    out[..., 0, 1] = -a[..., 0, 1]
-    out[..., 1, 0] = -a[..., 1, 0]
-    return out / det[..., None, None]
+    return (_mat2(a[..., 1, 1], -a[..., 0, 1], -a[..., 1, 0], a[..., 0, 0])
+            / _det2(a)[..., None, None])
 
 
 def _adj(a: np.ndarray) -> np.ndarray:
@@ -126,16 +151,18 @@ def _chol2(h: np.ndarray) -> np.ndarray:
 
     Reads the lower triangle only, as LAPACK does; see _chol2_entries.
     """
-    out = np.zeros_like(h)
-    out[..., 0, 0], out[..., 1, 0], out[..., 1, 1] = _chol2_entries(
-        h[..., 0, 0].real, h[..., 1, 0], h[..., 1, 1].real)
-    return out
+    l00, l10, l11 = _chol2_entries(h[..., 0, 0].real, h[..., 1, 0], h[..., 1, 1].real)
+    return _mat2(l00, 0, l10, l11)
 
 
 def _dlambda_at_one(samples: np.ndarray, grid: LambdaGrid) -> np.ndarray:
     """Spectral d/d-lambda at lambda = 1 of (..., m, 2, 2) grid samples.
 
-    The sum over the Fourier coefficients of k X_k.
+    The sum over the Fourier coefficients of k X_k, with the Nyquist term
+    at k = -m/2 as in LambdaGrid.wavenumbers.  Since X_k = (1/m) sum_j x_j
+    exp(-2 pi i j k / m), that sum is one weighted sum over the samples,
+    sum_j w_j x_j with w = fft(k) / m, and no FFT of the samples is taken.
     """
-    hat = np.fft.fft(samples, axis=-3) / grid.m
-    return np.einsum("k,...kab->...ab", grid.wavenumbers().astype(float), hat)
+    weights = np.fft.fft(grid.wavenumbers()) / grid.m
+    lead = samples.shape[:-3]
+    return (weights @ samples.reshape(lead + (grid.m, 4))).reshape(lead + (2, 2))

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .loops import _mul2
+from .loops import _inv2, _mat2, _mul2
 
 __all__ = [
     "PotentialSpec",
@@ -142,10 +142,7 @@ def mu_eigenvalue(res: DelaunayResidue, lam) -> np.ndarray:
 def delaunay_residue_matrix(res: DelaunayResidue, lam) -> np.ndarray:
     """A(lambda) = [[0, a/lambda + b], [a lambda + b, 0]]; shape (..., 2, 2)."""
     lam = np.asarray(lam, dtype=complex)
-    A = np.zeros(lam.shape + (2, 2), dtype=complex)
-    A[..., 0, 1] = res.a / lam + res.b
-    A[..., 1, 0] = res.a * lam + res.b
-    return A
+    return _mat2(0, res.a / lam + res.b, res.a * lam + res.b, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -155,17 +152,14 @@ def make_bessel_potential(alpha) -> PotentialSpec:
     """Potential [[0, 1/z], [-z + alpha^2/z, 0]] of the scalar Bessel system.
 
     alpha may be a constant or a callable alpha(lambda); the latter is used
-    by the gauge chain where the order varies with the loop parameter.
+    by the gauge chain where the order varies with the loop parameter.  A
+    constant order is squared once, here, not on every evaluation.
     """
-    alpha_fn = alpha if callable(alpha) else (lambda lam: np.asarray(alpha, dtype=complex))
+    const_sq = None if callable(alpha) else np.asarray(alpha, dtype=complex) ** 2
 
     def evaluate(z, lam):
-        a = np.asarray(alpha_fn(lam), dtype=complex)
-        lower = -z + a * a / z               # shaped like z and a broadcast
-        xi = np.zeros(lower.shape + (2, 2), dtype=complex)
-        xi[..., 0, 1] = 1.0 / z
-        xi[..., 1, 0] = lower
-        return xi
+        a2 = np.asarray(alpha(lam), dtype=complex) ** 2 if const_sq is None else const_sq
+        return _mat2(0, 1.0 / z, a2 / z - z, 0)
 
     label = "bessel" if callable(alpha) else f"bessel(alpha={alpha})"
     return PotentialSpec(evaluate, ((0j, 1),), label)
@@ -173,14 +167,17 @@ def make_bessel_potential(alpha) -> PotentialSpec:
 
 def make_cylinder_potential(p: CylinderParams) -> PotentialSpec:
     """Cylinder potential [[0, 1/lambda], [lambda Q_t, 0]] with
-    Q_t = -(r t)/(4 z^2) - 1 and t = -(1/4) lambda^-1 (lambda-1)^2."""
+    Q_t = -(r t)/(4 z^2) - 1 and t = -(1/4) lambda^-1 (lambda-1)^2.
+
+    Q_t is evaluated as (r/16) ((lambda-1)^2/lambda) / z^2 - 1, two
+    operations fewer per call; the factors it moves are powers of two, so
+    the rounded result is the same.
+    """
+    c = p.r / 16.0
 
     def evaluate(z, lam):
-        Q = -p.r * t_of_lambda(lam) / (4.0 * z * z) - 1.0   # z and lam broadcast
-        xi = np.zeros(Q.shape + (2, 2), dtype=complex)
-        xi[..., 0, 1] = 1.0 / lam
-        xi[..., 1, 0] = lam * Q
-        return xi
+        Q = c * ((lam - 1.0) ** 2 / lam) / (z * z) - 1.0   # z and lam broadcast
+        return _mat2(0, 1.0 / lam, lam * Q, 0)
 
     return PotentialSpec(evaluate, ((0j, 2),), f"cylinder(r={p.r})")
 
@@ -197,64 +194,39 @@ def make_delaunay_potential(res: DelaunayResidue) -> PotentialSpec:
 # ---------------------------------------------------------------------------
 # gauges
 
-def _diag_gauge(f1, f2, d1, d2, label=""):
-    def evaluate(z, lam):
-        z, lam = np.broadcast_arrays(np.asarray(z, dtype=complex),
-                                     np.asarray(lam, dtype=complex))
-        g = np.zeros(z.shape + (2, 2), dtype=complex)
-        g[..., 0, 0] = f1(z, lam)
-        g[..., 1, 1] = f2(z, lam)
-        return g
+def _gauge(value, derivative, label) -> GaugeSpec:
+    """GaugeSpec from the four entries (g00, g01, g10, g11) of g and of
+    dg/dz, each given as a map of z and lambda broadcast against each other."""
 
-    def derivative(z, lam):
-        z, lam = np.broadcast_arrays(np.asarray(z, dtype=complex),
-                                     np.asarray(lam, dtype=complex))
-        g = np.zeros(z.shape + (2, 2), dtype=complex)
-        g[..., 0, 0] = d1(z, lam)
-        g[..., 1, 1] = d2(z, lam)
-        return g
+    def stacked(entries):
+        def evaluate(z, lam):
+            z, lam = np.broadcast_arrays(np.asarray(z, dtype=complex),
+                                         np.asarray(lam, dtype=complex))
+            return _mat2(*entries(z, lam))
+        return evaluate
 
-    return GaugeSpec(evaluate, derivative, label)
+    return GaugeSpec(stacked(value), stacked(derivative), label)
 
 
 def bessel_gauge_g1() -> GaugeSpec:
     """g1 = diag(z^-1/2, z^1/2): strips the half-integer leading behavior;
     flips sign under one turn around 0."""
-    return _diag_gauge(
-        lambda z, lam: z ** -0.5, lambda z, lam: z ** 0.5,
-        lambda z, lam: -0.5 * z ** -1.5, lambda z, lam: 0.5 * z ** -0.5,
-        label="g1")
+    return _gauge(lambda z, lam: (z ** -0.5, 0, 0, z ** 0.5),
+                  lambda z, lam: (-0.5 * z ** -1.5, 0, 0, 0.5 * z ** -0.5), "g1")
 
 
 def bessel_gauge_g2() -> GaugeSpec:
     """g2 = [[1, 0], [1/(2z), 1]]: removes the residual diagonal pole."""
-
-    def evaluate(z, lam):
-        z, lam = np.broadcast_arrays(np.asarray(z, dtype=complex),
-                                     np.asarray(lam, dtype=complex))
-        g = np.zeros(z.shape + (2, 2), dtype=complex)
-        g[..., 0, 0] = 1.0
-        g[..., 1, 1] = 1.0
-        g[..., 1, 0] = 0.5 / z
-        return g
-
-    def derivative(z, lam):
-        z, lam = np.broadcast_arrays(np.asarray(z, dtype=complex),
-                                     np.asarray(lam, dtype=complex))
-        g = np.zeros(z.shape + (2, 2), dtype=complex)
-        g[..., 1, 0] = -0.5 / (z * z)
-        return g
-
-    return GaugeSpec(evaluate, derivative, "g2")
+    return _gauge(lambda z, lam: (1, 0, 0.5 / z, 1),
+                  lambda z, lam: (0, 0, -0.5 / (z * z), 0), "g2")
 
 
 def lambda_gauge() -> GaugeSpec:
     """Lambda = diag(lambda^1/2, lambda^-1/2): spreads the loop parameter
-    onto the off-diagonal.  z-independent; branch cut in lambda."""
-    return _diag_gauge(
-        lambda z, lam: lam ** 0.5, lambda z, lam: lam ** -0.5,
-        lambda z, lam: np.zeros_like(z), lambda z, lam: np.zeros_like(z),
-        label="Lambda")
+    onto the off-diagonal.  z-independent, so dg/dz is a zero stack shaped
+    like the broadcast z; branch cut in lambda."""
+    return _gauge(lambda z, lam: (lam ** 0.5, 0, 0, lam ** -0.5),
+                  lambda z, lam: (np.zeros_like(z), 0, 0, 0), "Lambda")
 
 
 def gauge_transform(xi: PotentialSpec, g: GaugeSpec) -> PotentialSpec:
@@ -262,8 +234,7 @@ def gauge_transform(xi: PotentialSpec, g: GaugeSpec) -> PotentialSpec:
 
     def evaluate(z, lam):
         gv = g.evaluate(z, lam)
-        gi = np.linalg.inv(gv)
-        return gi @ xi(z, lam) @ gv + gi @ g.derivative(z, lam)
+        return _mul2(_inv2(gv), _mul2(xi(z, lam), gv) + g.derivative(z, lam))
 
     desc = f"{xi.description}.{g.description or 'g'}"
     return PotentialSpec(evaluate, xi.pole_locations, desc)
@@ -295,21 +266,15 @@ def verify_symmetry_relations(xi: PotentialSpec, samples) -> float:
         xi(z, 1/lambda)        = conj( xi(conj z, 1/conj lambda) )
         G^-1 xi(z, lambda) G   = conj( xi(conj z, 1/conj lambda) )
 
-    Returns the max entrywise residual of both over the samples.
+    G^-1 X G is the entrywise product of X with [[1, lambda^2],
+    [lambda^-2, 1]].  Returns the max entrywise residual of both over the
+    samples, all evaluated in one call.
     """
-    worst = 0.0
-    for z, lam in samples:
-        z = complex(z)
-        lam = complex(lam)
-        target = np.conj(xi(np.conj(z), 1.0 / np.conj(lam)))
-        lhs1 = xi(z, 1.0 / lam)
-        G = np.diag([1.0 / lam, lam])
-        Gi = np.diag([lam, 1.0 / lam])
-        lhs2 = Gi @ xi(z, lam) @ G
-        worst = max(worst,
-                    float(np.abs(lhs1 - target).max()),
-                    float(np.abs(lhs2 - target).max()))
-    return worst
+    z, lam = np.array(samples, dtype=complex).reshape(-1, 2).T
+    target = np.conj(xi(np.conj(z), 1.0 / np.conj(lam)))
+    lhs1 = xi(z, 1.0 / lam)
+    lhs2 = _mat2(1, lam * lam, 1.0 / (lam * lam), 1) * xi(z, lam)
+    return float(max(np.abs(lhs1 - target).max(), np.abs(lhs2 - target).max()))
 
 
 def verify_gauge_chain(p: CylinderParams, n_points: int = 100, seed: int = 7,
@@ -341,9 +306,7 @@ def verify_gauge_chain(p: CylinderParams, n_points: int = 100, seed: int = 7,
     full = gauge_transform(chain, lambda_gauge())
 
     alpha = alpha_of(p, lam)
-    reduced = np.zeros((n_points, 2, 2), dtype=complex)
-    reduced[:, 0, 1] = 1.0
-    reduced[:, 1, 0] = -1.0 + (4.0 * alpha * alpha - 1.0) / (4.0 * z * z)
+    reduced = _mat2(0, 1, -1.0 + (4.0 * alpha * alpha - 1.0) / (4.0 * z * z), 0)
 
     return {
         "reduced": float(np.abs(chain(z, lam) - reduced).max()),
@@ -364,10 +327,17 @@ def _frobenius_coefficients(p: CylinderParams, lam, rho_max: float) -> np.ndarra
     N1 = [[0,0],[-lambda/(a + b lambda), 0]], so its holomorphic
     normalizing factor P(z) = sum_j P_2j z^2j obeys the recurrence
 
-        k P_k + A P_k - P_k A = P_{k-2} N1,   P_0 = I, P_1 = 0
+        (k + ad_A) P_k = P_{k-2} N1,   P_0 = I, P_1 = 0,   ad_A X = A X - X A
 
-    (odd terms vanish; the series is entire).  Undoing the gauges gives
-    the frame
+    (odd terms vanish; the series is entire).  A is trace-free with
+    A^2 = mu^2 I, so ad_A^3 = 4 mu^2 ad_A, and the solve has the closed form
+
+        (k + ad_A)^-1 R = R/k - ad_A R/(k^2 - 4 mu^2)
+                          + ad_A^2 R/(k (k^2 - 4 mu^2)).
+
+    With k = 2j the denominator is 4 (j^2 - mu^2): the recurrence is
+    resonant where mu = j on the circle, first for j = 1, and mu(-1) = 1
+    exactly at r = -3.  Undoing the gauges gives the frame
 
         Phi(z) = z^A P(z) (a + b lambda)^{1/2} g2c^{-1} g1c(z)^{-1},
 
@@ -380,7 +350,7 @@ def _frobenius_coefficients(p: CylinderParams, lam, rho_max: float) -> np.ndarra
     Raises ValueError for r <= -3 and RuntimeError when the series has not
     converged within _MAX_TERMS terms.  For r <= -3 the eigenvalue gap
     2 mu reaches 2 on the circle (at lambda = -1 for r = -3), so the
-    recurrence is resonant; the reason no frame exists is the monodromy
+    j = 1 denominator vanishes; the reason no frame exists is the monodromy
     itself: there its trace is -2 but it is not -I, a nontrivial Jordan
     block, which no change of initial frame can make unitary, and
     unitarizability is the closing condition (Kilian, Kobayashi, Rossman &
@@ -394,24 +364,23 @@ def _frobenius_coefficients(p: CylinderParams, lam, rho_max: float) -> np.ndarra
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
     a, b = delaunay_ab(p)
     A = delaunay_residue_matrix(DelaunayResidue(a, b), lam)     # (m, 2, 2)
-    m = lam.shape[0]
+    mu2 = (A[:, 0, 1] * A[:, 1, 0])[:, None, None]  # A^2 = mu^2 I
     det = a + b * lam
-    n1 = -lam / det                                  # the one nonzero entry of N1
+    N1 = _mat2(0, 0, -lam / det, 0)
 
-    eye2 = np.eye(2)
-    # ad_A as a 4x4 on row-major vec: A X - X A  ->  (A (x) I - I (x) A^T) x
-    K = (np.einsum("mij,kl->mikjl", A, eye2) -
-         np.einsum("ij,mkl->mikjl", eye2, np.transpose(A, (0, 2, 1)))).reshape(m, 4, 4)
-    eye4 = np.eye(4)
+    def ad_A(X):
+        return _mul2(A, X) - _mul2(X, A)
 
-    P = np.tile(np.eye(2, dtype=complex), (m, 1, 1))
+    P = np.tile(np.eye(2, dtype=complex), (len(lam), 1, 1))
     terms = [P]
     largest = scale = 1.0
     eps = np.finfo(float).eps
     for j in range(1, _MAX_TERMS):
-        rhs = np.zeros_like(P)                       # P_{k-2} N1
-        rhs[:, :, 0] = P[:, :, 1] * n1[:, None]
-        P = np.linalg.solve(2 * j * eye4 + K, rhs.reshape(m, 4, 1)).reshape(m, 2, 2)
+        k = 2.0 * j
+        R = _mul2(P, N1)
+        adR = ad_A(R)
+        gap = k * k - 4.0 * mu2
+        P = R / k - adR / gap + ad_A(adR) / (k * gap)
         scale *= rho_max * rho_max
         size = scale * float(np.abs(P).max())
         if size < eps * largest:
@@ -422,12 +391,8 @@ def _frobenius_coefficients(p: CylinderParams, lam, rho_max: float) -> np.ndarra
         raise RuntimeError(f"Frobenius series not converged within {_MAX_TERMS} "
                            f"terms at |z| = {rho_max}")
 
-    right = np.zeros((m, 2, 2), dtype=complex)       # (a + b lambda)^{1/2} g2c^{-1}
-    root = np.sqrt(det)
-    right[:, 0, 0] = root
-    right[:, 1, 0] = 0.5 * lam / root
-    right[:, 1, 1] = 1.0 / root
-    return _mul2(np.stack(terms), right)
+    root = np.sqrt(det)                              # (a + b lambda)^{1/2} g2c^{-1}
+    return _mul2(np.stack(terms), _mat2(root, 0, 0.5 * lam / root, 1.0 / root))
 
 
 def cylinder_basepoint_frame(p: CylinderParams, lam_points) -> np.ndarray:

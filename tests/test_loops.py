@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from besselcmc import LambdaGrid
-from besselcmc.loops import _ENTRIES_FROM, _chol2, _det2, _dlambda_at_one, _inv2, _mul2
+from besselcmc.loops import _ENTRIES_FROM, _chol2, _det2, _dlambda_at_one, _inv2, _mat2, _mul2
 
 
 def random_stack(rng, shape):
@@ -38,6 +38,22 @@ def test_lambda_grid_on_unit_circle():
 
 
 # ------------------------------------------------------------------ kernels
+
+
+def test_mat2_broadcasts_its_entries():
+    col = np.arange(1.0, 7.0)[:, None]                 # (6, 1)
+    row = 1j * np.arange(16.0)[None, :]                # (1, 16)
+    got = _mat2(col, 0, row, 2.5)
+    assert got.shape == (6, 16, 2, 2) and got.dtype == complex
+    assert np.array_equal(got[..., 0, 0], np.broadcast_to(col, (6, 16)))
+    assert np.array_equal(got[..., 1, 0], np.broadcast_to(row, (6, 16)))
+    assert not got[..., 0, 1].any() and (got[..., 1, 1] == 2.5).all()
+    # array entries of one shape; a 0-d entry; scalars only
+    same = _mat2(col, col, 0, -col)
+    assert same.shape == (6, 1, 2, 2)
+    assert np.array_equal(same, col[..., None, None] * np.array([[1, 1], [0, -1]]))
+    assert _mat2(np.asarray(3.0), col, 0, 0).shape == (6, 1, 2, 2)
+    assert np.array_equal(_mat2(1, 0, 2j, 1), np.array([[1, 0], [2j, 1]]))
 
 
 # Runge-Kutta stage stacks (flow), a broadcast of one matrix per node

@@ -29,6 +29,7 @@ from besselcmc import (
     verify_mu_alpha_identity,
     verify_symmetry_relations,
 )
+from besselcmc.potentials import _frobenius_coefficients
 
 R_VALUES = st.one_of(st.floats(-6.0, -1e-3), st.floats(1e-3, 0.999))
 
@@ -233,6 +234,30 @@ def test_gauge_derivative_consistent(gauge):
     assert np.abs(fd - gauge.derivative(z, lam)).max() < 1e-8
 
 
+@pytest.mark.parametrize("gauge, value, derivative", [
+    (bessel_gauge_g1(),
+     lambda z, lam: [[z ** -0.5, 0], [0, z ** 0.5]],
+     lambda z, lam: [[-0.5 * z ** -1.5, 0], [0, 0.5 * z ** -0.5]]),
+    (bessel_gauge_g2(),
+     lambda z, lam: [[1, 0], [0.5 / z, 1]],
+     lambda z, lam: [[0, 0], [-0.5 / (z * z), 0]]),
+    (lambda_gauge(),                 # dg/dz: four constant entries
+     lambda z, lam: [[lam ** 0.5, 0], [0, lam ** -0.5]],
+     lambda z, lam: [[0, 0], [0, 0]]),
+], ids=["g1", "g2", "Lambda"])
+def test_gauges_broadcast_z_against_lambda(gauge, value, derivative):
+    z = 1.3 * np.exp(1j * np.linspace(-2.0, 2.0, 3))[:, None]     # (3, 1)
+    lam = LambdaGrid(16).points[None, :]                          # (1, 16)
+    zb, lb = np.broadcast_arrays(z, lam)
+    for stack, entries in ((gauge.evaluate, value), (gauge.derivative, derivative)):
+        got = stack(z, lam)
+        assert got.shape == (3, 16, 2, 2)
+        want = entries(zb, lb)
+        for i in range(2):
+            for j in range(2):
+                assert np.allclose(got[..., i, j], want[i][j], rtol=1e-15, atol=0)
+
+
 @given(st.integers(0, 2**32 - 1))
 def test_gauge_action_composes(seed):
     # (xi.g1).g2 agrees with xi.(g1 g2) built as a single product gauge
@@ -315,6 +340,40 @@ def test_symmetry_relations_flag_broken_potential():
 
 
 # ------------------------------------------------------- basepoint frame
+
+
+def _kronecker_coefficients(p, lam, n_terms):
+    """The Frobenius coefficients with each step (2j + ad_A) P_2j = P_2j-2 N1
+    solved as a 4x4 linear system on row-major vec, the right factor
+    (a + b lambda)^1/2 g2c^-1 folded in by a generic inverse."""
+    a, b = delaunay_ab(p)
+    A = delaunay_residue_matrix(DelaunayResidue(a, b), lam)
+    m = len(lam)
+    det = a + b * lam
+    eye2 = np.eye(2)
+    K = (np.einsum("mij,kl->mikjl", A, eye2)
+         - np.einsum("ij,mkl->mikjl", eye2, np.transpose(A, (0, 2, 1)))).reshape(m, 4, 4)
+    P = np.tile(np.eye(2, dtype=complex), (m, 1, 1))
+    terms = [P]
+    for j in range(1, n_terms):
+        rhs = np.zeros_like(P)
+        rhs[:, :, 0] = P[:, :, 1] * (-lam / det)[:, None]
+        P = np.linalg.solve(2 * j * np.eye(4) + K, rhs.reshape(m, 4, 1)).reshape(m, 2, 2)
+        terms.append(P)
+    g2c = np.zeros((m, 2, 2), dtype=complex)
+    g2c[:, 0, 0], g2c[:, 1, 0], g2c[:, 1, 1] = 1.0, -lam / 2, det
+    return np.stack(terms) @ (np.sqrt(det)[:, None, None] * np.linalg.inv(g2c))
+
+
+@pytest.mark.parametrize("r", [1 / 3, -0.25, 0.9, -1.5, -2.5, -2.9])
+def test_frobenius_resolvent_matches_kronecker_solve(r):
+    p = CylinderParams(r)
+    lam = LambdaGrid(128).points
+    got = _frobenius_coefficients(p, lam, 2.5)
+    want = _kronecker_coefficients(p, lam, len(got))
+    assert len(got) > 8
+    for g, w in zip(got, want):
+        assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
 
 
 def test_basepoint_frame_unimodular():
