@@ -289,9 +289,10 @@ def cmd_generate(cfg: RunConfig) -> tuple[dict, list[str]]:
     distance to the Delaunay reference (end_distance) are reported as
     informational residuals (their own thresholds live in the
     verification suite, where grid resolution is controlled).  Both meshes
-    mirror their columns theta > pi, so the two seams and the cylinder's
-    symmetry.max_deviation read |Sym(M)|, the closing condition M'(1) = 0
-    plus roundoff, not an independent check.
+    place the columns they do not factor by the half turn and the
+    reflection, so the two seams and the cylinder's symmetry.max_deviation
+    read |Sym(M)|, the closing condition M'(1) = 0 plus roundoff, not an
+    independent check.
     """
     if cfg.out is None:
         raise ValueError("generate requires --out <path>")

@@ -8,11 +8,13 @@ whatever this normalization produces; constancy is the meaningful check.
 
 Frames are closed-form: the Frobenius series of the cylinder system times
 z^A in w = log z.  Both pipelines factor and Sym-evaluate only the columns
-0 <= theta <= pi; the shared tail (_frames_to_mesh) places the others by
-the rigid motion that the reflection symmetry of the real-coefficient
-potential induces on the points.  series_frames continues the series over
-the whole grid; the Runge-Kutta flow over a spanning tree of the grid
-(_spanning_tree_frames) is kept as an independent oracle for it.
+0 <= theta <= pi / 2 of an even grid (0 <= theta <= pi of an odd one); the
+shared tail (_frames_to_mesh) places the others by the rigid motions that
+the half turn w -> w + i pi and the reflection symmetry of the
+real-coefficient potential induce on the points.  series_frames continues
+the series over the whole grid; the Runge-Kutta flow over a spanning tree
+of the grid (_spanning_tree_frames) is kept as an independent oracle for
+it.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import PipelineConfig, DEFAULT_CONFIG
-from .flow import _integrate_w_line, exp_delaunay_monodromy
+from .flow import _integrate_w_line
 from .iwasawa import _CHUNK, _check_grid, iwasawa_grid
 from .loops import LambdaGrid, _adj, _dlambda_at_one, _exp2, _inv2, _mul2
 from .potentials import (
@@ -59,10 +61,15 @@ class DomainGrid:
     Nodes are z_jk = exp(u_j + i theta_k) with u uniform in
     [log rho_min, log rho_max] (u()) and theta uniform in [0, 2 pi]
     (thetas(), n_angular + 1 values: the last one is theta = 2 pi).  The
-    pipelines factor the columns theta <= pi and place the others, the
-    theta = 2 pi one included, as mirror images under the monodromy before
-    welding the seam.  The curvature statistics skip two rings at each
-    end, so n_radial >= 5 leaves at least one interior ring.
+    pipelines factor the columns theta <= pi / 2 of an even grid (theta <=
+    pi of an odd one) and place the others, the theta = 2 pi one included,
+    by rigid motions of the points before welding the seam.  Under the
+    half turn w -> w + i pi, P(z) is even in z, z^A becomes exp(i pi A)
+    z^A and g1c(z)^-1 becomes g1c(z)^-1 D, D = diag(-i, i), so F(u, theta
+    + pi) = exp(i pi A) F(u, theta) D; with the reflection theta -> 2 pi -
+    theta (build_surface) it maps column k to n_angular / 2 - k.  The
+    curvature statistics skip two rings at each end, so n_radial >= 5
+    leaves at least one interior ring.
     """
 
     rho_min: float
@@ -237,32 +244,54 @@ def mesh_from_grid(points: np.ndarray, diagnostics: dict | None = None) -> Surfa
 # ---------------------------------------------------------------------------
 # pipelines
 
-def _frames_to_mesh(frames, M: np.ndarray, dom: DomainGrid, grid: LambdaGrid,
-                    parts: list[dict]) -> SurfaceMesh:
-    """Shared tail of both pipelines: Sym, mirror, defect warning, seam, weld.
+def _factored_columns(n_angular: int) -> int:
+    """How many columns theta_0, theta_1, ... the pipelines factor and
+    Sym-evaluate: those with theta <= pi / 2 for even n_angular, those
+    with theta <= pi for odd (see DomainGrid)."""
+    return n_angular // 4 + 1 if n_angular % 2 == 0 else n_angular // 2 + 1
 
-    frames(lo, hi): (hi - lo, n_angular // 2 + 1, m, 2, 2) unitary factors
-    of rings lo .. hi - 1 on the columns theta <= pi, the only ones Sym
-    sees.  A block holds at most _CHUNK nodes, so the frames and Sym's
-    temporaries do not grow with n_radial, and at m <= 128 every array
-    stays under the 4 MiB at which numpy asks the kernel for transparent
-    huge pages (those made the peak memory of one run differ from the
-    next).  M: the (m, 2, 2) monodromy, with M(1) = +-I and F(u, 2 pi -
-    theta) = M conj F(u, theta)(conj lambda); conj negates x2, so column
-    n_angular - k sits at (x1, -x2, x3) + Sym(M) from column k and has its
-    Sym defect.  x2 vanishes at theta = 0, so the seam reads |Sym(M)|: the
+
+def _frames_to_mesh(frames, U: np.ndarray, dom: DomainGrid, grid: LambdaGrid,
+                    parts: list[dict]) -> SurfaceMesh:
+    """Shared tail of both pipelines: Sym, rigid motions, defect warning,
+    seam, weld.
+
+    frames(lo, hi): (hi - lo, c, m, 2, 2) unitary factors of rings lo ..
+    hi - 1 on the c = _factored_columns(n_angular) columns theta_0 ..
+    theta_{c-1}, the only ones Sym sees.  A block holds at most _CHUNK
+    nodes, so the frames and Sym's temporaries do not grow with n_radial,
+    and at m <= 128 every array stays under the 4 MiB at which numpy asks
+    the kernel for transparent huge pages (those made the peak memory of
+    one run differ from the next).
+
+    U: the (m, 2, 2) half turn exp(i pi A), a unitary loop with U(1) =
+    i sigma_x, and F(u, theta + pi) = U F(u, theta) D for a constant D.
+    Sym of U F D is Sym(U) + U(1) f U(1)^-1, and conjugation by i sigma_x
+    is the rotation R_x: (x1, x2, x3) -> (x1, -x2, -x3), so column k +
+    n_angular / 2 sits at R_x P_k + Sym(U).  The monodromy is M = +-U^2
+    (a constant sign drops out of Sym), so Sym(M) = Sym(U) + R_x Sym(U),
+    and F(u, 2 pi - theta) = M conj F(u, theta)(conj lambda) places
+    column n_angular - k at (x1, -x2, x3) + Sym(M) from column k (conj
+    negates x2).  Composing the two, column n_angular / 2 - k sits at
+    (x1, x2, -x3) + (s1, -s2, s3) + Sym(M) from column k, s = Sym(U);
+    that fills the columns c .. n_angular // 2 of an even grid, and the
+    reflection fills the rest.  Every placed column has the Sym defect of
+    its source.  x2 vanishes at theta = 0, so the seam reads |Sym(M)|: the
     closing condition M'(1) = 0 plus roundoff.  parts: the summaries of
     failure-free iwasawa_grid calls, complete once every block is built
     (frames may append to it); their merge goes into the diagnostics.
     """
     nth = dom.n_angular
-    half = nth // 2 + 1
-    pts, defect = np.empty((dom.n_radial, nth + 1, 3)), np.empty((dom.n_radial, half))
-    rows = max(1, _CHUNK // half)
+    half, cols = nth // 2 + 1, _factored_columns(nth)
+    pts, defect = np.empty((dom.n_radial, nth + 1, 3)), np.empty((dom.n_radial, cols))
+    rows = max(1, _CHUNK // cols)
     for lo in range(0, dom.n_radial, rows):
         hi = min(lo + rows, dom.n_radial)
-        pts[lo:hi, :half], defect[lo:hi] = _sym_points(frames(lo, hi), grid)
-    shift, _ = _sym_points(M, grid)
+        pts[lo:hi, :cols], defect[lo:hi] = _sym_points(frames(lo, hi), grid)
+    turn, _ = _sym_points(U, grid)
+    shift = turn + turn * (1.0, -1.0, -1.0)                 # Sym(M)
+    src = nth // 2 - np.arange(cols, half)                  # empty for odd nth
+    pts[:, cols:half] = pts[:, src] * (1.0, 1.0, -1.0) + turn * (1.0, -1.0, 1.0) + shift
     pts[:, half:] = pts[:, nth - half::-1] * (1.0, -1.0, 1.0) + shift
     sym_defect = float(defect.max())
     if sym_defect > 1e-5:
@@ -337,39 +366,55 @@ def build_surface(p: CylinderParams, dom: DomainGrid, grid: LambdaGrid,
     Frames are the closed-form series frames, normalized like the
     basepoint family at z = 1 (which makes the monodromy the unitary loop
     M = -exp(2 pi i A), with M(1) = I).  Only the columns theta_k,
-    k = 0 .. n_angular // 2, are built, factored and Sym-evaluated.  The
-    potential has real coefficients in lambda, so on |lambda| = 1
-    Phi(u, -theta)(lambda) = conj Phi(u, theta)(conj lambda); conj X(conj
-    lambda) maps unitary loops and normalized plus loops to themselves,
-    and the normalized Iwasawa splitting is unique (Pressley & Segal,
-    Loop Groups, 1986; Dorfmeister, Pedit & Wu, Comm. Anal. Geom. 6,
-    1998), so F(u, -theta) = conj F(u, theta)(conj lambda).  One turn
-    multiplies on the left by the unitary M, hence
+    k < _factored_columns(n_angular), are built, factored and
+    Sym-evaluated: k = 0 .. n_angular // 4 for even n_angular,
+    k = 0 .. n_angular // 2 for odd.  Two symmetries of the frames place
+    the rest.  Both rest on the uniqueness of the normalized Iwasawa
+    splitting (Pressley & Segal, Loop Groups, 1986; Dorfmeister, Pedit &
+    Wu, Comm. Anal. Geom. 6, 1998): if Phi' = U Phi D with U a unitary
+    loop and D a constant diagonal unitary, then Phi' = (U F D)(D^-1 B D)
+    is again a normalized splitting, so F' = U F D.
 
-        F(u, 2 pi - theta) = M conj F(u, theta)(conj lambda),
+    The reflection.  The potential has real coefficients in lambda, so
+    on |lambda| = 1 Phi(u, -theta)(lambda) = conj Phi(u, theta)(conj
+    lambda); conj X(conj lambda) maps unitary loops and normalized plus
+    loops to themselves, so F(u, -theta) = conj F(u, theta)(conj lambda).
+    One turn multiplies on the left by the unitary M, hence
 
-    and _frames_to_mesh places the other columns, the theta = 2 pi one
-    included, by the rigid motion this induces on the Sym points.
+        F(u, 2 pi - theta) = M conj F(u, theta)(conj lambda).
+
+    The half turn, w -> w + i pi, in three steps: P(z) is even in z, since
+    the series has even powers only; z^A = exp(w A) becomes exp(i pi A)
+    z^A; and g1c(z)^-1 = diag(e^{-w/2}, e^{w/2}) becomes g1c(z)^-1 D with
+    D = diag(-i, i).  For real a, b the residue A is Hermitian on
+    |lambda| = 1, so U = exp(i pi A) is a unitary loop, and
+
+        F(u, theta + pi) = U F(u, theta) D.
+
+    _frames_to_mesh places the other columns, the theta = 2 pi one
+    included, by the rigid motions these induce on the Sym points.
     Building, factoring and Sym run one block of rings at a time; the
     first block with a failed node raises, naming its nodes.  No ODE is
     integrated, so cfg.ode_tol plays no part.
     """
     _check_grid(grid, cfg)
-    half = dom.n_angular // 2 + 1
-    series = _series_columns(p, dom, grid, dom.thetas()[:half])
-    M = -exp_delaunay_monodromy(DelaunayResidue(*delaunay_ab(p)), grid.points)
+    cols = _factored_columns(dom.n_angular)
+    series = _series_columns(p, dom, grid, dom.thetas()[:cols])
+    res = DelaunayResidue(*delaunay_ab(p))
+    U = _exp2(np.array(1j * np.pi), delaunay_residue_matrix(res, grid.points),
+              mu_eigenvalue(res, grid.points))
     parts = []
 
     def frames(lo: int, hi: int) -> np.ndarray:
         F, _, part = iwasawa_grid(series(lo, hi), grid, cfg)
         if part["failed_nodes"]:
-            coords = [divmod(k + lo * half, half) for k in part["failed_nodes"]]
+            coords = [divmod(k + lo * cols, cols) for k in part["failed_nodes"]]
             raise RuntimeError(f"Iwasawa factorization failed at grid nodes "
                                f"(radial, angular) = {coords[:8]}")
         parts.append(part)
         return F
 
-    return _frames_to_mesh(frames, M, dom, grid, parts)
+    return _frames_to_mesh(frames, U, dom, grid, parts)
 
 
 def _spanning_tree_frames(xi, phi0: np.ndarray, dom: DomainGrid,
@@ -419,9 +464,13 @@ def delaunay_reference(res: DelaunayResidue, dom: DomainGrid, grid: LambdaGrid,
     Segal, Loop Groups, 1986; Dorfmeister, Pedit & Wu, Comm. Anal. Geom.
     6, 1998), so exp(u A) = F0 B0 gives Phi = (exp(i theta A) F0) B0 with
     the same B0 on the whole ring.  Only the theta = 0 node of each ring
-    is factored; the factors for theta <= pi are exp(i theta A) F0, and
-    _frames_to_mesh mirrors the rest with M = exp(2 pi i A) (A has real
-    coefficients in lambda, as the cylinder potential does).
+    is factored, and the turn exp(i theta A) is formed on the columns
+    _frames_to_mesh Sym-evaluates only.  The half turn is the same loop
+    U = exp(i pi A) as the cylinder's (here with D = I: F(u, theta + pi)
+    = U F(u, theta)), and A has real coefficients in lambda, as the
+    cylinder potential does, so the reflection holds with M = U^2 =
+    exp(2 pi i A); the tail places the other columns by the same rigid
+    motions as for the cylinder.
     """
     _check_grid(grid, cfg)
     A = delaunay_residue_matrix(res, grid.points)
@@ -430,10 +479,10 @@ def delaunay_reference(res: DelaunayResidue, dom: DomainGrid, grid: LambdaGrid,
     if summary["failed_nodes"]:
         raise RuntimeError(f"Iwasawa factorization failed at reference rings "
                            f"(radial) = {summary['failed_nodes'][:8]}")
-    turn = _exp2(1j * dom.thetas()[:dom.n_angular // 2 + 1], A, mu)
-    M = exp_delaunay_monodromy(res, grid.points)
+    turn = _exp2(1j * dom.thetas()[:_factored_columns(dom.n_angular)], A, mu)
+    U = _exp2(np.array(1j * np.pi), A, mu)
     return _frames_to_mesh(lambda lo, hi: _mul2(turn[None], F0[lo:hi, None]),
-                           M, dom, grid, [summary])
+                           U, dom, grid, [summary])
 
 
 # ---------------------------------------------------------------------------

@@ -458,14 +458,21 @@ def test_reference_rotates_one_factor_per_ring(res, dom):
 MIRROR_GRID, MIRROR_CFG = LambdaGrid(128), PipelineConfig(32, 128)
 
 
-@pytest.mark.parametrize("n_angular", [24, 25])
+def factored_columns(n):
+    """theta <= pi / 2 on an even grid, theta <= pi on an odd one."""
+    return n // 4 + 1 if n % 2 == 0 else n // 2 + 1
+
+
+@pytest.mark.parametrize("n_angular", [24, 25, 26])     # 26: n_angular / 2 odd
 @pytest.mark.parametrize("r", [0.3, 1 / 3, -0.25, 0.9, -1.5])
 def test_mirrored_columns_match_the_full_grid(r, n_angular, monkeypatch):
-    # build_surface factors theta <= pi and places the rest by the rigid
-    # motion that F(u, 2 pi - theta) = M conj F(u, theta)(conj lambda)
-    # induces on the points; the oracle factors every node of the series
-    # frames and runs Sym on all of them, without the shared tail
+    # build_surface factors theta <= pi / 2 (theta <= pi for odd n_angular)
+    # and places the rest by the rigid motions that F(u, theta + pi) =
+    # U F(u, theta) D and F(u, 2 pi - theta) = M conj F(u, theta)(conj
+    # lambda) induce on the points; the oracle factors every node of the
+    # series frames and runs Sym on all of them, without the shared tail
     n = n_angular
+    cols = factored_columns(n)
     p, dom = CylinderParams(r), DomainGrid(0.3, 3.0, 48, n)
     blocks = []
     tail = surface._frames_to_mesh
@@ -478,27 +485,51 @@ def test_mirrored_columns_match_the_full_grid(r, n_angular, monkeypatch):
 
     monkeypatch.setattr(surface, "_frames_to_mesh", keep_frames)
     mesh = build_surface(p, dom, MIRROR_GRID, MIRROR_CFG)
-    assert mesh.diagnostics["iwasawa"]["nodes"] == 48 * (n // 2 + 1)
-    assert len(blocks) == 3                            # 19 + 19 + 10 rings
+    assert mesh.diagnostics["iwasawa"]["nodes"] == 48 * cols
+    assert len(blocks) == (3 if n % 2 else 2)         # 19 + 19 + 10 or 36 + 12 rings
     F, _, summary = iwasawa_grid(series_frames(p, dom, MIRROR_GRID),
                                  MIRROR_GRID, MIRROR_CFG)
     assert summary["failed_nodes"] == []
     pts, _ = surface._sym_points(F, MIRROR_GRID)
     oracle = mesh_from_grid(pts[:, :n])
     seam = np.abs(pts[:, n] - pts[:, 0]).max() / oracle.bbox_diagonal()
-    err = np.abs(np.concatenate(blocks) - F[:, :n // 2 + 1]).max()
-    assert err <= 1e-9, err                            # measured <= 5.1e-11
+    err = np.abs(np.concatenate(blocks) - F[:, :cols]).max()
+    assert err <= 1e-9, err                            # measured 0
     err = np.abs(mesh.vertices - oracle.vertices).max()
-    assert err <= 2e-9 * oracle.bbox_diagonal(), err  # measured <= 2.73e-10
+    assert err <= 2e-9 * oracle.bbox_diagonal(), err  # measured <= 3.4e-10
     assert mesh.diagnostics["seam_residual"] <= 1e-12
     assert seam <= 1e-12
 
 
-@pytest.mark.parametrize("n_angular", [8, 9])
+HALF_TURN_GRID, HALF_TURN_CFG = LambdaGrid(128), PipelineConfig(32, 128)
+
+
+@pytest.mark.parametrize("r", [1 / 3, -0.25, 0.9, -1.5, -2.5])
+def test_half_turn_of_the_factored_frames(r):
+    # independent of the shared tail: factor every node of the series frames
+    # and check F(u, theta + pi) = U F(u, theta) D, U = exp(i pi A),
+    # D = diag(-i, i), the symmetry build_surface places half the grid by
+    p, n = CylinderParams(r), 12
+    dom = DomainGrid(0.3, 3.0, 8, n)
+    F, _, summary = iwasawa_grid(series_frames(p, dom, HALF_TURN_GRID),
+                                 HALF_TURN_GRID, HALF_TURN_CFG)
+    assert summary["failed_nodes"] == []
+    res = DelaunayResidue(*delaunay_ab(p))
+    lam = HALF_TURN_GRID.points
+    U = loops._exp2(np.array(1j * np.pi), delaunay_residue_matrix(res, lam),
+                    mu_eigenvalue(res, lam))
+    assert np.abs(U[0] - 1j * np.array([[0, 1], [1, 0]])).max() <= 1e-14
+    D = np.diag([-1j, 1j])
+    turned = _mul2(_mul2(U, F[:, : n // 2 + 1]), D)
+    err = np.abs(F[:, n // 2:] - turned).max()
+    assert err <= 1e-9, err        # measured 1.8e-11 .. 4.3e-11, 6.2e-10 at r = -2.5
+
+
+@pytest.mark.parametrize("n_angular", [8, 9, 10])
 @pytest.mark.parametrize("pipeline", ["cylinder", "delaunay"])
 def test_sym_runs_on_the_factored_columns_only(pipeline, n_angular, monkeypatch):
-    # the columns theta > pi are a rigid motion of the others: Sym sees
-    # the theta <= pi frames, one block at a time, and the monodromy once
+    # the other columns are rigid motions of the factored ones: Sym sees
+    # the factored frames, one block at a time, and the half turn U once
     dom, cfg = DomainGrid(0.3, 3.0, 8, n_angular), PipelineConfig(8, SERIES_GRID.m)
     shapes = []
     sym = surface._sym_points
@@ -512,11 +543,11 @@ def test_sym_runs_on_the_factored_columns_only(pipeline, n_angular, monkeypatch)
         build_surface(CylinderParams(1 / 3), dom, SERIES_GRID, cfg)
     else:
         delaunay_reference(DelaunayResidue(0.375, 0.125), dom, SERIES_GRID, cfg)
-    monodromy = [s for s in shapes if len(s) == 3]
+    loops_seen = [s for s in shapes if len(s) == 3]
     blocks = [s for s in shapes if len(s) == 5]
-    assert monodromy == [(SERIES_GRID.m, 2, 2)]
+    assert loops_seen == [(SERIES_GRID.m, 2, 2)]
     assert len(blocks) == len(shapes) - 1
-    assert sum(np.prod(s[:2]) for s in blocks) == 8 * (n_angular // 2 + 1)
+    assert sum(np.prod(s[:2]) for s in blocks) == 8 * factored_columns(n_angular)
 
 
 def failing_iwasawa_grid(bad):
@@ -535,10 +566,10 @@ def test_reference_failure_names_the_ring(monkeypatch):
 
 
 def test_cylinder_failure_names_the_node(monkeypatch):
-    # build_surface factors the n_angular // 2 + 1 = 5 columns theta <= pi,
-    # so flat node indices run over that half grid
-    monkeypatch.setattr(surface, "iwasawa_grid", failing_iwasawa_grid(2 * 5 + 3))
-    with pytest.raises(RuntimeError, match=r"\(radial, angular\) = \[\(2, 3\)\]"):
+    # build_surface factors the n_angular // 4 + 1 = 3 columns theta <= pi / 2,
+    # so flat node indices run over that quarter grid
+    monkeypatch.setattr(surface, "iwasawa_grid", failing_iwasawa_grid(2 * 3 + 1))
+    with pytest.raises(RuntimeError, match=r"\(radial, angular\) = \[\(2, 1\)\]"):
         build_surface(CylinderParams(1 / 3), DomainGrid(0.3, 3.0, 8, 8),
                       SERIES_GRID, PipelineConfig(8, SERIES_GRID.m))
 
@@ -552,19 +583,19 @@ def test_cylinder_failure_names_the_node_odd_angular(monkeypatch):
 
 
 def test_cylinder_failure_in_a_later_block_names_the_node(monkeypatch):
-    # 256 // 5 = 51 rings per block: the second call starts at ring 51
+    # 256 // 3 = 85 rings per block at 8 angles: the second call starts at ring 85
     calls = []
 
     def fake(phis, grid, cfg):
         calls.append(len(phis))
         F, B, summary = iwasawa_grid(phis, grid, cfg)
-        return F, B, {**summary, "failed_nodes": [3] if len(calls) == 2 else []}
+        return F, B, {**summary, "failed_nodes": [5] if len(calls) == 2 else []}
 
     monkeypatch.setattr(surface, "iwasawa_grid", fake)
-    with pytest.raises(RuntimeError, match=r"\(radial, angular\) = \[\(51, 3\)\]"):
-        build_surface(CylinderParams(1 / 3), DomainGrid(0.3, 3.0, 60, 8),
+    with pytest.raises(RuntimeError, match=r"\(radial, angular\) = \[\(86, 2\)\]"):
+        build_surface(CylinderParams(1 / 3), DomainGrid(0.3, 3.0, 90, 8),
                       SERIES_GRID, PipelineConfig(8, SERIES_GRID.m))
-    assert calls == [51, 9]
+    assert calls == [85, 5]
 
 
 def test_noise_breaks_reflection(unduloid_reference):
