@@ -24,7 +24,6 @@ from .potentials import (
     lambda_gauge,
     make_bessel_potential,
     make_cylinder_potential,
-    make_delaunay_potential,
     mu_eigenvalue,
     t_of_lambda,
     verify_gauge_chain,

@@ -145,9 +145,8 @@ def _check_mu_alpha(cfg: RunConfig):
     return {"mu_alpha_residual": err}, {"mu_alpha_residual": 1e-12}
 
 
-def _check_gauge(cfg: RunConfig, sabotage: float = 0.0):
-    errs = verify_gauge_chain(cfg.params(), n_points=100, seed=7,
-                              alpha_offset=sabotage)
+def _check_gauge(cfg: RunConfig):
+    errs = verify_gauge_chain(cfg.params())
     return ({"reduced_form": errs["reduced"], "cylinder_form": errs["cylinder"]},
             {"reduced_form": 1e-10, "cylinder_form": 1e-10})
 
@@ -263,21 +262,12 @@ def _require_out_dir(out) -> None:
         raise ValueError(f"output directory {str(Path(out).parent)!r} does not exist")
 
 
-def cmd_verify(cfg: RunConfig, which: str, sabotage: float = 0.0) -> dict:
-    """Run one named check; returns the report dict.
-
-    sabotage is the gauge check's negative control; any other check
-    rejects a nonzero value.
-    """
+def cmd_verify(cfg: RunConfig, which: str) -> dict:
+    """Run one named check; returns the report dict."""
     if which not in _CHECK_FUNCS:
         raise ValueError(
             f"unknown check {which!r} (choose from {', '.join(CHECKS)})")
-    if which == "gauge":
-        residuals, thresholds = _check_gauge(cfg, sabotage)
-    elif sabotage:
-        raise ValueError(f"--sabotage applies to the gauge check only, not {which!r}")
-    else:
-        residuals, thresholds = _CHECK_FUNCS[which](cfg)
+    residuals, thresholds = _CHECK_FUNCS[which](cfg)
     return _report(which, residuals, thresholds, cfg)
 
 
@@ -398,10 +388,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "verify", help="run one verification check and report residuals")
     ver.add_argument("check", choices=CHECKS)
     add_common(ver)
-    ver.add_argument("--sabotage", type=float, default=0.0,
-                     help="offset added to the Bessel order inside the gauge "
-                          "chain (negative control for the gauge check only; "
-                          "any nonzero value must make it fail)")
     return parser
 
 
@@ -465,7 +451,7 @@ def main(argv=None) -> int:
                 print(f"wrote {path}")
         else:
             _require_out_dir(cfg.out)
-            report = cmd_verify(cfg, args.check, sabotage=args.sabotage)
+            report = cmd_verify(cfg, args.check)
             if cfg.out is not None:
                 Path(cfg.out).write_text(_dump_report(report), encoding="ascii")
                 print(f"wrote {cfg.out}")

@@ -32,8 +32,8 @@ class PipelineConfig:
                 f"lambda_samples={self.lambda_samples} too small for "
                 f"degree {self.fourier_degree} (need >= {2 * self.fourier_degree + 2})"
             )
-        if self.ode_tol <= 0:
-            raise ValueError("ode_tol must be positive")
+        if not 0 < self.ode_tol < float("inf"):    # NaN fails too
+            raise ValueError(f"ode_tol must be positive and finite, got {self.ode_tol}")
 
     @property
     def section_rows(self) -> int:

@@ -54,15 +54,10 @@ class PathSpec:
         """One counterclockwise circuit of |z| = 1 from z = 1."""
         return cls(0.0, 2j * np.pi)
 
-    @classmethod
-    def radial(cls, z_from: float, z_to: float) -> "PathSpec":
-        """Ray along the positive real axis between radii z_from and z_to."""
-        return cls(math.log(z_from), math.log(z_to))
-
     def check_poles(self, xi: PotentialSpec) -> None:
         # in the w chart the only reachable pole would be one with z != 0
         z = np.exp(self.w0 + np.linspace(0.0, 1.0, 64) * (self.w1 - self.w0))
-        for pole, _ in xi.pole_locations:
+        for pole in xi.pole_locations:
             if pole != 0 and np.min(np.abs(z - pole)) < 1e-9:
                 raise ValueError(f"path passes through pole z={pole}")
 
@@ -125,12 +120,14 @@ def _stage_sum(h, weights, k, y=None):
     return acc
 
 
-def _rk_segment(coeff, y, s0, s1, rtol, atol=1e-14, h0=None):
+def _rk_segment(coeff, y, s0, s1, rtol, h0=None):
     """Advance Y' = Y coeff(s) from s0 to s1 for a stacked family.
 
     coeff maps the (6,) stage points s + _CK_C h of a step, once per step,
     to a stack c with c[i] broadcastable against y (shape (..., 2, 2)).
-    One step size serves the family; the error norm is its worst scaled RMS.
+    One step size serves the family; the error norm is its worst scaled RMS,
+    with absolute tolerance 1e-14.  A NaN error norm raises RuntimeError:
+    no step size can make it acceptable.
     Returns (y_end, last_h) so a caller chaining segments can reuse h.
     """
     span = s1 - s0
@@ -155,10 +152,12 @@ def _rk_segment(coeff, y, s0, s1, rtol, atol=1e-14, h0=None):
         q = np.abs(_stage_sum(h, _CK_E, k))
         scale = np.maximum(ay, ay5)
         scale *= rtol
-        scale += atol
+        scale += 1e-14
         q /= scale
         q *= q
         worst = math.sqrt(float(q.sum(axis=(-2, -1)).max()) / 4)
+        if math.isnan(worst):
+            raise RuntimeError(f"NaN error estimate at path parameter {s!r}")
         if worst <= 1.0:
             s = s + h
             y, ay = y5, ay5
@@ -284,8 +283,7 @@ def exp_delaunay_monodromy(res: DelaunayResidue, lam) -> np.ndarray:
     lam = np.asarray(lam, dtype=complex)
     scalar = lam.ndim == 0
     lam = np.atleast_1d(lam)
-    M = _exp2(np.array(2j * np.pi), delaunay_residue_matrix(res, lam),
-              mu_eigenvalue(res, lam))
+    M = _exp2(np.array(2j * np.pi), delaunay_residue_matrix(res, lam))
     return M[0] if scalar else M
 
 

@@ -113,14 +113,16 @@ def _mul2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _exp2(w: np.ndarray, A: np.ndarray, mu: np.ndarray) -> np.ndarray:
+def _exp2(w: np.ndarray, A: np.ndarray) -> np.ndarray:
     """exp(w A) = cosh(w mu) I + w sinhc(w mu) A for trace-free A.
 
-    w: (...) exponents, e.g. values of log z; A: (m, 2, 2) with eigenvalues
-    +-mu (m,).  sinhc(x) = sinh(x)/x is continued through x = 0 by its
-    Taylor polynomial.  Returns (..., m, 2, 2).
+    w: (...) exponents, e.g. values of log z; A: (m, 2, 2).  A is
+    trace-free, so A^2 = mu^2 I with mu^2 = -det A; cosh and sinhc(x) =
+    sinh(x)/x are even, so either root of mu^2 serves.  sinhc is
+    continued through x = 0 by its Taylor polynomial.  Returns
+    (..., m, 2, 2).
     """
-    arg = w[..., None] * mu
+    arg = w[..., None] * np.sqrt(-_det2(A))
     small = np.abs(arg) < 1e-4
     safe = np.where(small, 1.0, arg)
     sinhc = np.where(small, 1.0 + arg * arg / 6.0, np.sinh(safe) / safe)

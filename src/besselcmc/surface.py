@@ -11,10 +11,10 @@ z^A in w = log z.  Both pipelines factor and Sym-evaluate only the columns
 0 <= theta <= pi / 2 of an even grid (0 <= theta <= pi of an odd one); the
 shared tail (_frames_to_mesh) places the others by the rigid motions that
 the half turn w -> w + i pi and the reflection symmetry of the
-real-coefficient potential induce on the points.  series_frames continues
-the series over the whole grid; the Runge-Kutta flow over a spanning tree
-of the grid (_spanning_tree_frames) is kept as an independent oracle for
-it.
+real-coefficient potential (both derived in build_surface) induce on the
+points.  series_frames continues the series over the whole grid; the
+Runge-Kutta flow over a spanning tree of the grid (_spanning_tree_frames)
+is kept as an independent oracle for it.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .potentials import (
     cylinder_basepoint_frame,  # noqa: F401  (the benchmark's tracer wraps it here)
     delaunay_ab,
     delaunay_residue_matrix,
-    mu_eigenvalue,
 )
 
 __all__ = [
@@ -63,13 +62,11 @@ class DomainGrid:
     (thetas(), n_angular + 1 values: the last one is theta = 2 pi).  The
     pipelines factor the columns theta <= pi / 2 of an even grid (theta <=
     pi of an odd one) and place the others, the theta = 2 pi one included,
-    by rigid motions of the points before welding the seam.  Under the
-    half turn w -> w + i pi, P(z) is even in z, z^A becomes exp(i pi A)
-    z^A and g1c(z)^-1 becomes g1c(z)^-1 D, D = diag(-i, i), so F(u, theta
-    + pi) = exp(i pi A) F(u, theta) D; with the reflection theta -> 2 pi -
-    theta (build_surface) it maps column k to n_angular / 2 - k.  The
-    curvature statistics skip two rings at each end, so n_radial >= 5
-    leaves at least one interior ring.
+    by rigid motions of the points before welding the seam: the half turn
+    and the reflection of build_surface, which map column k to k +
+    n_angular / 2 and to n_angular - k.  The curvature statistics skip two
+    rings at each end, so n_radial >= 5 leaves at least one interior ring.
+    Both radii must be finite.
     """
 
     rho_min: float
@@ -78,9 +75,10 @@ class DomainGrid:
     n_angular: int = 64
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.rho_min < self.rho_max):
+        if not (0.0 < self.rho_min < self.rho_max < np.inf):
             raise ValueError(
-                f"need 0 < rho_min < rho_max, got ({self.rho_min}, {self.rho_max})")
+                f"need 0 < rho_min < rho_max, both finite, "
+                f"got ({self.rho_min}, {self.rho_max})")
         if self.n_radial < 5:
             raise ValueError("n_radial must be at least 5")
         if self.n_angular < 8:
@@ -251,7 +249,7 @@ def _factored_columns(n_angular: int) -> int:
     return n_angular // 4 + 1 if n_angular % 2 == 0 else n_angular // 2 + 1
 
 
-def _frames_to_mesh(frames, U: np.ndarray, dom: DomainGrid, grid: LambdaGrid,
+def _frames_to_mesh(frames, A: np.ndarray, dom: DomainGrid, grid: LambdaGrid,
                     parts: list[dict]) -> SurfaceMesh:
     """Shared tail of both pipelines: Sym, rigid motions, defect warning,
     seam, weld.
@@ -264,11 +262,12 @@ def _frames_to_mesh(frames, U: np.ndarray, dom: DomainGrid, grid: LambdaGrid,
     the kernel for transparent huge pages (those made the peak memory of
     one run differ from the next).
 
-    U: the (m, 2, 2) half turn exp(i pi A), a unitary loop with U(1) =
-    i sigma_x, and F(u, theta + pi) = U F(u, theta) D for a constant D.
-    Sym of U F D is Sym(U) + U(1) f U(1)^-1, and conjugation by i sigma_x
-    is the rotation R_x: (x1, x2, x3) -> (x1, -x2, -x3), so column k +
-    n_angular / 2 sits at R_x P_k + Sym(U).  The monodromy is M = +-U^2
+    A: the (m, 2, 2) residue.  Its half turn U = exp(i pi A) is a unitary
+    loop with U(1) = i sigma_x, and F(u, theta + pi) = U F(u, theta) D for
+    a constant D (derived in build_surface).  Sym of U F D is Sym(U) +
+    U(1) f U(1)^-1, and conjugation by i sigma_x is the rotation R_x:
+    (x1, x2, x3) -> (x1, -x2, -x3), so column k + n_angular / 2 sits at
+    R_x P_k + Sym(U).  The monodromy is M = +-U^2
     (a constant sign drops out of Sym), so Sym(M) = Sym(U) + R_x Sym(U),
     and F(u, 2 pi - theta) = M conj F(u, theta)(conj lambda) places
     column n_angular - k at (x1, -x2, x3) + Sym(M) from column k (conj
@@ -288,7 +287,7 @@ def _frames_to_mesh(frames, U: np.ndarray, dom: DomainGrid, grid: LambdaGrid,
     for lo in range(0, dom.n_radial, rows):
         hi = min(lo + rows, dom.n_radial)
         pts[lo:hi, :cols], defect[lo:hi] = _sym_points(frames(lo, hi), grid)
-    turn, _ = _sym_points(U, grid)
+    turn, _ = _sym_points(_exp2(np.array(1j * np.pi), A), grid)
     shift = turn + turn * (1.0, -1.0, -1.0)                 # Sym(M)
     src = nth // 2 - np.arange(cols, half)                  # empty for odd nth
     pts[:, cols:half] = pts[:, src] * (1.0, 1.0, -1.0) + turn * (1.0, -1.0, 1.0) + shift
@@ -326,9 +325,7 @@ def _series_columns(p: CylinderParams, dom: DomainGrid, grid: LambdaGrid,
     coeffs = _frobenius_coefficients(p, lam, dom.rho_max)
     flat = coeffs.reshape(len(coeffs), -1)                   # (terms, 4m)
     powers = 2.0 * np.arange(len(coeffs))
-    res = DelaunayResidue(*delaunay_ab(p))
-    A = delaunay_residue_matrix(res, lam)
-    mu = mu_eigenvalue(res, lam)
+    A = delaunay_residue_matrix(DelaunayResidue(*delaunay_ab(p)), lam)
 
     def rings(lo: int, hi: int) -> np.ndarray:
         out = np.empty((hi - lo, len(theta), grid.m, 2, 2), dtype=complex)
@@ -338,7 +335,7 @@ def _series_columns(p: CylinderParams, dom: DomainGrid, grid: LambdaGrid,
             # and can then take ~16 ms per ring on 2 vCPUs instead of ~0.5 ms
             ring = np.einsum("kj,jc->kc", np.exp(np.outer(w, powers)), flat)
             ring = ring.reshape(-1, grid.m, 2, 2)
-            out[i] = _mul2(_exp2(w, A, mu), ring)
+            out[i] = _mul2(_exp2(w, A), ring)
             out[i, ..., 0] *= np.exp(-0.5 * w)[:, None, None]
             out[i, ..., 1] *= np.exp(0.5 * w)[:, None, None]
         return out
@@ -400,9 +397,7 @@ def build_surface(p: CylinderParams, dom: DomainGrid, grid: LambdaGrid,
     _check_grid(grid, cfg)
     cols = _factored_columns(dom.n_angular)
     series = _series_columns(p, dom, grid, dom.thetas()[:cols])
-    res = DelaunayResidue(*delaunay_ab(p))
-    U = _exp2(np.array(1j * np.pi), delaunay_residue_matrix(res, grid.points),
-              mu_eigenvalue(res, grid.points))
+    A = delaunay_residue_matrix(DelaunayResidue(*delaunay_ab(p)), grid.points)
     parts = []
 
     def frames(lo: int, hi: int) -> np.ndarray:
@@ -414,7 +409,7 @@ def build_surface(p: CylinderParams, dom: DomainGrid, grid: LambdaGrid,
         parts.append(part)
         return F
 
-    return _frames_to_mesh(frames, U, dom, grid, parts)
+    return _frames_to_mesh(frames, A, dom, grid, parts)
 
 
 def _spanning_tree_frames(xi, phi0: np.ndarray, dom: DomainGrid,
@@ -465,24 +460,19 @@ def delaunay_reference(res: DelaunayResidue, dom: DomainGrid, grid: LambdaGrid,
     6, 1998), so exp(u A) = F0 B0 gives Phi = (exp(i theta A) F0) B0 with
     the same B0 on the whole ring.  Only the theta = 0 node of each ring
     is factored, and the turn exp(i theta A) is formed on the columns
-    _frames_to_mesh Sym-evaluates only.  The half turn is the same loop
-    U = exp(i pi A) as the cylinder's (here with D = I: F(u, theta + pi)
-    = U F(u, theta)), and A has real coefficients in lambda, as the
-    cylinder potential does, so the reflection holds with M = U^2 =
-    exp(2 pi i A); the tail places the other columns by the same rigid
-    motions as for the cylinder.
+    _frames_to_mesh Sym-evaluates only.  The half turn and the reflection
+    of build_surface hold here with D = I and M = U^2 = exp(2 pi i A), so
+    the tail places the other columns as for the cylinder.
     """
     _check_grid(grid, cfg)
     A = delaunay_residue_matrix(res, grid.points)
-    mu = mu_eigenvalue(res, grid.points)
-    F0, _, summary = iwasawa_grid(_exp2(dom.u(), A, mu), grid, cfg)
+    F0, _, summary = iwasawa_grid(_exp2(dom.u(), A), grid, cfg)
     if summary["failed_nodes"]:
         raise RuntimeError(f"Iwasawa factorization failed at reference rings "
                            f"(radial) = {summary['failed_nodes'][:8]}")
-    turn = _exp2(1j * dom.thetas()[:_factored_columns(dom.n_angular)], A, mu)
-    U = _exp2(np.array(1j * np.pi), A, mu)
+    turn = _exp2(1j * dom.thetas()[:_factored_columns(dom.n_angular)], A)
     return _frames_to_mesh(lambda lo, hi: _mul2(turn[None], F0[lo:hi, None]),
-                           U, dom, grid, [summary])
+                           A, dom, grid, [summary])
 
 
 # ---------------------------------------------------------------------------

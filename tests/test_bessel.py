@@ -18,6 +18,7 @@ from besselcmc import (
     monodromy,
     scalar_residual,
 )
+from oracles import radial
 
 CFG = PipelineConfig(fourier_degree=4, lambda_samples=16)
 
@@ -41,14 +42,14 @@ def test_half_integer_order_closed_form():
     def dy_exact(z):
         return c * (cmath.cos(z) / cmath.sqrt(z) - 0.5 * cmath.sin(z) * z**-1.5)
 
-    sol = bessel_integrate(0.5, PathSpec.radial(1.0, 2.0), y_exact(1.0), dy_exact(1.0), CFG)
+    sol = bessel_integrate(0.5, radial(1.0, 2.0), y_exact(1.0), dy_exact(1.0), CFG)
     assert abs(sol.y - y_exact(2.0)) < 1e-9
     assert abs(sol.dy - dy_exact(2.0)) < 1e-9
     assert abs(scalar_residual(NU, rho_of(0.5), sol, sol.z)) < 1e-9
 
 
 def test_zero_data_stays_zero():
-    sol = bessel_integrate(0.7, PathSpec.radial(1.0, 3.0), 0.0, 0.0, CFG)
+    sol = bessel_integrate(0.7, radial(1.0, 3.0), 0.0, 0.0, CFG)
     assert sol.y == 0.0 and sol.dy == 0.0
 
 
@@ -62,7 +63,7 @@ def test_order_zero_against_taylor_series():
     u = 0.1
     y_ref = sum(ck * u**k for k, ck in enumerate(c))
     dy_ref = sum(k * ck * u ** (k - 1) for k, ck in enumerate(c) if k >= 1)
-    sol = bessel_integrate(0.0, PathSpec.radial(1.0, 1.1), c[0], c[1], CFG)
+    sol = bessel_integrate(0.0, radial(1.0, 1.1), c[0], c[1], CFG)
     assert abs(sol.y - y_ref) < 1e-10
     assert abs(sol.dy - dy_ref) < 1e-10
 
@@ -84,13 +85,13 @@ def fundamental_pair(alpha, path, cfg=CFG):
 
 
 def test_frame_assembly_rejects_bad_pairs():
-    path = PathSpec.radial(1.0, 2.0)
+    path = radial(1.0, 2.0)
     y1, y2 = fundamental_pair(0.3, path)
     with pytest.raises(ValueError):
         frame_from_scalar(y1, y1, NU)  # degenerate
     with pytest.raises(ValueError):
         frame_from_scalar(y1, bessel_integrate(0.4, path, 0.0, 1.0, CFG), NU)
-    other = bessel_integrate(0.3, PathSpec.radial(1.0, 2.5), 0.0, 1.0, CFG)
+    other = bessel_integrate(0.3, radial(1.0, 2.5), 0.0, 1.0, CFG)
     with pytest.raises(ValueError):
         frame_from_scalar(y1, other, NU)
 
@@ -106,7 +107,7 @@ def test_weighted_wronskian_constant():
 
 def test_scalar_frame_matches_matrix_flow():
     alpha = 0.3
-    path = PathSpec.radial(1.0, 2.0)
+    path = radial(1.0, 2.0)
     y1, y2 = fundamental_pair(alpha, path)
     frame_scalar = frame_from_scalar(y1, y2, NU)
 

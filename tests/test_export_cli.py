@@ -119,16 +119,22 @@ def test_verify_writes_report_file(tmp_path, capsys):
     assert set(report) == REPORT_KEYS
 
 
-def test_sabotaged_gauge_check_fails(capsys):
-    code = main(["verify", "gauge", "--r", "0.5", "--sabotage", "0.1"])
-    report = json.loads(capsys.readouterr().out)
+def test_sabotaged_gauge_check_fails(tmp_path, monkeypatch, capsys):
+    # the gauge chain's negative control drives the CLI's failing verdict
+    real = cli.verify_gauge_chain
+    monkeypatch.setattr(cli, "verify_gauge_chain", lambda p: real(p, alpha_offset=0.1))
+    out = tmp_path / "gauge.json"
+    code = main(["verify", "gauge", "--r", "0.5", "--out", str(out)])
     assert code == 1
+    assert "gauge: FAIL" in capsys.readouterr().out
+    report = json.loads(out.read_text())
     assert report["pass"] is False
     assert report["residuals"]["reduced_form"] > 1e-10
 
 
 @pytest.mark.parametrize("check", sorted(set(cli.CHECKS) - {"gauge"}))
 def test_sabotage_rejected_outside_gauge_check(check, capsys):
+    # --sabotage is no option of any check: argparse rejects it as bad usage
     code = main(["verify", check, "--r", "0.3333", "--sabotage", "0.5"])
     assert code == 2
     assert "sabotage" in capsys.readouterr().err
@@ -149,6 +155,16 @@ def test_symmetry_and_trace_law_checks(capsys):
 def test_out_of_range_r_is_bad_input(r, capsys):
     assert main(["verify", "mu-alpha", "--r", r]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "monodromy", "--tol", "nan"],     # a NaN error norm never ends a step
+    ["verify", "monodromy", "--tol", "inf"],     # no error control at all
+    ["generate", "--annulus", "0.1:inf"],
+])
+def test_nonfinite_setting_is_bad_input(argv, tmp_path, capsys):
+    assert main(argv + ["--r", "0.5", "--out", str(tmp_path / "x.obj")]) == 2
+    assert "finite" in capsys.readouterr().err
 
 
 def test_unknown_check_is_bad_input(capsys):

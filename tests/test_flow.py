@@ -19,7 +19,6 @@ from besselcmc import (
     exp_delaunay_monodromy,
     integrate_frame,
     make_cylinder_potential,
-    make_delaunay_potential,
     monodromy,
     mu_eigenvalue,
     trace_law_check,
@@ -28,6 +27,7 @@ from besselcmc import bessel, flow
 from besselcmc.flow import _rk_segment
 from besselcmc.loops import _exp2
 from besselcmc.potentials import PotentialSpec
+from oracles import make_delaunay_potential, radial
 
 CFG = PipelineConfig(fourier_degree=4, lambda_samples=16)
 
@@ -70,7 +70,7 @@ def test_zero_potential_keeps_frame():
 
 def test_det_drift_small_on_radial_ray():
     xi = make_cylinder_potential(CylinderParams(1 / 3))
-    end = integrate_frame(xi, PathSpec.radial(1.0, 2.0), None, LambdaGrid(16),
+    end = integrate_frame(xi, radial(1.0, 2.0), None, LambdaGrid(16),
                           PipelineConfig(fourier_degree=4, lambda_samples=16))
     assert np.abs(np.linalg.det(end) - 1.0).max() < 1e-10
 
@@ -135,9 +135,10 @@ def test_exp_delaunay_against_taylor_exponential():
 
 
 @pytest.mark.parametrize("res", [
-    DelaunayResidue(0.375, 0.125),     # unduloid
-    DelaunayResidue(0.75, -0.25),      # nodoid
-    DelaunayResidue(0.25, 0.25),       # round cylinder: mu(-1) = 0
+    (DelaunayResidue(0.375, 0.125), 0.0),         # unduloid
+    (DelaunayResidue(0.75, -0.25), 0.0),          # nodoid
+    (DelaunayResidue(0.25, 0.25), 0.0),           # round cylinder: mu(-1) = 0
+    (DelaunayResidue(0.375, 0.125), 0.3 - 0.2j),  # diagonal d: mu^2 = d^2 + A01 A10
 ])
 @pytest.mark.parametrize("w", [
     math.log(0.3), math.log(3.0),      # real
@@ -146,9 +147,10 @@ def test_exp_delaunay_against_taylor_exponential():
     3e-5, 1e-5j,                       # |w mu| < 1e-4: the sinhc polynomial
 ])
 def test_exp2_against_taylor_exponential(res, w):
+    residue, d = res
     grid = LambdaGrid(16)
-    A = delaunay_residue_matrix(res, grid.points)
-    got = _exp2(np.array(w), A, mu_eigenvalue(res, grid.points))
+    A = delaunay_residue_matrix(residue, grid.points) + d * np.diag([1.0, -1.0])
+    got = _exp2(np.array(w), A)
     want = np.stack([_expm(w * a) for a in A])
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -407,6 +409,24 @@ def test_rk_segment_step_underflow_raises():
         _rk_segment(lambda s: np.broadcast_to(stiff, s.shape + (2, 2)), y0, 0.0, 1.0, 1e-10)
 
 
+def test_rk_segment_nan_error_raises():
+    # a NaN error norm rejects every step, and the step size cannot shrink
+    # past the span it is clamped to; the bound turns a hang into a failure
+    calls = [0]
+
+    def nan_coeff(s):
+        calls[0] += 1
+        assert calls[0] < 1000, "the NaN step repeats"
+        return np.full(s.shape + (2, 2), np.nan, dtype=complex)
+
+    y0 = np.eye(2, dtype=complex)[None]
+    with pytest.raises(RuntimeError, match="path parameter 0.0"):
+        _rk_segment(nan_coeff, y0, 0.0, 1.0, 1e-10)
+    assert calls[0] == 1
+    with pytest.raises(RuntimeError, match="path parameter"):
+        bessel_integrate(float("nan"), PathSpec(0.0, 1.0), 1.0, 0.0)
+
+
 def closing_and_bessel_outputs():
     """The cylinder monodromy (r = 1/3, m = 128, from the basepoint frame)
     and a scalar Bessel solution (alpha = 0.3 + 0.1i, z: 1 -> 3)."""
@@ -414,7 +434,7 @@ def closing_and_bessel_outputs():
     cfg = PipelineConfig(fourier_degree=32, lambda_samples=128)
     M, _ = monodromy(make_cylinder_potential(p), grid, cfg,
                      frame0=cylinder_basepoint_frame(p, grid.points))
-    return M, bessel_integrate(0.3 + 0.1j, PathSpec.radial(1.0, 3.0), 1.0, 0.0, cfg)
+    return M, bessel_integrate(0.3 + 0.1j, radial(1.0, 3.0), 1.0, 0.0, cfg)
 
 
 def test_batched_coefficient_adds_no_rounding(monkeypatch):

@@ -20,6 +20,7 @@ from besselcmc import (
 )
 from besselcmc.iwasawa import _unitarity, factor_samples
 from besselcmc.loops import _adj, _chol2, _inv2, _mul2
+from oracles import radial
 
 CFG = PipelineConfig(fourier_degree=8, lambda_samples=32)
 GRID = LambdaGrid(32)
@@ -338,7 +339,7 @@ def test_factor_varies_smoothly_along_ray():
         frames = np.empty((n_stations, GRID.m, 2, 2), dtype=complex)
         for i, rho in enumerate(rhos):
             frames[i] = integrate_frame(
-                xi, PathSpec.radial(1.0, rho) if rho > 1 else PathSpec(0.0, 0.0),
+                xi, radial(1.0, rho) if rho > 1 else PathSpec(0.0, 0.0),
                 None, GRID, cfg)
         f, _, _ = iwasawa_grid(frames, GRID, cfg)
         return f

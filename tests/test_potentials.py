@@ -21,7 +21,6 @@ from besselcmc import (
     lambda_gauge,
     make_bessel_potential,
     make_cylinder_potential,
-    make_delaunay_potential,
     monodromy,
     mu_eigenvalue,
     t_of_lambda,
@@ -30,6 +29,7 @@ from besselcmc import (
     verify_symmetry_relations,
 )
 from besselcmc.potentials import _frobenius_coefficients
+from oracles import make_delaunay_potential
 
 R_VALUES = st.one_of(st.floats(-6.0, -1e-3), st.floats(1e-3, 0.999))
 
@@ -185,6 +185,9 @@ def test_param_validation():
         DelaunayResidue(0.3, 0.3)
     # the closing condition is on a+b only; negative b is legal
     DelaunayResidue(0.75, -0.25)
+    for tol in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="ode_tol"):
+            PipelineConfig(ode_tol=tol)
 
 
 @pytest.mark.parametrize("abc", [
@@ -297,13 +300,13 @@ def test_potentials_trace_free(r, seed):
 
 
 def test_gauge_chain_reaches_cylinder():
-    out = verify_gauge_chain(CylinderParams(1 / 3), n_points=100)
+    out = verify_gauge_chain(CylinderParams(1 / 3))
     assert out["reduced"] < 1e-10
     assert out["cylinder"] < 1e-10
 
 
 def test_gauge_chain_detects_wrong_order():
-    out = verify_gauge_chain(CylinderParams(1 / 3), n_points=100, alpha_offset=0.1)
+    out = verify_gauge_chain(CylinderParams(1 / 3), alpha_offset=0.1)
     assert out["reduced"] > 1e-2
     assert out["cylinder"] > 1e-2
 

@@ -20,7 +20,6 @@ from besselcmc import (
     iwasawa_grid,
     make_cylinder_potential,
     mesh_from_grid,
-    mu_eigenvalue,
     reflection_symmetry_check,
     series_frames,
 )
@@ -171,6 +170,8 @@ def test_domain_validation():
         DomainGrid(1.0, 1.0)
     with pytest.raises(ValueError):
         DomainGrid(0.0, 1.0)
+    with pytest.raises(ValueError):
+        DomainGrid(0.1, np.inf)
     with pytest.raises(ValueError):
         DomainGrid(0.5, 2.0, n_radial=3)
     with pytest.raises(ValueError):
@@ -428,8 +429,7 @@ def test_reference_seam_and_symmetry(unduloid_reference):
 def full_grid_reference(res, dom, grid, cfg):
     """The reference factored at every (u, theta) node: exp(w A) = F B."""
     w = dom.u()[:, None] + 1j * dom.thetas()[None, :]
-    frames = loops._exp2(w, delaunay_residue_matrix(res, grid.points),
-                         mu_eigenvalue(res, grid.points))
+    frames = loops._exp2(w, delaunay_residue_matrix(res, grid.points))
     F, _, summary = iwasawa_grid(frames, grid, cfg)
     assert summary["failed_nodes"] == []
     pts, _ = surface._sym_points(F, grid)
@@ -516,8 +516,7 @@ def test_half_turn_of_the_factored_frames(r):
     assert summary["failed_nodes"] == []
     res = DelaunayResidue(*delaunay_ab(p))
     lam = HALF_TURN_GRID.points
-    U = loops._exp2(np.array(1j * np.pi), delaunay_residue_matrix(res, lam),
-                    mu_eigenvalue(res, lam))
+    U = loops._exp2(np.array(1j * np.pi), delaunay_residue_matrix(res, lam))
     assert np.abs(U[0] - 1j * np.array([[0, 1], [1, 0]])).max() <= 1e-14
     D = np.diag([-1j, 1j])
     turned = _mul2(_mul2(U, F[:, : n // 2 + 1]), D)
