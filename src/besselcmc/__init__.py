@@ -34,7 +34,6 @@ from .flow import (
     MonodromyReport,
     PathSpec,
     closing_report,
-    exp_delaunay_monodromy,
     integrate_frame,
     monodromy,
     trace_law_check,

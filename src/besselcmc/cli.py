@@ -51,7 +51,10 @@ __all__ = ["RunConfig", "cmd_generate", "cmd_verify", "export_mesh", "main"]
 @dataclass(frozen=True)
 class RunConfig:
     """Resolved run parameters.  Flags override config-file entries,
-    which override the defaults below."""
+    which override the defaults below.  Construction builds the library
+    objects below, whose validators raise ValueError, and checks
+    mesh_format, so every command rejects every bad setting, including
+    the ones its check ignores, before any work."""
 
     r: float
     fourier_degree: int = DEFAULT_CONFIG.fourier_degree
@@ -61,6 +64,12 @@ class RunConfig:
     grid: tuple[int, int] = (128, 64)
     out: str | None = None
     mesh_format: str | None = None  # None: infer from the out suffix
+
+    def __post_init__(self) -> None:
+        for build in (self.params, self.pipeline, self.lambda_grid, self.domain):
+            build()
+        if self.mesh_format not in (None, "obj", "ply"):
+            raise ValueError(f"unknown mesh format {self.mesh_format!r} (use obj or ply)")
 
     def params(self) -> CylinderParams:
         return CylinderParams(self.r)
@@ -373,9 +382,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         metavar="N_RADIAL:N_ANGULAR",
                         help="mesh resolution (default 128:64)")
         sp.add_argument("--out", default=None, help="output path")
-        sp.add_argument("--format", dest="mesh_format",
-                        choices=("obj", "ply"), default=None,
-                        help="mesh format (default: from the --out suffix)")
+        sp.add_argument("--format", dest="mesh_format", metavar="FORMAT", default=None,
+                        help="mesh format, obj or ply (default: from the --out suffix)")
         sp.add_argument("--config", default=None,
                         help="key=value config file; flags take precedence")
 
@@ -391,60 +399,45 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_FILE_KEYS = {
-    "r": ("r", float),
-    "degree": ("fourier_degree", int),
-    "lambda_samples": ("lambda_samples", int),
-    "tol": ("ode_tol", float),
-    "annulus": ("annulus", _annulus_arg),
-    "grid": ("grid", _grid_arg),
-    "out": ("out", str),
-    "format": ("mesh_format", str),
-}
-
-
-def _parse_config_file(text: str) -> dict:
-    """key=value lines; '#' starts a comment; keys match the long flags."""
-    vals = {}
+def _parse_config_file(text: str) -> list[str]:
+    """key=value lines as --key=value flags; '#' starts a comment.  Keys
+    are the long flag names, with '_' or '-'; the value stays attached, so
+    the flag parser names an unknown key."""
+    flags = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         key, eq, value = line.partition("=")
-        if not eq:
+        key = key.strip().replace("_", "-")
+        if not eq or not key:
             raise ValueError(f"config line {lineno} is not key=value: {raw!r}")
-        key = key.strip().replace("-", "_")
-        if key not in _FILE_KEYS:
-            raise ValueError(
-                f"unknown config key {key!r} (known: {', '.join(sorted(_FILE_KEYS))})")
-        dest, conv = _FILE_KEYS[key]
-        vals[dest] = conv(value.strip())
-    return vals
+        if "config".startswith(key):  # what --config would match
+            raise ValueError(f"config line {lineno}: a config file cannot name another")
+        flags.append(f"--{key}={value.strip()}")
+    return flags
 
 
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Flags over config-file entries; RunConfig supplies the rest."""
-    vals = {}
+def _resolve_config(argv: list[str]) -> tuple[argparse.Namespace, RunConfig]:
+    """Parse the flags, and with --config parse again with the file's lines
+    as flags right after the subcommand, so the command line's flags win;
+    RunConfig supplies the rest."""
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     if args.config is not None:
-        vals = _parse_config_file(Path(args.config).read_text(encoding="utf-8"))
-    for f in fields(RunConfig):
-        flag = getattr(args, f.name)
-        if flag is not None:
-            vals[f.name] = flag
-    if vals.get("r") is None:
+        at = argv.index(args.command) + 1
+        text = Path(args.config).read_text(encoding="utf-8")
+        args = parser.parse_args(argv[:at] + _parse_config_file(text) + argv[at:])
+    vals = {f.name: getattr(args, f.name) for f in fields(RunConfig)
+            if getattr(args, f.name) is not None}
+    if "r" not in vals:
         raise ValueError("missing parameter r: pass --r or set r= in the config file")
-    return RunConfig(**vals)
+    return args, RunConfig(**vals)
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse: bad usage -> 2, --help -> 0
-        return int(exc.code) if exc.code else 0
-
-    try:
-        cfg = _resolve_config(args)
+        args, cfg = _resolve_config(sys.argv[1:] if argv is None else list(argv))
         if args.command == "generate":
             report, paths = cmd_generate(cfg)
             for path in paths:
@@ -457,6 +450,8 @@ def main(argv=None) -> int:
                 print(f"wrote {cfg.out}")
             else:
                 sys.stdout.write(_dump_report(report))
+    except SystemExit as exc:  # argparse: bad usage -> 2, --help -> 0
+        return int(exc.code) if exc.code else 0
     except (np.linalg.LinAlgError, RuntimeError, FloatingPointError) as exc:
         # LinAlgError subclasses ValueError, so it has to be caught first
         print(f"numerical failure: {exc}", file=sys.stderr)

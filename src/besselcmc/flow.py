@@ -20,20 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import PipelineConfig, DEFAULT_CONFIG
-from .loops import LambdaGrid, _adj, _dlambda_at_one, _exp2, _inv2, _mul2
-from .potentials import (
-    PotentialSpec,
-    DelaunayResidue,
-    delaunay_residue_matrix,
-    mu_eigenvalue,
-)
+from .loops import LambdaGrid, _adj, _dlambda_at_one, _inv2, _mul2
+from .potentials import DelaunayResidue, PotentialSpec, mu_eigenvalue
 
 __all__ = [
     "PathSpec",
     "MonodromyReport",
     "integrate_frame",
     "monodromy",
-    "exp_delaunay_monodromy",
     "trace_law_check",
     "closing_report",
 ]
@@ -267,24 +261,6 @@ def monodromy(xi: PotentialSpec, grid: LambdaGrid,
     phi0 = _phi0_samples(frame0, grid)
     M = _mul2(integrate_frame(xi, PathSpec.circle(), phi0, grid, cfg), _inv2(phi0))
     return M, closing_report(M, grid, res)
-
-
-def exp_delaunay_monodromy(res: DelaunayResidue, lam) -> np.ndarray:
-    """Closed-form monodromy exp(2 pi i A(lambda)) of the pure residue system.
-
-    For trace-free A with eigenvalues +-mu this is loops._exp2 at
-    w = 2 pi i:
-        exp(2 pi i A) = cos(2 pi mu) I + i (sin(2 pi mu)/mu) A,
-    continued through mu = 0 by sin(2 pi mu)/mu -> 2 pi.  (Printed
-    expansions of this formula sometimes drop the factor i on the second
-    term; the exponential itself is what the trace law and the numeric
-    oracle confirm.)  lam may be a scalar, giving one (2, 2) matrix.
-    """
-    lam = np.asarray(lam, dtype=complex)
-    scalar = lam.ndim == 0
-    lam = np.atleast_1d(lam)
-    M = _exp2(np.array(2j * np.pi), delaunay_residue_matrix(res, lam))
-    return M[0] if scalar else M
 
 
 def trace_law_check(xi_c: PotentialSpec, res: DelaunayResidue,

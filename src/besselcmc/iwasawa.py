@@ -163,16 +163,13 @@ def _normalization(bk: np.ndarray) -> np.ndarray:
 
 
 def _check_grid(grid: LambdaGrid, cfg: PipelineConfig) -> None:
-    """Reject a lambda grid with fewer than 2N+2 samples for degree N, or
-    one whose size is not the config's lambda_samples."""
-    if grid.m < 2 * cfg.fourier_degree + 2:
-        raise ValueError(
-            f"{grid.m} lambda samples too few for degree {cfg.fourier_degree} "
-            f"(need >= {2 * cfg.fourier_degree + 2})")
+    """Reject a lambda grid whose size is not the config's lambda_samples;
+    PipelineConfig already holds that to at least 2N+2 for degree N."""
     if grid.m != cfg.lambda_samples:
         raise ValueError(
-            f"lambda grid has {grid.m} samples but the config sets "
-            f"lambda_samples={cfg.lambda_samples}")
+            f"{grid.m} lambda samples, but the config sets lambda_samples="
+            f"{cfg.lambda_samples} (at least {cfg.section_rows} for degree "
+            f"{cfg.fourier_degree})")
 
 
 _CHUNK = 256  # nodes per batch; bounds the real (nodes, 8, 2 nsec) generator stack

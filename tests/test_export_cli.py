@@ -167,6 +167,43 @@ def test_nonfinite_setting_is_bad_input(argv, tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+# one bad value per setting; each command must reject every one of them,
+# including the settings its own check never reads
+BAD_SETTINGS = [
+    (["--r", "5"], "r must lie"),
+    (["--degree", "0"], "fourier_degree"),
+    (["--annulus", "0.1:inf"], "rho_max"),
+    (["--tol", "nan"], "ode_tol"),
+    (["--lambda-samples", "48"], "lambda_samples=48"),
+    (["--grid", "2:3"], "n_radial"),
+]
+
+
+@pytest.mark.parametrize("bad, named", BAD_SETTINGS,
+                         ids=["=".join(b).lstrip("-") for b, _ in BAD_SETTINGS])
+@pytest.mark.parametrize("command", [["verify", c] for c in cli.CHECKS] + [["generate"]],
+                         ids="-".join)
+def test_every_command_rejects_every_bad_setting(command, bad, named, tmp_path,
+                                                 monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran before the settings were checked")
+
+    monkeypatch.setattr(cli, "_CHECK_FUNCS", dict.fromkeys(cli.CHECKS, no_work))
+    monkeypatch.setattr(cli, "monodromy", no_work)
+    monkeypatch.setattr(cli, "build_surface", no_work)
+    out = tmp_path / "x.obj"
+    assert main(command + ["--r", "0.5"] + bad + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert named in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_run_config_rejects_unknown_mesh_format():
+    with pytest.raises(ValueError, match="stl"):
+        RunConfig(r=0.5, mesh_format="stl")
+
+
 def test_unknown_check_is_bad_input(capsys):
     assert main(["verify", "bogus", "--r", "0.5"]) == 2
 
@@ -325,3 +362,39 @@ def test_config_file_bad_line(tmp_path, capsys):
 def test_cmd_verify_rejects_unknown_check():
     with pytest.raises(ValueError):
         cmd_verify(RunConfig(r=0.5), "nonsense")
+
+
+def test_config_file_format_checked_for_verify(tmp_path, capsys):
+    cfgfile = tmp_path / "fmt.cfg"
+    cfgfile.write_text("r = 0.5\nformat = stl\n")
+    assert main(["verify", "mu-alpha", "--config", str(cfgfile)]) == 2
+    assert "stl" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["lambda-samples", "lambda_samples"])
+def test_config_key_acts_as_its_flag(key, tmp_path, capsys):
+    cfgfile = tmp_path / "m.cfg"
+    cfgfile.write_text(f"r = -0.25\ndegree = 16\n{key} = 64\n")
+    assert main(["verify", "mu-alpha", "--config", str(cfgfile)]) == 0
+    from_file = capsys.readouterr().out
+    assert main(["verify", "mu-alpha", "--r", "-0.25", "--degree", "16",
+                 "--lambda-samples", "64"]) == 0
+    assert capsys.readouterr().out == from_file
+    assert json.loads(from_file)["config"]["lambda_samples"] == 64
+
+
+def test_config_file_unknown_key_keeps_its_value(tmp_path, capsys):
+    # "gauge" must not be taken for the check positional
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text("r = 0.5\nsabotage = gauge\n")
+    assert main(["verify", "mu-alpha", "--config", str(cfgfile)]) == 2
+    captured = capsys.readouterr()
+    assert "--sabotage=gauge" in captured.err
+    assert captured.out == ""
+
+
+def test_config_file_cannot_name_a_config_file(tmp_path, capsys):
+    cfgfile = tmp_path / "self.cfg"
+    cfgfile.write_text(f"r = 0.5\nconfig = {cfgfile}\n")
+    assert main(["verify", "mu-alpha", "--config", str(cfgfile)]) == 2
+    assert "config line 2" in capsys.readouterr().err
