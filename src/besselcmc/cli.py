@@ -80,7 +80,10 @@ class RunConfig:
                               ode_tol=self.ode_tol)
 
     def lambda_grid(self) -> LambdaGrid:
-        return LambdaGrid(self.lambda_samples)
+        try:
+            return LambdaGrid(self.lambda_samples)
+        except ValueError as exc:
+            raise ValueError(f"--lambda-samples: {exc}") from None
 
     def domain(self) -> DomainGrid:
         return DomainGrid(self.annulus[0], self.annulus[1],
@@ -341,18 +344,24 @@ def cmd_generate(cfg: RunConfig) -> tuple[dict, list[str]]:
 # ---------------------------------------------------------------------------
 # argument and config-file handling
 
+def _pair_arg(text: str, convert, form: str) -> tuple:
+    """'a:b' converted entrywise.  Raises ArgumentTypeError, whose message
+    argparse prints; a ValueError's text it replaces by the function name."""
+    a, colon, b = text.partition(":")
+    try:
+        if colon:
+            return (convert(a), convert(b))
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}")
+
+
 def _annulus_arg(text: str) -> tuple[float, float]:
-    lo, _, hi = text.partition(":")
-    if not _:
-        raise ValueError(f"annulus must be 'rho_min:rho_max', got {text!r}")
-    return (float(lo), float(hi))
+    return _pair_arg(text, float, "RHO_MIN:RHO_MAX, two numbers")
 
 
 def _grid_arg(text: str) -> tuple[int, int]:
-    n, _, m = text.partition(":")
-    if not _:
-        raise ValueError(f"grid must be 'n_radial:n_angular', got {text!r}")
-    return (int(n), int(m))
+    return _pair_arg(text, int, "N_RADIAL:N_ANGULAR, two integers")
 
 
 def _build_parser() -> argparse.ArgumentParser:

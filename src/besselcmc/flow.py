@@ -10,6 +10,17 @@ makes one coefficient call, a stack over its six stage points s_i; the
 stage products Y coeff(s_i) are the closed-form loops._mul2, and each
 stage argument, the 5th-order solution and the error estimate are summed
 in place into one new array.
+
+A monodromy integrates half a circuit.  Every potential the package builds
+declares its half turn D (PotentialSpec.half_turn): the w-chart
+coefficient obeys c(w + i pi) = D c(w) D^-1 with D^2 = I, so the frame
+continues as Phi(w + i pi) = K Phi(w) D^-1 with K = Phi(i pi) D Phi(0)^-1,
+and the monodromy of the full circuit is exactly K^2.  D is sigma3 =
+diag(1, -1) for the cylinder potential, whose z xi is odd in z; I for the
+Bessel potential, whose z xi is even; and I for the pure residue potential
+A dz/z, whose w-chart coefficient A is constant.  This halves the Runge-
+Kutta work of every closing check (Dorfmeister, Pedit & Wu, Comm. Anal.
+Geom. 6, 1998, for the monodromy and its closing conditions).
 """
 
 from __future__ import annotations
@@ -42,11 +53,6 @@ class PathSpec:
 
     w0: complex
     w1: complex
-
-    @classmethod
-    def circle(cls) -> "PathSpec":
-        """One counterclockwise circuit of |z| = 1 from z = 1."""
-        return cls(0.0, 2j * np.pi)
 
     def check_poles(self, xi: PotentialSpec) -> None:
         # in the w chart the only reachable pole would be one with z != 0
@@ -252,14 +258,22 @@ def monodromy(xi: PotentialSpec, grid: LambdaGrid,
               res: DelaunayResidue | None = None):
     """Monodromy M = Phi(after one circuit) Phi(start)^-1 at basepoint z0 = 1.
 
+    Integrates half the circuit, w: 0 -> i pi, and returns M = K^2 with
+    K = Phi(i pi) D Phi(0)^-1, D = xi.half_turn (see the module
+    docstring); a potential that declares no half turn raises ValueError.
     frame0 defaults to the identity.  Starting from a different frame
     conjugates M; the normalized cylinder frame of
     potentials.cylinder_basepoint_frame turns the cylinder monodromy into
     the unitary loop -exp(2 pi i A).
     Returns (M samples, MonodromyReport).
     """
+    if xi.half_turn is None:
+        raise ValueError(f"{xi.description}: no half turn declared, which the "
+                         "half-circuit monodromy needs")
     phi0 = _phi0_samples(frame0, grid)
-    M = _mul2(integrate_frame(xi, PathSpec.circle(), phi0, grid, cfg), _inv2(phi0))
+    half = integrate_frame(xi, PathSpec(0.0, 1j * np.pi), phi0, grid, cfg)
+    K = _mul2(_mul2(half, xi.half_turn), _inv2(phi0))
+    M = _mul2(K, K)
     return M, closing_report(M, grid, res)
 
 

@@ -30,7 +30,7 @@ class LambdaGrid:
 
     def __post_init__(self) -> None:
         if self.m < 4 or (self.m & (self.m - 1)) != 0:
-            raise ValueError("m must be a power of two >= 4")
+            raise ValueError(f"m must be a power of two >= 4, got {self.m}")
 
     @property
     def points(self) -> np.ndarray:

@@ -10,7 +10,7 @@ runs once around the origin (branch cut on the negative real axis).
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -46,11 +46,18 @@ __all__ = [
 @dataclass(frozen=True)
 class PotentialSpec:
     """Evaluator for a meromorphic sl2-valued 1-form (coefficient of dz);
-    evaluate(z, lam) broadcasts z of any leading shape against lam."""
+    evaluate(z, lam) broadcasts z of any leading shape against lam.
+
+    half_turn is the constant matrix D of the potential's symmetry under
+    z -> -z in the log chart: (-z) xi(-z) = D (z xi(z)) D^-1 with D^2 = I.
+    flow.monodromy integrates half a circuit and needs it; None (the
+    default, and what gauge_transform returns) declares no symmetry.
+    """
 
     evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
     pole_locations: tuple[complex, ...]
     description: str
+    half_turn: np.ndarray | None = field(default=None, compare=False)  # an array: not in == or hash
 
     def __call__(self, z, lam) -> np.ndarray:
         z = np.asarray(z, dtype=complex)
@@ -147,12 +154,19 @@ def delaunay_residue_matrix(res: DelaunayResidue, lam) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # potentials
 
+# half turns D of the constructors below, shared and read-only
+_EYE = _mat2(1, 0, 0, 1)
+_SIGMA3 = _mat2(1, 0, 0, -1)
+_EYE.flags.writeable = _SIGMA3.flags.writeable = False
+
+
 def make_bessel_potential(alpha) -> PotentialSpec:
     """Potential [[0, 1/z], [-z + alpha^2/z, 0]] of the scalar Bessel system.
 
     alpha may be a constant or a callable alpha(lambda); the latter is used
     by the gauge chain where the order varies with the loop parameter.  A
     constant order is squared once, here, not on every evaluation.
+    z xi = [[0, 1], [alpha^2 - z^2, 0]] is even in z: the half turn is I.
     """
     const_sq = None if callable(alpha) else np.asarray(alpha, dtype=complex) ** 2
 
@@ -161,7 +175,7 @@ def make_bessel_potential(alpha) -> PotentialSpec:
         return _mat2(0, 1.0 / z, a2 / z - z, 0)
 
     label = "bessel" if callable(alpha) else f"bessel(alpha={alpha})"
-    return PotentialSpec(evaluate, (0j,), label)
+    return PotentialSpec(evaluate, (0j,), label, _EYE)
 
 
 def make_cylinder_potential(p: CylinderParams) -> PotentialSpec:
@@ -170,7 +184,8 @@ def make_cylinder_potential(p: CylinderParams) -> PotentialSpec:
 
     Q_t is evaluated as (r/16) ((lambda-1)^2/lambda) / z^2 - 1, two
     operations fewer per call; the factors it moves are powers of two, so
-    the rounded result is the same.
+    the rounded result is the same.  Q_t is even in z, so z xi is odd and
+    its half turn is sigma3 = diag(1, -1), which flips the off-diagonal.
     """
     c = p.r / 16.0
 
@@ -178,7 +193,7 @@ def make_cylinder_potential(p: CylinderParams) -> PotentialSpec:
         Q = c * ((lam - 1.0) ** 2 / lam) / (z * z) - 1.0   # z and lam broadcast
         return _mat2(0, 1.0 / lam, lam * Q, 0)
 
-    return PotentialSpec(evaluate, (0j,), f"cylinder(r={p.r})")
+    return PotentialSpec(evaluate, (0j,), f"cylinder(r={p.r})", _SIGMA3)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +235,11 @@ def lambda_gauge() -> GaugeSpec:
 
 
 def gauge_transform(xi: PotentialSpec, g: GaugeSpec) -> PotentialSpec:
-    """xi.g = g^-1 xi g + g^-1 dg/dz."""
+    """xi.g = g^-1 xi g + g^-1 dg/dz.
+
+    The result declares no half turn: a gauge may break the symmetry (g1
+    carries z^(1/2)), so the flow does not assume it survives.
+    """
 
     def evaluate(z, lam):
         gv = g.evaluate(z, lam)

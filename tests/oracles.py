@@ -2,7 +2,10 @@
 
 import math
 
-from besselcmc import DelaunayResidue, PathSpec, delaunay_residue_matrix
+import numpy as np
+
+from besselcmc import (DelaunayResidue, PathSpec, PipelineConfig, closing_report,
+                       delaunay_residue_matrix, integrate_frame)
 from besselcmc.potentials import PotentialSpec
 
 
@@ -11,10 +14,27 @@ def radial(z_from: float, z_to: float) -> PathSpec:
     return PathSpec(math.log(z_from), math.log(z_to))
 
 
+def circle() -> PathSpec:
+    """One counterclockwise circuit of |z| = 1 from z = 1."""
+    return PathSpec(0.0, 2j * np.pi)
+
+
+def full_circuit_monodromy(xi: PotentialSpec, grid, cfg: PipelineConfig,
+                           frame0=None, res: DelaunayResidue | None = None):
+    """flow.monodromy's (M, report) from a whole circuit, without the half
+    turn: M = Phi(2 pi i) Phi(0)^-1 for any potential."""
+    phi0 = np.broadcast_to(np.eye(2, dtype=complex) if frame0 is None else frame0,
+                           (grid.m, 2, 2))
+    M = integrate_frame(xi, circle(), phi0, grid, cfg) @ np.linalg.inv(phi0)
+    return M, closing_report(M, grid, res)
+
+
 def make_delaunay_potential(res: DelaunayResidue) -> PotentialSpec:
-    """Pure residue potential A(lambda) dz/z."""
+    """Pure residue potential A(lambda) dz/z; its w-chart coefficient A is
+    constant, so the half turn is I."""
 
     def evaluate(z, lam):
         return delaunay_residue_matrix(res, lam) / z[..., None, None]
 
-    return PotentialSpec(evaluate, (0j,), f"delaunay(a={res.a}, b={res.b})")
+    return PotentialSpec(evaluate, (0j,), f"delaunay(a={res.a}, b={res.b})",
+                         np.eye(2, dtype=complex))

@@ -18,7 +18,7 @@ from besselcmc import (
     monodromy,
     scalar_residual,
 )
-from oracles import radial
+from oracles import circle, radial
 
 CFG = PipelineConfig(fourier_degree=4, lambda_samples=16)
 
@@ -119,8 +119,7 @@ def test_scalar_frame_matches_matrix_flow():
 
 def test_scalar_and_matrix_monodromy_traces_agree():
     alpha = 0.3
-    circle = PathSpec.circle()
-    y1, y2 = fundamental_pair(alpha, circle)
+    y1, y2 = fundamental_pair(alpha, circle())
     frame_end = frame_from_scalar(y1, y2, NU)
     phi0 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     tr_scalar = np.trace(frame_end @ np.linalg.inv(phi0))

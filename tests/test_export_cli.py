@@ -167,6 +167,29 @@ def test_nonfinite_setting_is_bad_input(argv, tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value, form", [
+    ("--annulus", "0.1", "RHO_MIN:RHO_MAX"),
+    ("--annulus", "0.1:x", "RHO_MIN:RHO_MAX"),
+    ("--grid", "8:x", "N_RADIAL:N_ANGULAR"),
+    ("--grid", "8", "N_RADIAL:N_ANGULAR"),
+    ("--grid", "8:2.5", "N_RADIAL:N_ANGULAR"),
+])
+def test_malformed_pair_keeps_its_message(flag, value, form, capsys):
+    # argparse prints a converter's ArgumentTypeError, but replaces a
+    # ValueError's text by "invalid <function name> value"
+    assert main(["verify", "mu-alpha", "--r", "0.5", flag, value]) == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: expected {form}" in err and repr(value) in err
+    assert "invalid" not in err
+
+
+def test_lambda_grid_error_names_the_setting(capsys):
+    argv = ["verify", "mu-alpha", "--r", "0.5", "--degree", "8", "--lambda-samples", "48"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "--lambda-samples" in err and "48" in err
+
+
 # one bad value per setting; each command must reject every one of them,
 # including the settings its own check never reads
 BAD_SETTINGS = [

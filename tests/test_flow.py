@@ -1,6 +1,7 @@
 """Frame integration, monodromy closing conditions, and the trace law."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,12 +12,16 @@ from besselcmc import (
     LambdaGrid,
     PathSpec,
     PipelineConfig,
+    alpha_of,
     bessel_integrate,
     closing_report,
     cylinder_basepoint_frame,
     delaunay_ab,
     delaunay_residue_matrix,
+    gauge_transform,
     integrate_frame,
+    lambda_gauge,
+    make_bessel_potential,
     make_cylinder_potential,
     monodromy,
     mu_eigenvalue,
@@ -26,7 +31,7 @@ from besselcmc import bessel, flow
 from besselcmc.flow import _rk_segment
 from besselcmc.loops import _exp2
 from besselcmc.potentials import PotentialSpec
-from oracles import make_delaunay_potential, radial
+from oracles import circle, full_circuit_monodromy, make_delaunay_potential, radial
 
 CFG = PipelineConfig(fourier_degree=4, lambda_samples=16)
 
@@ -86,7 +91,7 @@ def test_path_concatenation_matches_single_segment():
 
 def test_initial_frame_shape_checked():
     with pytest.raises(ValueError):
-        integrate_frame(zero_potential(), PathSpec.circle(),
+        integrate_frame(zero_potential(), circle(),
                         np.eye(2, dtype=complex)[None].repeat(4, 0),
                         LambdaGrid(8), CFG)
 
@@ -296,6 +301,114 @@ def test_tighter_tolerance_reduces_defect():
         defects.append(np.abs(M - want).max())
     assert defects[2] < defects[0] / 10
     assert defects[2] < 1e-8
+
+
+# ------------------------------------------------------------- half circuit
+
+# the thresholds of `besselcmc verify monodromy`
+CLOSING_BOUNDS = {"unitarity_error": 1e-6, "identity_error": 1e-8,
+                  "derivative_error": 1e-5, "trace_law_error": 1e-6}
+GRID128 = LambdaGrid(128)
+CFG128 = PipelineConfig(fourier_degree=32, lambda_samples=128)
+
+
+def declared_potentials():
+    """Every constructor that declares a half turn, with its argument."""
+    res = DelaunayResidue(0.375, 0.125)
+    return {
+        "cylinder(1/3)": make_cylinder_potential(CylinderParams(1 / 3)),
+        "cylinder(-2.9)": make_cylinder_potential(CylinderParams(-2.9)),
+        "bessel(0.3+0.1i)": make_bessel_potential(0.3 + 0.1j),
+        "bessel(alpha(lambda))": make_bessel_potential(
+            lambda lam: alpha_of(CylinderParams(-0.25), lam)),
+        "delaunay": make_delaunay_potential(res),
+    }
+
+
+def perturbed_cylinder(p: CylinderParams, eps: float) -> PotentialSpec:
+    """The cylinder potential with Q - eps / z^2: the half turn survives
+    (sigma3, as for the cylinder), but the monodromy no longer closes."""
+    xi = make_cylinder_potential(p)
+
+    def evaluate(z, lam):
+        out = xi.evaluate(z, lam)
+        out[..., 1, 0] -= eps * lam / (z * z)
+        return out
+
+    return PotentialSpec(evaluate, (0j,), f"perturbed({eps})", xi.half_turn)
+
+
+@pytest.mark.parametrize("name", list(declared_potentials()))
+def test_declared_half_turn_holds(name):
+    # (-z) xi(-z) = D (z xi(z)) D^-1, the symmetry the half circuit uses
+    xi = declared_potentials()[name]
+    D = xi.half_turn
+    assert np.abs(D @ D - np.eye(2)).max() == 0.0
+    rng = np.random.default_rng(5)
+    z = rng.uniform(0.2, 3.0, 200) * np.exp(2j * np.pi * rng.uniform(0, 1, 200))
+    lam = np.exp(2j * np.pi * rng.uniform(0, 1, 200))
+    turned = -z[:, None, None] * xi(-z, lam)
+    want = D @ (z[:, None, None] * xi(z, lam)) @ np.linalg.inv(D)
+    assert np.abs(turned - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("r", [1 / 3, -0.25, 1 / math.sqrt(2), -1 / math.pi, 0.9, -2.9])
+def test_half_circuit_matches_full_circuit_cylinder(r):
+    # from the basepoint frame, as `verify monodromy` runs it; measured
+    # at most 3.3e-11, and 4.4e-9 at r = -2.9 next to the r <= -3 limit
+    p = CylinderParams(r)
+    res = DelaunayResidue(*delaunay_ab(p))
+    xi = make_cylinder_potential(p)
+    frame0 = cylinder_basepoint_frame(p, GRID128.points)
+    M, rep = monodromy(xi, GRID128, CFG128, frame0=frame0, res=res)
+    want, full = full_circuit_monodromy(xi, GRID128, CFG128, frame0=frame0, res=res)
+    assert np.abs(M - want).max() <= 1e-8
+    for key, bound in CLOSING_BOUNDS.items():
+        assert getattr(rep, key) <= bound and getattr(full, key) <= bound, key
+
+
+@pytest.mark.parametrize("name", ["bessel(0.3+0.1i)", "delaunay"])
+def test_half_circuit_matches_full_circuit_identity_turn(name):
+    # D = I: K = Phi(i pi) Phi(0)^-1 is the half-circuit monodromy itself
+    xi = declared_potentials()[name]
+    M, _ = monodromy(xi, GRID128, CFG128)
+    want, _ = full_circuit_monodromy(xi, GRID128, CFG128)
+    assert np.abs(M - want).max() <= 1e-8
+
+
+def test_half_circuit_sees_a_monodromy_that_does_not_close():
+    # negative control: Q - eps / z^2 keeps the half turn but breaks the
+    # closing conditions; both paths agree (1.8e-11) and every residual
+    # fails its bound (3.4e-3, 6.3e-3, 5.7e-3 and 8.5e-3 measured)
+    p = CylinderParams(1 / 3)
+    res = DelaunayResidue(*delaunay_ab(p))
+    xi = perturbed_cylinder(p, 1e-3)
+    frame0 = cylinder_basepoint_frame(p, GRID128.points)
+    M, rep = monodromy(xi, GRID128, CFG128, frame0=frame0, res=res)
+    want, full = full_circuit_monodromy(xi, GRID128, CFG128, frame0=frame0, res=res)
+    assert np.abs(M - want).max() <= 1e-8
+    for key, bound in CLOSING_BOUNDS.items():
+        assert getattr(rep, key) > 100 * bound, key
+        assert abs(getattr(rep, key) - getattr(full, key)) <= 1e-8, key
+
+
+def test_half_circuit_sees_a_wrong_basepoint_frame():
+    # the frame of r + 1e-3 does not unitarize the monodromy of r: 8.3e-4
+    p = CylinderParams(1 / 3)
+    xi = make_cylinder_potential(p)
+    frame0 = cylinder_basepoint_frame(CylinderParams(1 / 3 + 1e-3), GRID128.points)
+    _, rep = monodromy(xi, GRID128, CFG128, frame0=frame0)
+    _, full = full_circuit_monodromy(xi, GRID128, CFG128, frame0=frame0)
+    assert rep.unitarity_error > 100 * CLOSING_BOUNDS["unitarity_error"]
+    assert abs(rep.unitarity_error - full.unitarity_error) <= 1e-9
+
+
+def test_monodromy_needs_a_declared_half_turn():
+    gauged = gauge_transform(make_cylinder_potential(CylinderParams(0.5)), lambda_gauge())
+    assert gauged.half_turn is None
+    for xi in (gauged, zero_potential()):
+        with pytest.raises(ValueError, match=re.escape(xi.description)):
+            monodromy(xi, LambdaGrid(8), CFG)
 
 
 # ----------------------------------------------------- Cash-Karp inner loop
