@@ -2,14 +2,18 @@
 
 Paths live in the w = log z coordinate, where a circuit of the puncture is
 the straight segment w -> w + 2 pi i and the simple pole of dz/z becomes a
-constant coefficient.  The integrator is an adaptive embedded Cash-Karp
-5(4) pair stepping a whole family of independent 2x2 systems (all lambda
-samples, and all rays of a surface sweep) in lockstep: the step size is
-controlled by the worst error across the family.  Each attempted step
-makes one coefficient call, a stack over its six stage points s_i; the
-stage products Y coeff(s_i) are the closed-form loops._mul2, and each
-stage argument, the 5th-order solution and the error estimate are summed
-in place into one new array.
+constant coefficient.  The integrator is the adaptive embedded
+Dormand-Prince 8(5,3) pair DOP853 (Hairer, Norsett & Wanner, Solving
+Ordinary Differential Equations I, 2nd ed., 1993, section II.10), stepping
+a whole family of independent 2x2 systems (all lambda samples, and all rays
+of a surface sweep) in lockstep: the step size is controlled by the worst
+error across the family.  Each attempted step makes one coefficient call, a
+stack over its twelve stage points s_i; the stage products Y coeff(s_i) are
+the closed-form loops._mul2, and each stage argument, the 8th-order
+solution and the two error sums are one weighted sum over a preallocated
+stack of y and the stage derivatives.  At the CLI tolerance 1e-10 an 8th-
+order step is about four times longer than a 5th-order one, and the steps
+on small stacks cost mostly per-call overhead, so fewer, longer steps pay.
 
 A monodromy integrates half a circuit.  Every potential the package builds
 declares its half turn D (PotentialSpec.half_turn): the w-chart
@@ -86,48 +90,101 @@ class MonodromyReport:
 
 
 # ---------------------------------------------------------------------------
-# Cash-Karp 5(4) tableau
+# Dormand-Prince 8(5,3) tableau
 
-_CK_C = np.array([0.0, 1 / 5, 3 / 10, 3 / 5, 1.0, 7 / 8])
-_CK_A = (
+_C = np.array([
+    0.0,
+    0.526001519587677318785587544488e-01,
+    0.789002279381515978178381316732e-01,
+    0.118350341907227396726757197510,
+    0.281649658092772603273242802490,
+    0.333333333333333333333333333333,
+    0.25,
+    0.307692307692307692307692307692,
+    0.651282051282051282051282051282,
+    0.6,
+    0.857142857142857142857142857142,
+    1.0,
+])
+_A = (
     (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (3 / 10, -9 / 10, 6 / 5),
-    (-11 / 54, 5 / 2, -70 / 27, 35 / 27),
-    (1631 / 55296, 175 / 512, 575 / 13824, 44275 / 110592, 253 / 4096),
+    (5.26001519587677318785587544488e-2,),
+    (1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2),
+    (2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2),
+    (2.41365134159266685502369798665e-1, 0.0, -8.84549479328286085344864962717e-1,
+     9.24834003261792003115737966543e-1),
+    (3.7037037037037037037037037037e-2, 0.0, 0.0, 1.70828608729473871279604482173e-1,
+     1.25467687566822425016691814123e-1),
+    (3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1,
+     6.02165389804559606850219397283e-2, -1.7578125e-2),
+    (3.70920001185047927108779319836e-2, 0.0, 0.0, 1.70383925712239993810214054705e-1,
+     1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+     8.27378916381402288758473766002e-3),
+    (6.24110958716075717114429577812e-1, 0.0, 0.0, -3.36089262944694129406857109825,
+     -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+     2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1),
+    (4.77662536438264365890433908527e-1, 0.0, 0.0, -2.48811461997166764192642586468,
+     -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+     1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+     -2.03312017085086261358222928593e-2),
+    (-9.3714243008598732571704021658e-1, 0.0, 0.0, 5.18637242884406370830023853209,
+     1.09143734899672957818500254654, -8.14978701074692612513997267357,
+     -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+     2.49360555267965238987089396762, -3.0467644718982195003823669022),
+    (2.27331014751653820792359768449, 0.0, 0.0, -1.05344954667372501984066689879e1,
+     -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+     2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+     -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+     6.43392746015763530355970484046e-1),
 )
-_CK_B5 = (37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771)
-_CK_B4 = (2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4)
-_CK_E = tuple(b5 - b4 for b5, b4 in zip(_CK_B5, _CK_B4))
+# the 8th-order weights, and the 5th- and 3rd-order error weights E5 and
+# E3 = B - BHH of the combined error estimate
+_B = (5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0,
+      4.45031289275240888144113950566, 1.89151789931450038304281599044,
+      -5.8012039600105847814672114227, 3.1116436695781989440891606237e-1,
+      -1.52160949662516078556178806805e-1, 2.01365400804030348374776537501e-1,
+      4.47106157277725905176885569043e-2)
+_BHH = (0.244094488188976377952755905512, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+        0.733846688281611857341361741547, 0.0, 0.0,
+        0.220588235294117647058823529412e-1)
+_E5 = (0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0,
+       -0.1225156446376204440720569753e+1, -0.4957589496572501915214079952,
+       0.1664377182454986536961530415e+1, -0.3503288487499736816886487290,
+       0.3341791187130174790297318841, 0.8192320648511571246570742613e-1,
+       -0.2235530786388629525884427845e-1)
+_E3 = tuple(b - bhh for b, bhh in zip(_B, _BHH))
 
-
-def _stage_sum(h, weights, k, y=None):
-    """y + h sum_j weights[j] k[j], accumulated in place in one new array.
-
-    Zero weights are skipped; y = None leaves out the y term.
-    """
-    acc = None
-    for w, kj in zip(weights, k):
-        if w == 0.0:
-            continue
-        if acc is None:
-            acc = (h * w) * kj
-        else:
-            acc += (h * w) * kj
-    if y is not None:
-        acc += y
-    return acc
+# One row of weights per weighted sum over the stack (y, k_0, ..., k_11):
+# row i < 12 is stage i's argument, rows 12-14 are the solution and the
+# E5 and E3 error sums.  Column 0 weighs y; _rk_segment scales the table
+# by h and then sets it to 1 in the stage and solution rows.
+_TABLE = np.zeros((15, 13))
+_TABLE[:12, 1:] = [row + (0.0,) * (12 - len(row)) for row in _A]
+_TABLE[12:, 1:] = (_B, _E5, _E3)
+_TINY = np.finfo(float).tiny
 
 
 def _rk_segment(coeff, y, s0, s1, rtol, h0=None):
     """Advance Y' = Y coeff(s) from s0 to s1 for a stacked family.
 
-    coeff maps the (6,) stage points s + _CK_C h of a step, once per step,
-    to a stack c with c[i] broadcastable against y (shape (..., 2, 2)).
-    One step size serves the family; the error norm is its worst scaled RMS,
-    with absolute tolerance 1e-14.  A NaN error norm raises RuntimeError:
-    no step size can make it acceptable.
+    One DOP853 step per iteration.  coeff maps the (12,) stage points
+    s + _C h of a step, once per step, to a stack c with c[i]
+    broadcastable against y (shape (..., 2, 2)).  y and the stage
+    derivatives k_i = Y_i c[i] live in one preallocated (13,) + y.shape
+    stack, so each stage argument Y_i, the 8th-order solution and both
+    error sums are one weighted sum over its rows.  DOP853's end-point
+    derivative has zero weight in the solution and in both error sums and
+    is not formed.
+
+    One step size serves the family.  With a5 and a3 the sums of squares
+    of a 2x2 member's E5 and E3 error entries, each divided by
+    1e-14 + rtol max(|y|, |y_new|), the member's error is DOP853's
+    combined estimate a5 / sqrt(4 (a5 + 0.01 a3)); the worst member is
+    accepted if <= 1 and sets the step factor 0.9 err^(-1/8), clamped to
+    [0.2, 5].  A trial step whose error is not finite although the
+    coefficient is (its stages overflowed) is rejected with the factor
+    0.2 and no warning; a non-finite coefficient raises RuntimeError,
+    since no step size can make it acceptable.
     Returns (y_end, last_h) so a caller chaining segments can reuse h.
     """
     span = s1 - s0
@@ -137,35 +194,52 @@ def _rk_segment(coeff, y, s0, s1, rtol, h0=None):
     h = math.copysign(min(abs(h), abs(span)), span)
     direction = 1.0 if span > 0 else -1.0
     s = s0
-    k = [None] * 6
-    ay = np.abs(y)
+    shape = np.shape(y)
+    stack = np.empty((13,) + shape, dtype=complex)
+    stack[0] = y
+    rows = stack.reshape(13, -1).view(float)     # weighted sums as real gemv
+    ay = np.abs(stack[0]).ravel()
     while (s1 - s) * direction > 1e-15 * abs(span):
         if abs(h) > abs(s1 - s):
             h = s1 - s
-        c = coeff(s + _CK_C * h)
-        k[0] = _mul2(y, c[0])
-        for i in range(1, 6):
-            k[i] = _mul2(_stage_sum(h, _CK_A[i], k, y), c[i])
-        y5 = _stage_sum(h, _CK_B5, k, y)
-        ay5 = np.abs(y5)
-        # worst scaled RMS; sqrt and the division by 4 commute with max
-        q = np.abs(_stage_sum(h, _CK_E, k))
-        scale = np.maximum(ay, ay5)
-        scale *= rtol
-        scale += 1e-14
-        q /= scale
-        q *= q
-        worst = math.sqrt(float(q.sum(axis=(-2, -1)).max()) / 4)
-        if math.isnan(worst):
-            raise RuntimeError(f"NaN error estimate at path parameter {s!r}")
+        c = coeff(s + _C * h)
+        w = h * _TABLE
+        w[:13, 0] = 1.0
+        with np.errstate(over="ignore", invalid="ignore"):   # overflow rejects
+            stack[1] = _mul2(stack[0], c[0])
+            for i in range(1, 12):
+                yi = (w[i, :i + 1] @ rows[:i + 1]).view(complex).reshape(shape)
+                stack[i + 1] = _mul2(yi, c[i])
+            out = (w[12:] @ rows).view(complex)     # y8, e5, e3
+            ay8 = np.abs(out[0])
+            scale = np.maximum(ay, ay8)
+            scale *= rtol
+            scale += 1e-14
+            q = np.abs(out[1:])
+            q /= scale
+            q *= q
+            q5, q3 = q.reshape(2, -1, 4).sum(axis=2)
+            den = 0.01 * q3
+            den += q5
+            np.maximum(den, _TINY, out=den)      # a member with no error reads 0
+            q5 /= np.sqrt(den)
+            worst = float(q5.max()) / 2.0
         if worst <= 1.0:
             s = s + h
-            y, ay = y5, ay5
-        grow = 0.9 * worst ** -0.2 if worst > 0 else 5.0
-        h = h * min(5.0, max(0.2, grow))
+            stack[0] = out[0].reshape(shape)
+            ay = ay8
+        if worst == 0.0:
+            grow = 5.0
+        elif math.isfinite(worst):
+            grow = min(5.0, max(0.2, 0.9 * worst ** -0.125))
+        elif np.isfinite(c).all():
+            grow = 0.2
+        else:
+            raise RuntimeError(f"non-finite coefficient at path parameter {s!r}")
+        h = h * grow
         if abs(h) < 1e-13 * abs(span):
             raise RuntimeError(f"step-size underflow at path parameter {s!r}")
-    return y, h
+    return stack[0].copy(), h
 
 
 def _integrate_w_line(xi, lam, w0, w1, y0, rtol, stations=None):
@@ -182,7 +256,7 @@ def _integrate_w_line(xi, lam, w0, w1, y0, rtol, stations=None):
     dw = w1 - w0
 
     def coeff(s):
-        z = np.exp(w0 + s[:, None, None] * dw)   # (6, B, 1) against lam (1, m)
+        z = np.exp(w0 + s[:, None, None] * dw)   # (12, B, 1) against lam (1, m)
         return xi(z, lam) * (z * dw)[..., None, None]
 
     ss = [float(t) for t in (stations if stations is not None else [])]

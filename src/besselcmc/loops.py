@@ -51,7 +51,7 @@ def _mat2(a00, a01, a10, a11) -> np.ndarray:
     np.broadcast is asked only when the array entries' shapes differ, and
     a scalar zero entry is left to the zero fill: each would cost about as
     much as a small ufunc call, and the flow evaluates a potential on
-    every Cash-Karp step.
+    every Runge-Kutta step.
     """
     entries = (a00, a01, a10, a11)
     shape = ()

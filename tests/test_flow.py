@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -355,7 +356,7 @@ def test_declared_half_turn_holds(name):
 @pytest.mark.parametrize("r", [1 / 3, -0.25, 1 / math.sqrt(2), -1 / math.pi, 0.9, -2.9])
 def test_half_circuit_matches_full_circuit_cylinder(r):
     # from the basepoint frame, as `verify monodromy` runs it; measured
-    # at most 3.3e-11, and 4.4e-9 at r = -2.9 next to the r <= -3 limit
+    # at most 3.2e-12, and 4.9e-10 at r = -2.9 next to the r <= -3 limit
     p = CylinderParams(r)
     res = DelaunayResidue(*delaunay_ab(p))
     xi = make_cylinder_potential(p)
@@ -378,7 +379,7 @@ def test_half_circuit_matches_full_circuit_identity_turn(name):
 
 def test_half_circuit_sees_a_monodromy_that_does_not_close():
     # negative control: Q - eps / z^2 keeps the half turn but breaks the
-    # closing conditions; both paths agree (1.8e-11) and every residual
+    # closing conditions; both paths agree (1.1e-12) and every residual
     # fails its bound (3.4e-3, 6.3e-3, 5.7e-3 and 8.5e-3 measured)
     p = CylinderParams(1 / 3)
     res = DelaunayResidue(*delaunay_ab(p))
@@ -411,47 +412,89 @@ def test_monodromy_needs_a_declared_half_turn():
             monodromy(xi, LambdaGrid(8), CFG)
 
 
-# ----------------------------------------------------- Cash-Karp inner loop
+# -------------------------------------------------------- DOP853 inner loop
 
-_REF_C = np.array([0.0, 1 / 5, 3 / 10, 3 / 5, 1.0, 7 / 8])
-_REF_A = [
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (3 / 10, -9 / 10, 6 / 5),
-    (-11 / 54, 5 / 2, -70 / 27, 35 / 27),
-    (1631 / 55296, 175 / 512, 575 / 13824, 44275 / 110592, 253 / 4096),
-]
-_REF_B5 = np.array([37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771])
-_REF_B4 = np.array([2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4])
-_REF_E = _REF_B5 - _REF_B4
+def test_dop853_tableau_order_conditions():
+    # a mistyped constant breaks one of these by far more than the roundoff
+    # bound 4 eps sum |terms| (perturbing any constant in its 8th digit does)
+    eps4 = 4 * np.finfo(float).eps
+    b, c = np.array(flow._B), flow._C
+    for k in range(1, 9):                       # quadrature of order 8
+        terms = b * c ** (k - 1)
+        assert abs(terms.sum() - 1 / k) <= eps4 * np.abs(terms).sum(), k
+    assert len(flow._A) == len(c) == len(b) == 12
+    for i, row in enumerate(flow._A):            # row sums are the nodes
+        assert len(row) == i
+        assert abs(sum(row) - c[i]) <= eps4 * (sum(map(abs, row)) + c[i]), i
+    for e in (flow._E5, flow._E3):                # both error sums are differences
+        assert len(e) == 12
+        assert abs(sum(e)) <= eps4 * sum(map(abs, e))
+
+
+def test_rk_segment_local_order_eight():
+    # one accepted step of y' = y A from I is exp(h A) up to C h^9: halving
+    # h divides the error by about 2^9 (473 and 503 measured); a 5th-order
+    # step divides it by at most 2^6 = 64
+    A = 2j * delaunay_residue_matrix(DelaunayResidue(0.375, 0.125), LambdaGrid(8).points)
+    y0 = np.tile(np.eye(2, dtype=complex), (8, 1, 1))
+    errors = []
+    for h in (0.8, 0.4, 0.2):
+        coeff, calls = counted(lambda s: np.broadcast_to(A, s.shape + A.shape))
+        y, _ = _rk_segment(coeff, y0, 0.0, h, 1e300, h0=h)
+        assert calls[0] == 1
+        errors.append(np.abs(y - _exp2(np.array(h), A)).max())
+    for coarse, fine in zip(errors, errors[1:]):
+        assert coarse / fine >= 2 ** 8.5, errors
+
+
+def test_monodromy_takes_few_steps(monkeypatch):
+    # the half circuit of `verify monodromy` at r = 1/3: 21 attempted
+    # steps measured; a 5th-order pair takes 93
+    calls = [0]
+    real = flow._rk_segment
+
+    def stepper(coeff, *args, **kwargs):
+        wrapped, n = counted(coeff)
+        try:
+            return real(wrapped, *args, **kwargs)
+        finally:
+            calls[0] += n[0]
+
+    monkeypatch.setattr(flow, "_rk_segment", stepper)
+    p = CylinderParams(1 / 3)
+    monodromy(make_cylinder_potential(p), GRID128, CFG128,
+              frame0=cylinder_basepoint_frame(p, GRID128.points))
+    assert 0 < calls[0] <= 30
 
 
 def reference_rk_segment(coeff, y, s0, s1, rtol, atol=1e-14, h0=None):
-    """The plain Cash-Karp loop: one coefficient call per stage (element
-    [0] of a one-point call), generic matmul stage products and generator
+    """The plain DOP853 loop: one coefficient call per stage (element [0]
+    of a one-point call), generic matmul stage products and generator
     stage sums, with the same controller as flow._rk_segment."""
     span = s1 - s0
     h = h0 if h0 is not None else span / 32.0
     h = math.copysign(min(abs(h), abs(span)), span)
     s = s0
-    k = [None] * 6
+    k = [None] * 12
     while (s1 - s) * np.sign(span) > 1e-15 * abs(span):
         if abs(h) > abs(s1 - s):
             h = s1 - s
-        k[0] = y @ coeff(np.array([s]))[0]
-        for i in range(1, 6):
-            yi = y + h * sum(a * kj for a, kj in zip(_REF_A[i], k[:i]))
-            k[i] = yi @ coeff(np.array([s + _REF_C[i] * h]))[0]
-        y5 = y + h * sum(b * ki for b, ki in zip(_REF_B5, k) if b != 0.0)
-        err = h * sum(e * ki for e, ki in zip(_REF_E, k) if e != 0.0)
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-        ratio = np.sqrt(np.mean((np.abs(err) / scale) ** 2, axis=(-2, -1)))
+        for i in range(12):
+            yi = y + h * sum(a * kj for a, kj in zip(flow._A[i], k))
+            k[i] = yi @ coeff(np.array([s + flow._C[i] * h]))[0]
+        y8 = y + h * sum(b * ki for b, ki in zip(flow._B, k) if b != 0.0)
+        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y8))
+        err5 = h * sum(e * ki for e, ki in zip(flow._E5, k) if e != 0.0)
+        err3 = h * sum(e * ki for e, ki in zip(flow._E3, k) if e != 0.0)
+        sq5 = np.sum(np.abs(err5 / scale) ** 2, axis=(-2, -1))
+        sq3 = np.sum(np.abs(err3 / scale) ** 2, axis=(-2, -1))
+        deno = sq5 + 0.01 * sq3
+        ratio = sq5 / np.sqrt(4 * np.where(deno > 0, deno, 1.0))
         worst = float(ratio.max())
         if worst <= 1.0:
             s = s + h
-            y = y5
-        grow = 0.9 * worst ** -0.2 if worst > 0 else 5.0
+            y = y8
+        grow = 0.9 * worst ** -0.125 if worst > 0 else 5.0
         h = h * min(5.0, max(0.2, grow))
         if abs(h) < 1e-13 * abs(span):
             raise RuntimeError(f"step-size underflow at path parameter {s!r}")
@@ -506,7 +549,7 @@ def test_rk_segment_matches_plain_loop(case):
     old_coeff, old_calls = counted(coeff)
     y_new, h_new = _rk_segment(new_coeff, y0, 0.0, 1.0, 1e-10)
     y_old, h_old = reference_rk_segment(old_coeff, y0, 0.0, 1.0, 1e-10)
-    assert old_calls[0] == 6 * new_calls[0] > 36      # one call per attempted step
+    assert old_calls[0] == 12 * new_calls[0] > 72     # one call per attempted step
     assert y_new.shape == y_old.shape == y0.shape
     assert np.abs(y_new - y_old).max() <= 1e-12 * np.abs(y_old).max()
     # the next step size follows the error estimate, a difference of
@@ -519,6 +562,26 @@ def test_rk_segment_step_underflow_raises():
     y0 = np.eye(2, dtype=complex)[None]
     with pytest.raises(RuntimeError, match="step-size underflow"):
         _rk_segment(lambda s: np.broadcast_to(stiff, s.shape + (2, 2)), y0, 0.0, 1.0, 1e-10)
+
+
+def test_rk_segment_overflowing_trial_step_is_rejected():
+    # y = 1e300 I rotating at rate 50: the stages of the trial step h = 1
+    # overflow, and it is rejected with the minimum factor 0.2, with no
+    # warning; the steps then settle near h = 0.0066
+    rate = 50j * np.diag([1.0, -1.0])
+    lengths = []
+
+    def coeff(s):
+        lengths.append(s[-1] - s[0])
+        return np.broadcast_to(rate, s.shape + (2, 2))
+
+    y0 = 1e300 * np.eye(2, dtype=complex)[None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y, _ = _rk_segment(coeff, y0, 0.0, 1.0, 1e-10, h0=1.0)
+    assert lengths[:2] == [1.0, 0.2]
+    want = 1e300 * np.diag(np.exp([50j, -50j]))
+    assert np.abs(y[0] - want).max() <= 1e-8 * 1e300
 
 
 def test_rk_segment_nan_error_raises():
@@ -550,8 +613,8 @@ def closing_and_bessel_outputs():
 
 
 def test_batched_coefficient_adds_no_rounding(monkeypatch):
-    """One coefficient call on all six stage points gives the bits of six
-    one-point calls, for both producers of stage stacks."""
+    """One coefficient call on all twelve stage points gives the bits of
+    twelve one-point calls, for both producers of stage stacks."""
     M, sol = closing_and_bessel_outputs()
     patched = set()
 
