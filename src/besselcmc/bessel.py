@@ -37,32 +37,41 @@ class ScalarSolution:
     d2y: complex = 0.0
 
 
-def bessel_integrate(alpha: complex, path: PathSpec, y0: complex, dy0: complex,
-                     cfg: PipelineConfig = DEFAULT_CONFIG) -> ScalarSolution:
+def bessel_integrate(alpha, path: PathSpec, y0, dy0, cfg: PipelineConfig = DEFAULT_CONFIG
+                     ) -> ScalarSolution | list[ScalarSolution]:
     """Integrate the Bessel equation of order alpha along a straight w-path.
 
     y0, dy0 are the value and z-derivative at the path start.  In the w
     chart the state is (y, y_w) with y_w = z y_z and
 
         d/dw (y, y_w) = (y_w, (alpha^2 - e^{2w}) y).
+
+    With scalar arguments returns one ScalarSolution.  Array-valued alpha,
+    y0 and dy0 broadcast into one family, advanced by one _rk_segment run
+    under one step control, and the call returns a list with one
+    ScalarSolution per member in C order; a member then differs from its
+    own scalar run by the step control only, not by its arithmetic.
     """
+    alpha, y0, dy0 = np.broadcast_arrays(*(np.asarray(v, dtype=complex)
+                                           for v in (alpha, y0, dy0)))
     w0, dw = path.w0, path.w1 - path.w0
-    a2 = complex(alpha) ** 2
+    a2 = alpha.ravel() ** 2
     w2, dw2 = 2.0 * w0, 2.0 * dw          # e^{2w}: doubling first is exact
 
     def coeff(s):
-        return _mat2(0, ((a2 - np.exp(w2 + s * dw2)) * dw)[:, None], dw, 0)
+        return _mat2(0, (a2 - np.exp(w2 + s * dw2)[:, None]) * dw, dw, 0)
 
     # row-vector form: (y, v) -> (y, v) @ [[0, a2 - z^2], [1, 0]]
-    state = np.array([[[complex(y0), np.exp(w0) * complex(dy0)],
-                       [0.0, 0.0]]], dtype=complex)
+    state = _mat2(y0.ravel(), np.exp(w0) * dy0.ravel(), 0, 0)
     state, _ = _rk_segment(coeff, state, 0.0, 1.0, cfg.ode_tol)
     z_end = np.exp(path.w1)
-    y, v = state[0, 0]
-    dy = v / z_end
-    d2y = -dy / z_end - (1.0 - a2 / z_end**2) * y
-    return ScalarSolution(complex(y), complex(dy), complex(alpha),
-                          complex(z_end), complex(d2y))
+    sols = []
+    for a, sq, (y, v) in zip(alpha.flat, a2, state[:, 0]):
+        dy = v / z_end
+        d2y = -dy / z_end - (1.0 - sq / z_end**2) * y
+        sols.append(ScalarSolution(complex(y), complex(dy), complex(a),
+                                   complex(z_end), complex(d2y)))
+    return sols if alpha.ndim else sols[0]
 
 
 def frame_from_scalar(y1: ScalarSolution, y2: ScalarSolution, nu) -> np.ndarray:

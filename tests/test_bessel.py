@@ -12,6 +12,7 @@ from besselcmc import (
     PipelineConfig,
     ScalarSolution,
     bessel_integrate,
+    cli,
     frame_from_scalar,
     integrate_frame,
     make_bessel_potential,
@@ -32,7 +33,7 @@ def rho_of(alpha):
 # ------------------------------------------------------------- closed forms
 
 
-def test_half_integer_order_closed_form():
+def half_order_closed_form():
     # for alpha = 1/2 the equation is solved by sqrt(2/(pi z)) sin z
     c = math.sqrt(2.0 / math.pi)
 
@@ -42,6 +43,11 @@ def test_half_integer_order_closed_form():
     def dy_exact(z):
         return c * (cmath.cos(z) / cmath.sqrt(z) - 0.5 * cmath.sin(z) * z**-1.5)
 
+    return y_exact, dy_exact
+
+
+def test_half_integer_order_closed_form():
+    y_exact, dy_exact = half_order_closed_form()
     sol = bessel_integrate(0.5, radial(1.0, 2.0), y_exact(1.0), dy_exact(1.0), CFG)
     assert abs(sol.y - y_exact(2.0)) < 1e-9
     assert abs(sol.dy - dy_exact(2.0)) < 1e-9
@@ -126,6 +132,50 @@ def test_scalar_and_matrix_monodromy_traces_agree():
 
     M, _ = monodromy(make_bessel_potential(alpha), LambdaGrid(4), CFG)
     assert abs(tr_scalar - np.trace(M[0])) < 1e-7
+
+
+# ----------------------------------------------------------- batched family
+
+
+def test_batched_family_matches_single_runs():
+    y_exact, dy_exact = half_order_closed_form()
+    path = PathSpec(0.0, math.log(3.0))
+    alpha = np.array([0.0, 0.5, 0.3 + 0.1j, 1.0, 0.5])
+    y0 = np.array([1.0, 0.0, 0.3, 0.0, y_exact(1.0)])
+    dy0 = np.array([0.0, 1.0, 0.9, 1.0, dy_exact(1.0)])
+    family = bessel_integrate(alpha, path, y0, dy0, CFG)
+    assert len(family) == len(alpha)
+    for sol, a, y, dy in zip(family, alpha, y0, dy0):
+        single = bessel_integrate(a, path, y, dy, CFG)
+        assert sol.alpha == single.alpha and sol.z == single.z
+        for field in ("y", "dy", "d2y"):
+            assert abs(getattr(sol, field) - getattr(single, field)) <= 1e-9
+    half = family[-1]
+    assert abs(half.y - y_exact(3.0)) < 1e-9
+    assert abs(half.dy - dy_exact(3.0)) < 1e-9
+
+
+def test_batched_family_broadcasts_in_c_order():
+    path = radial(1.0, 2.0)
+    family = bessel_integrate(np.array([[0.3], [0.7]]), path, [1.0, 0.0], [0.0, 1.0], CFG)
+    members = [(0.3, 1.0, 0.0), (0.3, 0.0, 1.0), (0.7, 1.0, 0.0), (0.7, 0.0, 1.0)]
+    assert len(family) == len(members)
+    for sol, (alpha, y0, dy0) in zip(family, members):
+        assert sol.alpha == alpha
+        assert abs(sol.y - bessel_integrate(alpha, path, y0, dy0, CFG).y) <= 1e-9
+
+
+def test_bessel_check_sees_a_shifted_order(monkeypatch):
+    """Negative control: the frame side at order alpha + 1e-6 against the
+    scalar side at alpha fails the check's frame_deviation bound."""
+    residuals, thresholds = cli._check_bessel(cli.RunConfig(r=0.5))
+    assert residuals["frame_deviation"] <= thresholds["frame_deviation"]
+    real = cli.make_bessel_potential
+    monkeypatch.setattr(cli, "make_bessel_potential",
+                        lambda alpha: real(lambda lam: np.asarray(alpha(lam)) + 1e-6))
+    shifted, _ = cli._check_bessel(cli.RunConfig(r=0.5))
+    assert shifted["frame_deviation"] > thresholds["frame_deviation"]
+    assert shifted["wronskian_drift"] == residuals["wronskian_drift"]
 
 
 def test_residual_reported_along_complex_path():

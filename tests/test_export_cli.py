@@ -63,6 +63,35 @@ def test_export_byte_stable(tmp_path):
         assert p1.read_bytes() == p2.read_bytes()
 
 
+def per_line_export(mesh, fmt):
+    """Reference text: header, then one % per vertex and per face."""
+    verts, faces = mesh.vertices.reshape(-1, 3), mesh.faces
+    if fmt == "obj":
+        head = ""
+        lines = ["v %.17g %.17g %.17g\n" % tuple(v) for v in verts.tolist()]
+        lines += ["f %d %d %d %d\n" % tuple(f) for f in (faces + 1).tolist()]
+    else:
+        head = (f"ply\nformat ascii 1.0\nelement vertex {len(verts)}\n"
+                "property double x\nproperty double y\nproperty double z\n"
+                f"element face {len(faces)}\n"
+                "property list uchar int vertex_indices\nend_header\n")
+        lines = ["%.17g %.17g %.17g\n" % tuple(v) for v in verts.tolist()]
+        lines += ["4 %d %d %d %d\n" % tuple(f) for f in faces.tolist()]
+    return (head + "".join(lines)).encode("ascii")
+
+
+@pytest.mark.parametrize("fmt", ["obj", "ply"])
+def test_block_export_matches_per_line_form(fmt, tmp_path):
+    # 1200 vertices and 1170 faces: both cross the 1024-row block boundary
+    mesh = mesh_from_grid(np.random.default_rng(5).normal(size=(40, 30, 3)))
+    verts = mesh.vertices.copy()
+    verts[0, 0] = [-0.0, 5e-324, 1e300]
+    mesh = SurfaceMesh(verts, mesh.faces, mesh.normals, {}, {})
+    path = tmp_path / f"grid.{fmt}"
+    export_mesh(mesh, fmt, path)
+    assert path.read_bytes() == per_line_export(mesh, fmt)
+
+
 @pytest.mark.parametrize("fmt, prefix, skip", [("obj", "v ", 0), ("ply", "", 9)])
 def test_export_coordinates_round_trip(fmt, prefix, skip, tmp_path):
     # %.17g carries every double: signed zero, subnormals and huge values
