@@ -143,7 +143,7 @@ def _check_monodromy(cfg: RunConfig):
                        frame0=phi0, res=res)
     thresholds = {"unitarity_error": 1e-6, "identity_error": 1e-8,
                   "derivative_error": 1e-5, "trace_law_error": 1e-6}
-    return rep.fields(), thresholds
+    return asdict(rep), thresholds
 
 
 def _check_trace_law(cfg: RunConfig):
@@ -244,8 +244,6 @@ def _jsonable(x):
         return int(x)
     if isinstance(x, (float, np.floating)):
         return float(x)
-    if isinstance(x, (complex, np.complexfloating)):
-        return {"re": float(x.real), "im": float(x.imag)}
     return x
 
 

@@ -58,19 +58,12 @@ class PathSpec:
     w0: complex
     w1: complex
 
-    def check_poles(self, xi: PotentialSpec) -> None:
-        # in the w chart the only reachable pole would be one with z != 0
-        z = np.exp(self.w0 + np.linspace(0.0, 1.0, 64) * (self.w1 - self.w0))
-        for pole in xi.pole_locations:
-            if pole != 0 and np.min(np.abs(z - pole)) < 1e-9:
-                raise ValueError(f"path passes through pole z={pole}")
-
 
 @dataclass(frozen=True)
 class MonodromyReport:
     """Residuals of the closing conditions and the trace law.
 
-    identity_sign records which of M(1) = I or M(1) = -I was closer.
+    identity_error is the distance of M(1) to the nearer of I and -I.
     trace_law_error is NaN when no residue data was supplied.
     """
 
@@ -78,15 +71,6 @@ class MonodromyReport:
     identity_error: float
     derivative_error: float
     trace_law_error: float = float("nan")
-    identity_sign: int = 1
-
-    def fields(self) -> dict:
-        return {
-            "unitarity_error": self.unitarity_error,
-            "identity_error": self.identity_error,
-            "derivative_error": self.derivative_error,
-            "trace_law_error": self.trace_law_error,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +274,6 @@ def integrate_frame(xi: PotentialSpec, path: PathSpec, phi0,
     phi0 may be None (identity), a constant matrix or an (m, 2, 2) sample
     family.  Returns the (m, 2, 2) frames at the end of the path.
     """
-    path.check_poles(xi)
     y0 = _phi0_samples(phi0, grid)[None]          # batch of one
     return _integrate_w_line(xi, grid.points, [path.w0], [path.w1], y0, cfg.ode_tol)[-1, 0]
 
@@ -311,10 +294,7 @@ def closing_report(M: np.ndarray, grid: LambdaGrid,
     unitarity = float(np.abs(_mul2(M, _adj(M)) - np.eye(2)).max())
 
     eye = np.eye(2)
-    d_plus = float(np.abs(M[0] - eye).max())
-    d_minus = float(np.abs(M[0] + eye).max())
-    sign = 1 if d_plus <= d_minus else -1
-    identity = min(d_plus, d_minus)
+    identity = min(float(np.abs(M[0] - eye).max()), float(np.abs(M[0] + eye).max()))
 
     derivative = float(np.abs(_dlambda_at_one(M, grid)).max())
 
@@ -324,7 +304,7 @@ def closing_report(M: np.ndarray, grid: LambdaGrid,
         tr = np.trace(M, axis1=1, axis2=2)
         trace_law = float(np.abs(tr + 2.0 * np.cos(2.0 * np.pi * mu)).max())
 
-    return MonodromyReport(unitarity, identity, derivative, trace_law, sign)
+    return MonodromyReport(unitarity, identity, derivative, trace_law)
 
 
 def monodromy(xi: PotentialSpec, grid: LambdaGrid,

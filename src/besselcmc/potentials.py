@@ -46,7 +46,8 @@ __all__ = [
 @dataclass(frozen=True)
 class PotentialSpec:
     """Evaluator for a meromorphic sl2-valued 1-form (coefficient of dz);
-    evaluate(z, lam) broadcasts z of any leading shape against lam.
+    evaluate(z, lam) broadcasts z of any leading shape against lam.  The
+    only finite pole is z = 0, the puncture of C*: calling there raises.
 
     half_turn is the constant matrix D of the potential's symmetry under
     z -> -z in the log chart: (-z) xi(-z) = D (z xi(z)) D^-1 with D^2 = I.
@@ -55,15 +56,13 @@ class PotentialSpec:
     """
 
     evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    pole_locations: tuple[complex, ...]
     description: str
     half_turn: np.ndarray | None = field(default=None, compare=False)  # an array: not in == or hash
 
     def __call__(self, z, lam) -> np.ndarray:
         z = np.asarray(z, dtype=complex)
-        for pole in self.pole_locations:
-            if (z == pole).any():
-                raise ValueError(f"{self.description}: evaluation at pole z={pole}")
+        if (z == 0).any():
+            raise ValueError(f"{self.description}: evaluation at pole z=0j")
         return self.evaluate(z, np.asarray(lam, dtype=complex))
 
 
@@ -77,7 +76,7 @@ class GaugeSpec:
 
     evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
     derivative: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    description: str = ""
+    description: str
 
 
 @dataclass(frozen=True)
@@ -175,7 +174,7 @@ def make_bessel_potential(alpha) -> PotentialSpec:
         return _mat2(0, 1.0 / z, a2 / z - z, 0)
 
     label = "bessel" if callable(alpha) else f"bessel(alpha={alpha})"
-    return PotentialSpec(evaluate, (0j,), label, _EYE)
+    return PotentialSpec(evaluate, label, _EYE)
 
 
 def make_cylinder_potential(p: CylinderParams) -> PotentialSpec:
@@ -193,7 +192,7 @@ def make_cylinder_potential(p: CylinderParams) -> PotentialSpec:
         Q = c * ((lam - 1.0) ** 2 / lam) / (z * z) - 1.0   # z and lam broadcast
         return _mat2(0, 1.0 / lam, lam * Q, 0)
 
-    return PotentialSpec(evaluate, (0j,), f"cylinder(r={p.r})", _SIGMA3)
+    return PotentialSpec(evaluate, f"cylinder(r={p.r})", _SIGMA3)
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +244,7 @@ def gauge_transform(xi: PotentialSpec, g: GaugeSpec) -> PotentialSpec:
         gv = g.evaluate(z, lam)
         return _mul2(_inv2(gv), _mul2(xi(z, lam), gv) + g.derivative(z, lam))
 
-    desc = f"{xi.description}.{g.description or 'g'}"
-    return PotentialSpec(evaluate, xi.pole_locations, desc)
+    return PotentialSpec(evaluate, f"{xi.description}.{g.description}")
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +284,7 @@ def verify_symmetry_relations(xi: PotentialSpec, samples) -> float:
     return float(max(np.abs(lhs1 - target).max(), np.abs(lhs2 - target).max()))
 
 
-def verify_gauge_chain(p: CylinderParams, alpha_offset: float = 0.0) -> dict:
+def verify_gauge_chain(p: CylinderParams) -> dict:
     """Pointwise residuals of the gauge chain linking the three families.
 
     Checks, at 100 random (z, lambda) pairs (seed 7) kept away from the
@@ -295,10 +293,7 @@ def verify_gauge_chain(p: CylinderParams, alpha_offset: float = 0.0) -> dict:
         bessel(alpha).g1.g2          ==  [[0, 1], [-1 + (4 alpha^2 - 1)/(4 z^2), 0]]
         bessel(alpha).g1.g2.Lambda   ==  cylinder potential (parameter r)
 
-    with alpha(lambda) = alpha_of(p, lambda).  alpha_offset shifts the order
-    fed into the Bessel potential only, leaving the comparison targets
-    alone, so any nonzero offset must produce a residual of the same size
-    -- a negative control for the check itself.
+    with alpha(lambda) = alpha_of(p, lambda).
 
     Returns {"reduced": ..., "cylinder": ...} (max entrywise residuals).
     """
@@ -306,11 +301,9 @@ def verify_gauge_chain(p: CylinderParams, alpha_offset: float = 0.0) -> dict:
     z = rng.uniform(0.5, 2.0, 100) * np.exp(1j * rng.uniform(-2.7, 2.7, 100))
     lam = np.exp(1j * rng.uniform(-2.7, 2.7, 100))
 
-    def shifted(l):
-        return alpha_of(p, l) + alpha_offset
-
     chain = gauge_transform(gauge_transform(
-        make_bessel_potential(shifted), bessel_gauge_g1()), bessel_gauge_g2())
+        make_bessel_potential(lambda l: alpha_of(p, l)), bessel_gauge_g1()),
+        bessel_gauge_g2())
     full = gauge_transform(chain, lambda_gauge())
 
     alpha = alpha_of(p, lam)

@@ -95,16 +95,15 @@ class DomainGrid:
 class SurfaceMesh:
     """Grid-structured surface with welded angular seam.
 
-    vertices, normals: (n_radial, n_angular, 3); faces: (F, 4) flat
-    row-major vertex indices with angular wraparound.  H_stats holds the
-    discrete mean-curvature statistics over interior vertices;
+    vertices: (n_radial, n_angular, 3); faces: (F, 4) flat row-major
+    vertex indices with angular wraparound.  H_stats holds the discrete
+    mean-curvature statistics over interior vertices;
     diagnostics carries pipeline residuals (seam, factorization, Sym);
     it is empty for a mesh assembled directly from points.
     """
 
     vertices: np.ndarray
     faces: np.ndarray
-    normals: np.ndarray
     H_stats: dict
     diagnostics: dict
 
@@ -229,14 +228,16 @@ def mesh_from_grid(points: np.ndarray, diagnostics: dict | None = None) -> Surfa
     if points.shape[0] < 5:
         # the curvature statistics skip two rings at each end
         raise ValueError(f"need at least 5 rings, got {points.shape[0]}")
+    if points.shape[1] < 3:
+        # one or two columns close into quads that fold onto themselves
+        raise ValueError(f"need at least 3 angular columns, got {points.shape[1]}")
     if not np.all(np.isfinite(points)):
         bad = np.argwhere(~np.isfinite(points).all(axis=2))
         raise RuntimeError(f"non-finite vertices at grid nodes {bad[:8].tolist()}")
     nr, na = points.shape[:2]
     faces = _quad_faces(nr, na)
-    normals = _vertex_normals(points, faces)
-    stats = _curvature_stats(points, faces, normals, nr, na)
-    return SurfaceMesh(points, faces, normals, stats, diagnostics or {})
+    stats = _curvature_stats(points, faces, _vertex_normals(points, faces), nr, na)
+    return SurfaceMesh(points, faces, stats, diagnostics or {})
 
 
 # ---------------------------------------------------------------------------

@@ -36,5 +36,5 @@ def make_delaunay_potential(res: DelaunayResidue) -> PotentialSpec:
     def evaluate(z, lam):
         return delaunay_residue_matrix(res, lam) / z[..., None, None]
 
-    return PotentialSpec(evaluate, (0j,), f"delaunay(a={res.a}, b={res.b})",
+    return PotentialSpec(evaluate, f"delaunay(a={res.a}, b={res.b})",
                          np.eye(2, dtype=complex))

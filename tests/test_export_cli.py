@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from besselcmc import RunConfig, SurfaceMesh, export_mesh, mesh_from_grid
-from besselcmc import cli
+from besselcmc import cli, potentials
 from besselcmc.cli import cmd_verify, main
 
 REPORT_KEYS = {"check", "residuals", "thresholds", "config", "pass"}
@@ -16,7 +16,7 @@ def single_quad_mesh():
     verts = np.array([[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
                       [[0.0, 1.0, 0.0], [1.0, 1.0, 0.25]]])
     faces = np.array([[0, 1, 3, 2]])
-    return SurfaceMesh(verts, faces, np.zeros_like(verts), {}, {})
+    return SurfaceMesh(verts, faces, {}, {})
 
 
 # ------------------------------------------------------------------- export
@@ -86,7 +86,7 @@ def test_block_export_matches_per_line_form(fmt, tmp_path):
     mesh = mesh_from_grid(np.random.default_rng(5).normal(size=(40, 30, 3)))
     verts = mesh.vertices.copy()
     verts[0, 0] = [-0.0, 5e-324, 1e300]
-    mesh = SurfaceMesh(verts, mesh.faces, mesh.normals, {}, {})
+    mesh = SurfaceMesh(verts, mesh.faces, {}, {})
     path = tmp_path / f"grid.{fmt}"
     export_mesh(mesh, fmt, path)
     assert path.read_bytes() == per_line_export(mesh, fmt)
@@ -99,7 +99,7 @@ def test_export_coordinates_round_trip(fmt, prefix, skip, tmp_path):
     verts = mesh.vertices.copy()
     verts[0, 0] = [-0.0, 5e-324, 1e300]
     verts[1, 1] = [1 / 3, -np.pi * 1e-300, np.nextafter(1.0, 2.0)]
-    mesh = SurfaceMesh(verts, mesh.faces, mesh.normals, {}, {})
+    mesh = SurfaceMesh(verts, mesh.faces, {}, {})
     path = tmp_path / f"quad.{fmt}"
     export_mesh(mesh, fmt, path)
     lines = path.read_text().splitlines()[skip:skip + 4]
@@ -149,9 +149,10 @@ def test_verify_writes_report_file(tmp_path, capsys):
 
 
 def test_sabotaged_gauge_check_fails(tmp_path, monkeypatch, capsys):
-    # the gauge chain's negative control drives the CLI's failing verdict
-    real = cli.verify_gauge_chain
-    monkeypatch.setattr(cli, "verify_gauge_chain", lambda p: real(p, alpha_offset=0.1))
+    # the gauge chain fed a Bessel order off by 0.1 drives the CLI's failing verdict
+    real = potentials.make_bessel_potential
+    monkeypatch.setattr(potentials, "make_bessel_potential",
+                        lambda alpha: real(lambda lam: alpha(lam) + 0.1))
     out = tmp_path / "gauge.json"
     code = main(["verify", "gauge", "--r", "0.5", "--out", str(out)])
     assert code == 1
@@ -327,6 +328,68 @@ def test_generate_deterministic(generated):
     assert main(argv) == 0
     assert out.read_bytes() == mesh_bytes
     assert (tmp / "surf-report.json").read_bytes() == report_bytes
+
+
+# Report keys are only added, never renamed: these are the literal key
+# paths under residuals, thresholds and config, nested dicts included.
+CONFIG_KEYS = {"config." + k for k in ("r", "fourier_degree", "lambda_samples",
+                                       "ode_tol", "annulus", "grid", "out",
+                                       "mesh_format")}
+CLOSING_KEYS = {"unitarity_error", "identity_error", "derivative_error",
+                "trace_law_error"}
+VERIFY_KEYS = {
+    "monodromy": CLOSING_KEYS,
+    "trace-law": {"trace_law_error"},
+    "mu-alpha": {"mu_alpha_residual"},
+    "gauge": {"reduced_form", "cylinder_form"},
+    "symmetry": {"symmetry_residual"},
+    "bessel": {"frame_deviation", "wronskian_drift", "equation_residual"},
+}
+
+
+def _key_paths(tree: dict, prefix: str) -> set:
+    paths = set()
+    for k, v in tree.items():
+        paths.add(prefix + k)
+        if isinstance(v, dict):
+            paths |= _key_paths(v, f"{prefix}{k}.")
+    return paths
+
+
+def _section_keys(report: dict) -> set:
+    return set().union(*(_key_paths(report[s], s + ".")
+                         for s in ("residuals", "thresholds", "config")))
+
+
+def test_generate_report_keys(tmp_path):
+    out = tmp_path / "keys.obj"
+    assert main(["generate", "--r", "-0.25", "--degree", "8", "--lambda-samples", "32",
+                 "--annulus", "0.3:3.0", "--grid", "8:8", "--out", str(out)]) == 0
+    report = json.loads((tmp_path / "keys-report.json").read_text())
+    residuals = CLOSING_KEYS | {
+        "seam_residual", "sym_point_defect", "reference_seam_residual",
+        "reference_distance",
+        "mean_curvature", "mean_curvature.mean", "mean_curvature.stddev",
+        "mean_curvature.interior_vertices", "mean_curvature.degenerate_triangles",
+        "symmetry", "symmetry.max_deviation", "symmetry.plane_normal",
+        "symmetry.plane_offset",
+        "iwasawa", "iwasawa.nodes", "iwasawa.failed_nodes", "iwasawa.unitarity_mean",
+        "iwasawa.unitarity_max", "iwasawa.reconstruction_max",
+        "iwasawa.plus_loop_tail_max", "iwasawa.normalization_max",
+    }
+    thresholds = CLOSING_KEYS | {"seam_residual"}
+    assert _section_keys(report) == ({"residuals." + k for k in residuals}
+                                     | {"thresholds." + k for k in thresholds}
+                                     | CONFIG_KEYS)
+
+
+@pytest.mark.parametrize("check", cli.CHECKS)
+def test_verify_report_keys(check):
+    report = cmd_verify(RunConfig(r=-0.25, fourier_degree=8, lambda_samples=32), check)
+    keys = VERIFY_KEYS[check]
+    assert _section_keys(report) == ({"residuals." + k for k in keys}
+                                     | {"thresholds." + k for k in keys}
+                                     | CONFIG_KEYS)
 
 
 def test_default_generate_is_cmc(tmp_path):

@@ -28,6 +28,7 @@ from besselcmc import (
     verify_mu_alpha_identity,
     verify_symmetry_relations,
 )
+from besselcmc import potentials
 from besselcmc.potentials import _frobenius_coefficients
 from oracles import make_delaunay_potential
 
@@ -305,8 +306,12 @@ def test_gauge_chain_reaches_cylinder():
     assert out["cylinder"] < 1e-10
 
 
-def test_gauge_chain_detects_wrong_order():
-    out = verify_gauge_chain(CylinderParams(1 / 3), alpha_offset=0.1)
+def test_gauge_chain_detects_wrong_order(monkeypatch):
+    # the order fed into the Bessel potential is off by 0.1; the targets are not
+    real = potentials.make_bessel_potential
+    monkeypatch.setattr(potentials, "make_bessel_potential",
+                        lambda alpha: real(lambda lam: alpha(lam) + 0.1))
+    out = verify_gauge_chain(CylinderParams(1 / 3))
     assert out["reduced"] > 1e-2
     assert out["cylinder"] > 1e-2
 
@@ -337,7 +342,7 @@ def test_symmetry_relations_flag_broken_potential():
         v[..., 1, 0] += 0.1j  # imaginary offset breaks the reality relation
         return v
 
-    xi = PotentialSpec(crooked, base.pole_locations, "crooked")
+    xi = PotentialSpec(crooked, "crooked")
     samples = [(1.2 + 0.3j, np.exp(0.9j))]
     assert verify_symmetry_relations(xi, samples) > 0.1
 

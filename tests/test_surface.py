@@ -121,6 +121,9 @@ def test_mesh_validation():
         mesh_from_grid(np.zeros((4, 8)))
     with pytest.raises(ValueError):           # no interior ring for H_stats
         mesh_from_grid(np.random.default_rng(0).normal(size=(4, 8, 3)))
+    for na in (1, 2):                         # quads that fold onto themselves
+        with pytest.raises(ValueError, match=f"angular columns, got {na}"):
+            mesh_from_grid(np.random.default_rng(0).normal(size=(6, na, 3)))
     pts = np.random.default_rng(0).normal(size=(6, 8, 3))
     pts[2, 3, 1] = np.nan
     with pytest.raises(RuntimeError):
@@ -184,7 +187,7 @@ def test_lambda_grid_too_small_rejected_before_frames(pipeline, monkeypatch):
     def no_frames(*args, **kwargs):
         raise AssertionError("frames built for a grid the degree cannot use")
 
-    monkeypatch.setattr(surface, "series_frames", no_frames)
+    monkeypatch.setattr(surface, "_series_columns", no_frames)
     monkeypatch.setattr(surface, "delaunay_residue_matrix", no_frames)
     small, cfg = LambdaGrid(8), PipelineConfig(8, 32)   # degree 8 needs 18 samples
     dom = DomainGrid(0.5, 2.0, 8, 8)
@@ -200,7 +203,7 @@ def test_lambda_grid_not_the_configured_size_rejected(pipeline, monkeypatch):
     def no_frames(*args, **kwargs):
         raise AssertionError("frames built on a grid the config does not name")
 
-    monkeypatch.setattr(surface, "series_frames", no_frames)
+    monkeypatch.setattr(surface, "_series_columns", no_frames)
     monkeypatch.setattr(surface, "delaunay_residue_matrix", no_frames)
     big, cfg = LambdaGrid(64), PipelineConfig(8, 32)
     dom = DomainGrid(0.5, 2.0, 8, 8)
