@@ -5,7 +5,7 @@ samples on a uniform power-of-two grid of the unit circle (LambdaGrid),
 with lambda = 1 as the first sample.  Every 2x2 stack the package builds
 comes from one constructor, _mat2(a00, a01, a10, a11), which broadcasts
 its four entries.  Products, inverses, determinants and Cholesky factors
-of such stacks are taken in closed form (_mul2, _inv2, _det2, _chol2),
+of such stacks are taken in closed form (_mul2, _inv2, _rdiv2, _det2, _chol2),
 which is cheaper than generic batched linear algebra on 2x2 matrices, and
 so is the exponential exp(w A) of a trace-free residue (_exp2); no
 np.linalg call touches a 2x2 stack.  The one derivative the pipeline
@@ -77,6 +77,25 @@ def _inv2(a: np.ndarray) -> np.ndarray:
     """Closed-form inverse of a stack of 2x2 matrices."""
     return (_mat2(a[..., 1, 1], -a[..., 0, 1], -a[..., 1, 0], a[..., 0, 0])
             / _det2(a)[..., None, None])
+
+
+def _norm2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|a|^2 + |b|^2 of two complex entry planes, as a real plane: a
+    diagonal entry of X* X (a, b a column of X) or of X X* (a row)."""
+    return a.real ** 2 + a.imag ** 2 + (b.real ** 2 + b.imag ** 2)
+
+
+def _rdiv2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a b^-1 = a adj(b) / det(b) for stacks of 2x2 matrices.
+
+    Formed entry by entry, so no inverse stack is built: the temporaries
+    are entry planes of the broadcast shape.
+    """
+    r = 1.0 / _det2(b)
+    return _mat2((a[..., 0, 0] * b[..., 1, 1] - a[..., 0, 1] * b[..., 1, 0]) * r,
+                 (a[..., 0, 1] * b[..., 0, 0] - a[..., 0, 0] * b[..., 0, 1]) * r,
+                 (a[..., 1, 0] * b[..., 1, 1] - a[..., 1, 1] * b[..., 1, 0]) * r,
+                 (a[..., 1, 1] * b[..., 0, 0] - a[..., 1, 0] * b[..., 0, 1]) * r)
 
 
 def _adj(a: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Pointwise unitary factorization: oracles, covariance, batching."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,8 +19,10 @@ from besselcmc import (
     make_cylinder_potential,
     series_frames,
 )
+import besselcmc.iwasawa as iwasawa
 from besselcmc.iwasawa import _unitarity, factor_samples
 from besselcmc.loops import _adj, _chol2, _inv2, _mul2
+from besselcmc.surface import _factored_columns, _series_columns
 from oracles import radial
 
 CFG = PipelineConfig(fourier_degree=8, lambda_samples=32)
@@ -396,6 +399,44 @@ def test_pivot_failure_in_the_recursion_is_localized():
     ok = [i for i in range(6) if i != 4]
     assert np.abs(f[ok] - clean_f[ok]).max() <= 1e-12
     assert np.abs(b[ok] - clean_b[ok]).max() <= 1e-12
+
+
+def test_chunks_agree_with_one_call(monkeypatch):
+    # 64 nodes with one that fails alone: at 5 nodes per chunk the halving
+    # runs inside a chunk, and the pieces are copied into the results
+    phi, grid, cfg = annulus_frames(-0.25, 8, 32)
+    phi = phi[:64].copy()
+    phi[29] = half_circle_loop(grid)
+    one_f, one_b, one = iwasawa_grid(phi, grid, cfg)
+    monkeypatch.setattr(iwasawa, "_CHUNK", 5)
+    f, b, summary = iwasawa_grid(phi, grid, cfg)
+    assert one["failed_nodes"] == summary["failed_nodes"] == [29]
+    assert np.isnan(f[29]).all() and np.isnan(b[29]).all()
+    ok = np.arange(len(phi)) != 29
+    assert np.abs(f[ok] - one_f[ok]).max() <= 1e-12
+    assert np.abs(b[ok] - one_b[ok]).max() <= 1e-12
+    assert summary.keys() == one.keys()
+    assert summary["nodes"] == 64
+    for key in summary.keys() - {"nodes", "failed_nodes"}:
+        assert abs(summary[key] - one[key]) <= 1e-12, key
+
+
+def test_one_block_working_set():
+    # the first block build_surface factors at 48x24, N = 32, m = 128:
+    # 36 rings of the 7 columns theta <= pi / 2, 252 nodes
+    grid, cfg, dom = LambdaGrid(128), PipelineConfig(32, 128), DomainGrid(0.3, 3.0, 48, 24)
+    thetas = dom.thetas()[:_factored_columns(dom.n_angular)]
+    block = _series_columns(CylinderParams(0.3), dom, grid, thetas)(0, 36)
+    assert block.shape[:2] == (36, 7)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        iwasawa_grid(block, grid, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    # F, B's samples and B's 66 coefficients alone take 2.5 times the input
+    assert peak <= 7 * block.nbytes, peak / block.nbytes
 
 
 def test_singular_node_is_localized():

@@ -6,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from besselcmc import LambdaGrid
-from besselcmc.loops import _ENTRIES_FROM, _chol2, _det2, _dlambda_at_one, _inv2, _mat2, _mul2
+from besselcmc.loops import (_ENTRIES_FROM, _chol2, _det2, _dlambda_at_one, _inv2, _mat2,
+                             _mul2, _rdiv2)
 
 
 def random_stack(rng, shape):
@@ -57,9 +58,10 @@ def test_mat2_broadcasts_its_entries():
 
 
 # Runge-Kutta stage stacks (flow), a broadcast of one matrix per node
-# against a row of them, single-node stacks; the factorization's (nodes, m)
-# stacks (H = Phi* Phi, F = Phi B^-1 and the residuals) and its first
-# generator row R0^-1 [H_0 .. H_65].  All but the single-node stack hold
+# against a row of them, single-node stacks; the (nodes, m) stacks of a
+# factored block (the series frames, and H = Phi* Phi, F = Phi B^-1 and
+# the residuals of the tests' reference recursion) and that recursion's
+# first generator row R0^-1 [H_0 .. H_65].  All but the single-node stack hold
 # at least _ENTRIES_FROM matrices and their one-node slices fewer, so the
 # two forms of the product meet.
 @pytest.mark.parametrize("sa, sb", [
@@ -91,6 +93,9 @@ def test_inv2_and_det2_match_linalg(seed):
     assert np.abs(_det2(a) - want_det).max() < 1e-14 * np.abs(want_det).max()
     want_inv = np.linalg.inv(a)
     assert np.abs(_inv2(a) - want_inv).max() < 1e-14 * np.abs(want_inv).max()
+    b = random_stack(rng, (64,))
+    want_div = b @ want_inv
+    assert np.abs(_rdiv2(b, a) - want_div).max() < 1e-14 * np.abs(want_div).max()
 
 
 @given(st.integers(0, 2**32 - 1))
