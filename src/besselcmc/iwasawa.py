@@ -14,6 +14,13 @@ arithmetic (float rows for the real and imaginary parts of its complex
 rows), and each step's J-unitary rotation is built in closed form from a
 few per-node scalars and applied as one real 8x8 product per node.
 
+Failure is data, not an exception.  Each node's rotation touches only
+its own generator rows, so a node whose pivot is not positive (or whose
+samples are not finite) is marked and the batch carries on; its factors
+come out NaN, and the other nodes' numbers are the same bits as in a
+batch without it.  iwasawa_grid makes one factor_samples call per chunk
+and reads the failed nodes from the NaN ones.
+
 The working set of a block is kept lean: H is taken as three entry
 planes of (nodes, m) samples, each transformed along its contiguous last
 axis; the generator lives in two flat buffers allocated once per call;
@@ -59,8 +66,10 @@ def _bottom_row(h00, h01, h10, h11, nsec: int) -> np.ndarray:
 
     h00 .. h11: H_k's entries for k < kept, (nodes, kept); the section's
     offsets from kept on are zero.  Returns (nodes, 2, 2, nsec) complex,
-    B_k[i, j] at [:, i, j, k].  See factor_samples for the steps.  Raises
-    LinAlgError on a pivot that is not positive.
+    B_k[i, j] at [:, i, j, k].  See factor_samples for the steps.  A node
+    is ok while the diagonals of its first R0 and of every step's two
+    Cholesky factors are > 0 (NaN is not); the nodes that are not get NaN
+    coefficients.
     """
     nb, kept = h00.shape
     bk = np.empty((nb, 2, 2, nsec), dtype=complex)
@@ -84,6 +93,7 @@ def _bottom_row(h00, h01, h10, h11, nsec: int) -> np.ndarray:
     # adjoined), v* = u* with its first block 0; R0 R0* = H_0, and
     # R0^-1 = [[1 / l00, 0], [s10, 1 / l11]]
     l00, l10, l11 = _chol2_entries(h00[:, 0].real, h10[:, 0], h11[:, 0].real)
+    ok = (l00 > 0) & (l11 > 0)
     s10 = (-l10 / (l00 * l11))[:, None]
     g = gbuf.reshape(nb, 8, nsec, 2)
     g[:, :, kept:] = 0.0
@@ -119,6 +129,7 @@ def _bottom_row(h00, h01, h10, h11, nsec: int) -> np.ndarray:
         qq = (q.real ** 2 + q.imag ** 2).sum(axis=1)
         c00, c10, c11 = _chol2_entries(
             1.0 - qq[0], -(q[1] * np.conj(q[0])).sum(axis=0), 1.0 - qq[1])
+        ok &= (l00 > 0) & (l11 > 0) & (c00 > 0) & (c11 > 0)
         n00, n11 = 1.0 / c00, 1.0 / c11
         n10 = -c10 * n00 / c11
         # Theta = [[M1, -M1 q*], [-M2 q, M2]]
@@ -137,6 +148,7 @@ def _bottom_row(h00, h01, h10, h11, nsec: int) -> np.ndarray:
     # B_0 is the last pivot, exactly triangular
     bk[:, 0, 0, 0], bk[:, 0, 1, 0], bk[:, 1, 1, 0] = a00, a01, a11
     bk[:, 1, 0, 0] = 0.0
+    bk[~ok] = np.nan
     return bk
 
 
@@ -176,30 +188,28 @@ def factor_samples(phi: np.ndarray, grid: LambdaGrid, nsec: int):
     entry by entry (loops._rdiv2).  On a 252-node block at N = 32, m = 128
     this takes 40 ms on 2 vCPUs (timeit min over 30 calls, three runs),
     against 44-60 ms with stacked temporaries.
-    A pivot that is not positive (NaN included) raises RuntimeError.
+
+    Nothing is raised for a node that does not factor: where a pivot of
+    its recursion is not positive (a NaN in its samples makes the first
+    one NaN), its F, B coefficients and B samples are all NaN, and as the
+    steps go node by node the other nodes are untouched.  The arithmetic
+    on such a node divides by zero and takes roots of negatives, so the
+    call runs under one np.errstate that silences those two warnings.
     """
     m = grid.m
-    if not np.isfinite(phi).all():
-        # catch bad nodes here and let the caller localize them
-        raise RuntimeError("loop samples contain non-finite entries")
-    # first block row H_0 .. H_{nsec-1}; offsets beyond the m resolved
-    # coefficients are genuinely tiny (m >= 2N+2 and H decays): zero them
-    # rather than alias-wrap, so the section stays a true Toeplitz matrix
-    # of the interpolated symbol
-    try:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # first block row H_0 .. H_{nsec-1}; offsets beyond the m resolved
+        # coefficients are genuinely tiny (m >= 2N+2 and H decays): zero
+        # them rather than alias-wrap, so the section stays a true Toeplitz
+        # matrix of the interpolated symbol
         bk = _bottom_row(*_symbol_coefficients(phi, min(nsec, m // 2 + 1)), nsec)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(
-            "finite-section Gram matrix not positive definite; the loop may "
-            "not admit this factorization, or the section is too large for "
-            f"the sample count (section {nsec}, {m} samples)") from exc
-    bs = np.fft.ifft(bk, n=m, norm="forward").transpose(0, 3, 1, 2)
-    return _rdiv2(phi, bs), bk.transpose(0, 3, 1, 2), bs
+        bs = np.fft.ifft(bk, n=m, norm="forward").transpose(0, 3, 1, 2)
+        return _rdiv2(phi, bs), bk.transpose(0, 3, 1, 2), bs
 
 
 def _plus_tail(bk: np.ndarray, degree: int) -> np.ndarray:
     """Per-node mass of B beyond the loop degree (convergence indicator)."""
-    return np.abs(bk[:, degree + 1 :]).reshape(bk.shape[0], -1).max(axis=1)
+    return np.abs(bk[:, degree + 1 :]).max(axis=(1, 2, 3))
 
 
 def _unitarity(f: np.ndarray) -> np.ndarray:
@@ -208,7 +218,7 @@ def _unitarity(f: np.ndarray) -> np.ndarray:
     dev = np.abs(f00 * np.conj(f10) + f01 * np.conj(f11))
     for a, b in ((f00, f01), (f10, f11)):
         np.maximum(dev, np.abs(_norm2(a, b) - 1.0), out=dev)
-    return dev.reshape(f.shape[0], -1).max(axis=1)
+    return dev.max(axis=1)
 
 
 def _reconstruction(f: np.ndarray, bs: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -219,7 +229,7 @@ def _reconstruction(f: np.ndarray, bs: np.ndarray, phi: np.ndarray) -> np.ndarra
             np.maximum(dev, np.abs(f[..., i, 0] * bs[..., 0, j]
                                    + f[..., i, 1] * bs[..., 1, j] - phi[..., i, j]),
                        out=dev)
-    return dev.reshape(f.shape[0], -1).max(axis=1)
+    return dev.max(axis=1)
 
 
 def _normalization(bk: np.ndarray) -> np.ndarray:
@@ -250,15 +260,16 @@ def iwasawa_grid(phis, grid: LambdaGrid,
     """Factor a whole family of sampled loops, chunked to bound memory.
 
     phis: (..., m, 2, 2) samples; leading axes index the nodes (one loop
-    is phis[None]).  Chunks are factored one after another in the calling
-    thread; a chunk that raises is split in halves, recursively, so a
-    node fails only when it fails alone, and failed nodes get NaN
-    factors.  Input that one call factors whole comes back as
-    factor_samples' own arrays, reshaped; otherwise the pieces are copied
-    into (nodes, m, 2, 2) results.  Returns (F_samples, B_samples,
-    summary); summary holds the node count, the failed node indices, the
-    mean unitarity and the worst unitarity, plus_loop_tail, normalization
-    and reconstruction |F B - Phi| over the nodes that factored.
+    is phis[None]).  Each chunk is one factor_samples call, made one
+    after another in the calling thread.  A node that does not factor
+    comes back with NaN F and B, and the chunk's other nodes factor as
+    they would without it.  Input that fits one chunk comes back as
+    factor_samples' own arrays, reshaped; the chunks of a larger family
+    are concatenated.  Returns (F_samples, B_samples, summary); summary
+    holds the node count, the failed node indices (the NaN nodes), the
+    mean unitarity and the worst unitarity, plus_loop_tail,
+    normalization and reconstruction |F B - Phi| over the nodes that
+    factored (NaN where none did).
     """
     _check_grid(grid, cfg)
     phis = np.asarray(phis, dtype=complex)
@@ -267,45 +278,22 @@ def iwasawa_grid(phis, grid: LambdaGrid,
     lead = phis.shape[:-3]
     flat = phis.reshape((-1, grid.m, 2, 2))
     n = flat.shape[0]
-    f_all = b_all = None
-    res = {k: np.empty(n) for k in
-           ("unitarity", "plus_loop_tail", "normalization", "reconstruction")}
-    failed: list[int] = []
-    todo = [(lo, min(lo + _CHUNK, n)) for lo in reversed(range(0, n, _CHUNK))]
-    while todo:
-        lo, hi = todo.pop()
-        phi = flat[lo:hi]
-        try:
-            f, bk, bs = factor_samples(phi, grid, cfg.section_rows)
-        except RuntimeError:
-            # localize the offending nodes by halving, keep going
-            if hi - lo == 1:
-                failed.append(lo)
-            else:
-                todo += [((lo + hi) // 2, hi), (lo, (lo + hi) // 2)]
-            continue
-        res["unitarity"][lo:hi] = _unitarity(f)
-        res["plus_loop_tail"][lo:hi] = _plus_tail(bk, cfg.fourier_degree)
-        res["normalization"][lo:hi] = _normalization(bk)
-        res["reconstruction"][lo:hi] = _reconstruction(f, bs, phi)
-        if hi - lo == n:
-            f_all, b_all = f, bs
-            continue
-        if f_all is None:
-            f_all, b_all = np.full_like(flat, np.nan), np.full_like(flat, np.nan)
-        f_all[lo:hi], b_all[lo:hi] = f, bs
-    if f_all is None:                # every node failed
-        f_all, b_all = np.full_like(flat, np.nan), np.full_like(flat, np.nan)
+    # an empty family has nothing to factor and stands for its own factors
+    parts = [factor_samples(flat[lo:lo + _CHUNK], grid, cfg.section_rows)
+             for lo in range(0, n, _CHUNK)] or [(flat, flat, flat)]
+    f, bk, bs = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+    res = {"unitarity": _unitarity(f),
+           "plus_loop_tail": _plus_tail(bk, cfg.fourier_degree),
+           "normalization": _normalization(bk),
+           "reconstruction": _reconstruction(f, bs, flat)}
+    ok = ~np.isnan(bk[:, 0, 0, 0])
 
-    ok = np.ones(n, dtype=bool)
-    ok[failed] = False
     def worst(x):
         return float(x[ok].max()) if ok.any() else float("nan")
     summary = {
         "nodes": n,
-        "failed_nodes": sorted(failed),
+        "failed_nodes": np.flatnonzero(~ok).tolist(),
         "unitarity_mean": float(res["unitarity"][ok].mean()) if ok.any() else float("nan"),
         **{f"{k}_max": worst(v) for k, v in res.items()},
     }
-    return (f_all.reshape(lead + (grid.m, 2, 2)),
-            b_all.reshape(lead + (grid.m, 2, 2)), summary)
+    return f.reshape(lead + (grid.m, 2, 2)), bs.reshape(lead + (grid.m, 2, 2)), summary

@@ -5,12 +5,12 @@ samples on a uniform power-of-two grid of the unit circle (LambdaGrid),
 with lambda = 1 as the first sample.  Every 2x2 stack the package builds
 comes from one constructor, _mat2(a00, a01, a10, a11), which broadcasts
 its four entries.  Products, inverses, determinants and Cholesky factors
-of such stacks are taken in closed form (_mul2, _inv2, _rdiv2, _det2, _chol2),
-which is cheaper than generic batched linear algebra on 2x2 matrices, and
-so is the exponential exp(w A) of a trace-free residue (_exp2); no
-np.linalg call touches a 2x2 stack.  The one derivative the pipeline
-needs, d/d-lambda at lambda = 1, is spectral: one weighted sum over the
-samples (_dlambda_at_one).
+of such stacks are taken in closed form (_mul2, _inv2, _rdiv2, _det2,
+_chol2_entries), which is cheaper than generic batched linear algebra on
+2x2 matrices, and so is the exponential exp(w A) of a trace-free residue
+(_exp2); no np.linalg call touches a 2x2 stack.  The one derivative the
+pipeline needs, d/d-lambda at lambda = 1, is spectral: one weighted sum
+over the samples (_dlambda_at_one).
 """
 
 from __future__ import annotations
@@ -153,27 +153,14 @@ def _chol2_entries(h00: np.ndarray, h10: np.ndarray, h11: np.ndarray):
     """Lower Cholesky factor (l00, l10, l11) of Hermitian 2x2 matrices
     given by their real diagonal h00, h11 and lower entry h10.
 
-    The diagonal of the factor is real positive.  Raises LinAlgError
-    unless every matrix is positive definite (a NaN pivot counts as not
-    positive).
+    Nothing is checked: the matrix is positive definite exactly where
+    l00 > 0 and l11 > 0, the roots of its two pivots.  Elsewhere l00 or
+    l11 is zero or NaN (a NaN pivot included), and the division and the
+    root warn unless the caller silences them.
     """
-    if not (h00 > 0).all():
-        raise np.linalg.LinAlgError("2x2 matrix not positive definite")
     l00 = np.sqrt(h00)
     l10 = h10 / l00
-    d1 = h11 - (l10.real ** 2 + l10.imag ** 2)
-    if not (d1 > 0).all():
-        raise np.linalg.LinAlgError("2x2 matrix not positive definite")
-    return l00, l10, np.sqrt(d1)
-
-
-def _chol2(h: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of a stack of Hermitian 2x2 matrices.
-
-    Reads the lower triangle only, as LAPACK does; see _chol2_entries.
-    """
-    l00, l10, l11 = _chol2_entries(h[..., 0, 0].real, h[..., 1, 0], h[..., 1, 1].real)
-    return _mat2(l00, 0, l10, l11)
+    return l00, l10, np.sqrt(h11 - (l10.real ** 2 + l10.imag ** 2))
 
 
 def _dlambda_at_one(samples: np.ndarray, grid: LambdaGrid) -> np.ndarray:

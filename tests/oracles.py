@@ -6,7 +6,22 @@ import numpy as np
 
 from besselcmc import (DelaunayResidue, PathSpec, PipelineConfig, closing_report,
                        delaunay_residue_matrix, integrate_frame)
+from besselcmc.loops import _chol2_entries, _mat2
 from besselcmc.potentials import PotentialSpec
+
+
+def chol2(h: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a stack of Hermitian 2x2 matrices.
+
+    Reads the lower triangle only, as LAPACK does.  Raises LinAlgError
+    unless every matrix is positive definite (a NaN pivot counts as not
+    positive).
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        l00, l10, l11 = _chol2_entries(h[..., 0, 0].real, h[..., 1, 0], h[..., 1, 1].real)
+    if not ((l00 > 0).all() and (l11 > 0).all()):
+        raise np.linalg.LinAlgError("2x2 matrix not positive definite")
+    return _mat2(l00, 0, l10, l11)
 
 
 def radial(z_from: float, z_to: float) -> PathSpec:

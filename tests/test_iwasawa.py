@@ -21,9 +21,9 @@ from besselcmc import (
 )
 import besselcmc.iwasawa as iwasawa
 from besselcmc.iwasawa import _unitarity, factor_samples
-from besselcmc.loops import _adj, _chol2, _inv2, _mul2
+from besselcmc.loops import _adj, _inv2, _mul2
 from besselcmc.surface import _factored_columns, _series_columns
-from oracles import radial
+from oracles import chol2, radial
 
 CFG = PipelineConfig(fourier_degree=8, lambda_samples=32)
 GRID = LambdaGrid(32)
@@ -205,7 +205,7 @@ def complex_schur_reference(phi, grid, nsec):
     row[:, :kept] = hat[:, :kept]
     bk = np.empty_like(row)
     try:
-        r0 = _chol2(hat[:, 0])
+        r0 = chol2(hat[:, 0])
         u = _mul2(_inv2(r0)[:, None], row).transpose(0, 2, 1, 3)
         g = np.concatenate((u, u), axis=1).reshape(nb, 4, 2 * nsec)
         g[:, 2:, :2] = 0.0
@@ -218,9 +218,9 @@ def complex_schur_reference(phi, grid, nsec):
             q = _mul2(beta, _inv2(alpha))
             qs = _adj(q)
             d = alpha - _mul2(qs, beta)
-            piv = _chol2(_mul2(_adj(alpha), d))
+            piv = chol2(_mul2(_adj(alpha), d))
             m1 = _mul2(_adj(piv), _inv2(d))
-            m2 = _inv2(_chol2(np.eye(2) - _mul2(q, qs)))
+            m2 = _inv2(chol2(np.eye(2) - _mul2(q, qs)))
             theta[:, :2, :2] = m1
             theta[:, :2, 2:] = -_mul2(m1, qs)
             theta[:, 2:, :2] = -_mul2(m2, q)
@@ -265,14 +265,44 @@ def raising_nodes(factor, phi, grid, nsec):
     return failed
 
 
-def test_real_kernel_raises_where_the_complex_recursion_does():
+def far_annulus_frames():
+    """Frames of r = -2.9 out to |z| = 5, where outer rings do not factor."""
     grid = LambdaGrid(128)
     frames = series_frames(CylinderParams(-2.9), DomainGrid(0.1, 5.0, 8, 8), grid)
+    return frames, grid, PipelineConfig(32, 128)
+
+
+def test_real_kernel_fails_where_the_complex_recursion_does():
+    frames, grid, cfg = far_annulus_frames()
     phi = frames.reshape(-1, grid.m, 2, 2)
-    nsec = PipelineConfig(32, 128).section_rows
-    failed = raising_nodes(factor_samples, phi, grid, nsec)
+    nsec = cfg.section_rows
+    f, bk, bs = factor_samples(phi, grid, nsec)
+    bad = np.isnan(bk[:, 0, 0, 0])
+    failed = np.flatnonzero(bad).tolist()
     assert failed                        # outer-ring nodes lose definiteness
     assert failed == raising_nodes(complex_schur_reference, phi, grid, nsec)
+    assert np.isnan(f[bad]).all() and np.isnan(bk[bad]).all() and np.isnan(bs[bad]).all()
+    assert np.isfinite(f[~bad]).all() and np.isfinite(bk[~bad]).all()
+    assert np.isfinite(bs[~bad]).all()
+    # the good nodes come out as from a call without the failed ones
+    good_f, good_bk, good_bs = factor_samples(phi[~bad], grid, nsec)
+    assert np.array_equal(f[~bad], good_f)
+    assert np.array_equal(bk[~bad], good_bk)
+    assert np.array_equal(bs[~bad], good_bs)
+
+
+def test_failing_chunk_is_one_call(monkeypatch):
+    frames, grid, cfg = far_annulus_frames()
+    calls = []
+
+    def counted(phi, grid, nsec):
+        calls.append(len(phi))
+        return factor_samples(phi, grid, nsec)
+
+    monkeypatch.setattr(iwasawa, "factor_samples", counted)
+    _, _, summary = iwasawa_grid(frames, grid, cfg)
+    assert summary["failed_nodes"]
+    assert calls == [summary["nodes"]] == [72]     # 8 rings of 9 columns
 
 
 # -------------------------------------------------------------- section size
@@ -295,7 +325,7 @@ def wide_section_unitary_factor(phi, grid, nsec):
     spec[:, : m // 2 + 1] = hat[:, : m // 2 + 1]
     spec[:, big - m // 2 :] = hat[:, m // 2 :]
     h = np.fft.ifft(spec, axis=1) * big
-    _, bk, _ = factor_samples(_adj(_chol2(h)), LambdaGrid(big), nsec)
+    _, bk, _ = factor_samples(_adj(chol2(h)), LambdaGrid(big), nsec)
     powers = grid.points[:, None] ** np.arange(nsec)
     return _mul2(phi, _inv2(np.einsum("jk,nkab->njab", powers, bk)))
 
@@ -331,6 +361,13 @@ def test_grid_factorization_residuals():
     assert summary["reconstruction_max"] < 1e-7
     assert summary["unitarity_max"] < 1e-7
     assert f.shape == frames.shape and b.shape == frames.shape
+
+
+def test_empty_family_gives_empty_factors():
+    f, b, summary = iwasawa_grid(np.zeros((3, 0, GRID.m, 2, 2), dtype=complex), GRID, CFG)
+    assert f.shape == b.shape == (3, 0, GRID.m, 2, 2)
+    assert summary["nodes"] == 0 and summary["failed_nodes"] == []
+    assert all(math.isnan(v) for k, v in summary.items() if k not in ("nodes", "failed_nodes"))
 
 
 def test_factor_varies_smoothly_along_ray():
@@ -379,13 +416,16 @@ def half_circle_loop(grid=GRID):
 
 
 @pytest.mark.parametrize("degree, m", [(8, 32), (32, 128)])
-def test_pivot_failure_in_the_recursion_raises(degree, m):
+def test_pivot_failure_in_the_recursion_gives_nan(degree, m):
     grid = LambdaGrid(m)
     phi = half_circle_loop(grid)[None]
     nsec = PipelineConfig(degree, m).section_rows
-    factor_samples(phi, grid, nsec // 2)      # the first half of the steps pass
-    with pytest.raises(RuntimeError, match="not positive definite"):
-        factor_samples(phi, grid, nsec)
+    # the early steps pass: the sections of 9 block rows (m = 32) and of
+    # 16 (m = 128) have least eigenvalues 1.4e-6 and 1.4e-11, well above
+    # rounding; half of m = 128's 66 rows, 33, has 1.8e-25, below it
+    early = factor_samples(phi, grid, min(nsec // 2, 16))
+    assert all(np.isfinite(x).all() for x in early)
+    assert all(np.isnan(x).all() for x in factor_samples(phi, grid, nsec))
 
 
 def test_pivot_failure_in_the_recursion_is_localized():
@@ -402,8 +442,8 @@ def test_pivot_failure_in_the_recursion_is_localized():
 
 
 def test_chunks_agree_with_one_call(monkeypatch):
-    # 64 nodes with one that fails alone: at 5 nodes per chunk the halving
-    # runs inside a chunk, and the pieces are copied into the results
+    # 64 nodes with one that fails: at 5 nodes per chunk it fails inside
+    # a chunk of 5, and the 13 chunks are concatenated into the results
     phi, grid, cfg = annulus_frames(-0.25, 8, 32)
     phi = phi[:64].copy()
     phi[29] = half_circle_loop(grid)
@@ -444,8 +484,7 @@ def test_singular_node_is_localized():
     frames[1] = rotation_loop()
     clean_f, clean_b, _ = iwasawa_grid(frames, GRID, CFG)
     frames[2] = np.diag([1.0, 0.0])           # H = diag(1, 0) is singular
-    with pytest.raises(RuntimeError, match="not positive definite"):
-        factor_samples(frames[2:3], GRID, CFG.section_rows)
+    assert all(np.isnan(x).all() for x in factor_samples(frames[2:3], GRID, CFG.section_rows))
     f, b, summary = iwasawa_grid(frames, GRID, CFG)
     assert summary["failed_nodes"] == [2]
     assert np.isnan(f[2]).all() and np.isnan(b[2]).all()

@@ -6,8 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from besselcmc import LambdaGrid
-from besselcmc.loops import (_ENTRIES_FROM, _chol2, _det2, _dlambda_at_one, _inv2, _mat2,
-                             _mul2, _rdiv2)
+from besselcmc.loops import _ENTRIES_FROM, _det2, _dlambda_at_one, _inv2, _mat2, _mul2, _rdiv2
+from oracles import chol2
 
 
 def random_stack(rng, shape):
@@ -105,7 +105,7 @@ def test_chol2_matches_cholesky_reading_lower_triangle(seed):
     want = np.linalg.cholesky(h)
     garbage = h.copy()
     garbage[..., 0, 1] = 1e3 * (rng.normal(size=(3, 40)) + 1j * rng.normal(size=(3, 40)))
-    got = _chol2(garbage)
+    got = chol2(garbage)
     assert np.abs(got - want).max() < 1e-13 * np.abs(want).max()
     assert np.all(got[..., 0, 1] == 0.0)
     assert np.all(got[..., 0, 0].imag == 0.0) and np.all(got[..., 1, 1].imag == 0.0)
@@ -121,7 +121,7 @@ def test_chol2_rejects_non_positive_pivot(bad):
     h = hpd_stack(np.random.default_rng(1), (5,))
     h[3] = np.array(bad, dtype=complex)
     with pytest.raises(np.linalg.LinAlgError):
-        _chol2(h)
+        chol2(h)
 
 
 @pytest.mark.parametrize("m", [16, 128])
