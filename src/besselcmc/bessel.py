@@ -59,9 +59,9 @@ def bessel_integrate(alpha, path: PathSpec, y0, dy0, cfg: PipelineConfig = DEFAU
     w2, dw2 = 2.0 * w0, 2.0 * dw          # e^{2w}: doubling first is exact
 
     def coeff(s):
-        return _mat2(0, (a2 - np.exp(w2 + s * dw2)[:, None]) * dw, dw, 0)
+        return (a2 - np.exp(w2 + s * dw2)[:, None]) * dw, np.full((len(s), 1), dw, complex)
 
-    # row-vector form: (y, v) -> (y, v) @ [[0, a2 - z^2], [1, 0]]
+    # row-vector form: (y, v) -> (y, v) @ [[0, a2 - z^2], [1, 0]] dw
     state = _mat2(y0.ravel(), np.exp(w0) * dy0.ravel(), 0, 0)
     state, _ = _rk_segment(coeff, state, 0.0, 1.0, cfg.ode_tol)
     z_end = np.exp(path.w1)

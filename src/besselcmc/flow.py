@@ -7,13 +7,18 @@ Dormand-Prince 8(5,3) pair DOP853 (Hairer, Norsett & Wanner, Solving
 Ordinary Differential Equations I, 2nd ed., 1993, section II.10), stepping
 a whole family of independent 2x2 systems (all lambda samples, and all rays
 of a surface sweep) in lockstep: the step size is controlled by the worst
-error across the family.  Each attempted step makes one coefficient call, a
-stack over its twelve stage points s_i; the stage products Y coeff(s_i) are
-the closed-form loops._mul2, and each stage argument, the 8th-order
-solution and the two error sums are one weighted sum over a preallocated
-stack of y and the stage derivatives.  At the CLI tolerance 1e-10 an 8th-
-order step is about four times longer than a 5th-order one, and the steps
-on small stacks cost mostly per-call overhead, so fewer, longer steps pay.
+error across the family.  Every potential the package integrates comes from
+a second-order scalar equation, so its coefficient is off-diagonal,
+[[0, c01], [c10, 0]], and the flow carries it as those two entry planes;
+a potential with a nonzero diagonal is rejected, never integrated with the
+diagonal dropped.  Each attempted step makes one coefficient call, the two
+planes over its twelve stage points s_i; a stage product Y coeff(s_i) is
+two multiplies, one per column (_stage), and each stage argument, the
+8th-order solution and the two error sums are one weighted sum over a
+preallocated stack of y and the stage derivatives.  At the CLI tolerance
+1e-10 an 8th-order step is about four times longer than a 5th-order one,
+and the steps on small stacks cost mostly per-call overhead, so fewer,
+longer steps pay.
 
 A monodromy integrates half a circuit.  Every potential the package builds
 declares its half turn D (PotentialSpec.half_turn): the w-chart
@@ -148,27 +153,42 @@ _TABLE[12:, 1:] = (_B, _E5, _E3)
 _TINY = np.finfo(float).tiny
 
 
+def _stage(out, y, up, lo):
+    """out = y [[0, up], [lo, 0]]: column 0 is y's column 1 times lo,
+    column 1 is y's column 0 times up.
+
+    y and out are (..., 2, 2) stacks; up and lo broadcast against a column
+    y[..., 0], so they carry a trailing axis of length 1 for the row.  The
+    bits are those of loops._mul2 on the assembled stack, since there each
+    entry adds the zero diagonal's product to this one exactly.
+    """
+    np.multiply(y[..., 1], lo, out=out[..., 0])
+    np.multiply(y[..., 0], up, out=out[..., 1])
+
+
 def _rk_segment(coeff, y, s0, s1, rtol, h0=None):
-    """Advance Y' = Y coeff(s) from s0 to s1 for a stacked family.
+    """Advance Y' = Y [[0, c01(s)], [c10(s), 0]] from s0 to s1 for a
+    stacked family.
 
     One DOP853 step per iteration.  coeff maps the (12,) stage points
-    s + _C h of a step, once per step, to a stack c with c[i]
-    broadcastable against y (shape (..., 2, 2)).  y and the stage
-    derivatives k_i = Y_i c[i] live in one preallocated (13,) + y.shape
-    stack, so each stage argument Y_i, the 8th-order solution and both
-    error sums are one weighted sum over its rows.  DOP853's end-point
-    derivative has zero weight in the solution and in both error sums and
-    is not formed.
+    s + _C h of a step, once per step, to the entry planes (c01, c10),
+    each indexed by stage first, with c01[i] and c10[i] broadcastable
+    against y's members y.shape[:-2].  y and the stage derivatives
+    k_i = Y_i c_i (two multiplies each, _stage) live in one preallocated
+    (13,) + y.shape stack, so each stage argument Y_i, the 8th-order
+    solution and both error sums are one weighted sum over its rows.
+    DOP853's end-point derivative has zero weight in the solution and in
+    both error sums and is not formed.
 
     One step size serves the family.  With a5 and a3 the sums of squares
     of a 2x2 member's E5 and E3 error entries, each divided by
     1e-14 + rtol max(|y|, |y_new|), the member's error is DOP853's
     combined estimate a5 / sqrt(4 (a5 + 0.01 a3)); the worst member is
     accepted if <= 1 and sets the step factor 0.9 err^(-1/8), clamped to
-    [0.2, 5].  A trial step whose error is not finite although the
-    coefficient is (its stages overflowed) is rejected with the factor
-    0.2 and no warning; a non-finite coefficient raises RuntimeError,
-    since no step size can make it acceptable.
+    [0.2, 5].  A trial step whose error is not finite although both
+    coefficient planes are (its stages overflowed) is rejected with the
+    factor 0.2 and no warning; a non-finite coefficient raises
+    RuntimeError, since no step size can make it acceptable.
     Returns (y_end, last_h) so a caller chaining segments can reuse h.
     """
     span = s1 - s0
@@ -186,14 +206,15 @@ def _rk_segment(coeff, y, s0, s1, rtol, h0=None):
     while (s1 - s) * direction > 1e-15 * abs(span):
         if abs(h) > abs(s1 - s):
             h = s1 - s
-        c = coeff(s + _C * h)
+        up, lo = coeff(s + _C * h)
+        up, lo = up[..., None], lo[..., None]        # against a column of y
         w = h * _TABLE
         w[:13, 0] = 1.0
         with np.errstate(over="ignore", invalid="ignore"):   # overflow rejects
-            stack[1] = _mul2(stack[0], c[0])
+            _stage(stack[1], stack[0], up[0], lo[0])
             for i in range(1, 12):
                 yi = (w[i, :i + 1] @ rows[:i + 1]).view(complex).reshape(shape)
-                stack[i + 1] = _mul2(yi, c[i])
+                _stage(stack[i + 1], yi, up[i], lo[i])
             out = (w[12:] @ rows).view(complex)     # y8, e5, e3
             ay8 = np.abs(out[0])
             scale = np.maximum(ay, ay8)
@@ -216,7 +237,7 @@ def _rk_segment(coeff, y, s0, s1, rtol, h0=None):
             grow = 5.0
         elif math.isfinite(worst):
             grow = min(5.0, max(0.2, 0.9 * worst ** -0.125))
-        elif np.isfinite(c).all():
+        elif np.isfinite(up).all() and np.isfinite(lo).all():
             grow = 0.2
         else:
             raise RuntimeError(f"non-finite coefficient at path parameter {s!r}")
@@ -233,15 +254,24 @@ def _integrate_w_line(xi, lam, w0, w1, y0, rtol, stations=None):
     parameterization.  y0: (B, m, 2, 2) initial frames (m = len(lam)).
     stations: increasing s values where output is wanted (1.0 implied).
     Returns array (S, B, m, 2, 2).
+
+    The flow drops the coefficient's diagonal, so it is checked once, at
+    both ends of every segment and every lambda sample: a nonzero entry
+    raises ValueError naming the potential.
     """
     w0 = np.atleast_1d(np.asarray(w0, dtype=complex))[:, None]
     w1 = np.atleast_1d(np.asarray(w1, dtype=complex))[:, None]
     lam = np.asarray(lam, dtype=complex)[None, :]
     dw = w1 - w0
+    if np.diagonal(xi(np.exp([w0, w1]), lam), axis1=-2, axis2=-1).any():
+        raise ValueError(f"{xi.description}: the coefficient has a nonzero "
+                         "diagonal, and the flow integrates off-diagonal ones only")
 
     def coeff(s):
         z = np.exp(w0 + s[:, None, None] * dw)   # (12, B, 1) against lam (1, m)
-        return xi(z, lam) * (z * dw)[..., None, None]
+        f = z * dw
+        up, lo = xi.planes(z, lam)
+        return up * f, lo * f
 
     ss = [float(t) for t in (stations if stations is not None else [])]
     if not ss or ss[-1] < 1.0:

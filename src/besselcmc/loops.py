@@ -104,10 +104,15 @@ def _adj(a: np.ndarray) -> np.ndarray:
 
 
 # Stacks of at least this many matrices take _mul2's per-entry loop.  On
-# 2 vCPUs the crossover fell between 256 and 512 matrices: below it the
-# broadcast is up to 3x faster (a (1, 128) stage product 20 us against
-# 42 us), from 512 on the loop wins, by 3.5x at (256, 32) (246 us against
-# 861 us).
+# 2 vCPUs (timeit, two runs) the broadcast wins at 128 matrices (12 us
+# against 16, 18 against 25), the two tie near 256 and the loop wins by
+# 1.4x at 512 and by 4x at (256, 32) (217 us against 847).  The remaining
+# callers' stacks: m = 128 for the monodromy's K and the closing
+# residuals, thousands for the series rings and the factorization, and
+# 256 to 511 only for some of the reference's rings and of the Frobenius
+# recursion.  Moving the switch down to 256 gained no op_s on the surface
+# and generate benchmarks (two 4-5 s runs each) and cost 0.1 MB of peak
+# RSS on surface, so it stays at 512.
 _ENTRIES_FROM = 512
 
 
@@ -119,8 +124,9 @@ def _mul2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     inner loop per matrix, which is slow on large stacks such as a batch
     of (nodes, m) samples; from _ENTRIES_FROM matrices on, one output
     entry is taken at a time instead.  Both forms take the same sums in
-    the same order, so their bits agree.  The size test reads .size only:
-    the flow calls this ~28k times per verify check.
+    the same order, so their bits agree.  The size test reads .size only,
+    the cheapest test: most calls are on small stacks, such as the
+    Frobenius recursion's (m,) stacks.
     """
     if max(a.size, b.size) < 4 * _ENTRIES_FROM:
         return a[..., :, 0:1] * b[..., 0:1, :] + a[..., :, 1:2] * b[..., 1:2, :]

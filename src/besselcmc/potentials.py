@@ -49,21 +49,37 @@ class PotentialSpec:
     evaluate(z, lam) broadcasts z of any leading shape against lam.  The
     only finite pole is z = 0, the puncture of C*: calling there raises.
 
+    evaluate returns either the (..., 2, 2) stack of the coefficient or,
+    for an off-diagonal coefficient [[0, c01], [c10, 0]] (every
+    constructor below), its two entry planes (c01, c10), and builds no
+    zero-filled stack.  Calling the spec gives the stack either way;
+    planes() gives (c01, c10), the form flow integrates.
+
     half_turn is the constant matrix D of the potential's symmetry under
     z -> -z in the log chart: (-z) xi(-z) = D (z xi(z)) D^-1 with D^2 = I.
     flow.monodromy integrates half a circuit and needs it; None (the
     default, and what gauge_transform returns) declares no symmetry.
     """
 
-    evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray | tuple[np.ndarray, np.ndarray]]
     description: str
     half_turn: np.ndarray | None = field(default=None, compare=False)  # an array: not in == or hash
 
-    def __call__(self, z, lam) -> np.ndarray:
+    def _evaluate(self, z, lam):
         z = np.asarray(z, dtype=complex)
         if (z == 0).any():
             raise ValueError(f"{self.description}: evaluation at pole z=0j")
         return self.evaluate(z, np.asarray(lam, dtype=complex))
+
+    def __call__(self, z, lam) -> np.ndarray:
+        c = self._evaluate(z, lam)
+        return _mat2(0, c[0], c[1], 0) if isinstance(c, tuple) else c
+
+    def planes(self, z, lam) -> tuple[np.ndarray, np.ndarray]:
+        """The off-diagonal entry planes (c01, c10).  A stack's diagonal is
+        not read here: flow checks it once per integration."""
+        c = self._evaluate(z, lam)
+        return c if isinstance(c, tuple) else (c[..., 0, 1], c[..., 1, 0])
 
 
 @dataclass(frozen=True)
@@ -171,7 +187,7 @@ def make_bessel_potential(alpha) -> PotentialSpec:
 
     def evaluate(z, lam):
         a2 = np.asarray(alpha(lam), dtype=complex) ** 2 if const_sq is None else const_sq
-        return _mat2(0, 1.0 / z, a2 / z - z, 0)
+        return 1.0 / z, a2 / z - z
 
     label = "bessel" if callable(alpha) else f"bessel(alpha={alpha})"
     return PotentialSpec(evaluate, label, _EYE)
@@ -190,7 +206,7 @@ def make_cylinder_potential(p: CylinderParams) -> PotentialSpec:
 
     def evaluate(z, lam):
         Q = c * ((lam - 1.0) ** 2 / lam) / (z * z) - 1.0   # z and lam broadcast
-        return _mat2(0, 1.0 / lam, lam * Q, 0)
+        return 1.0 / lam, lam * Q
 
     return PotentialSpec(evaluate, f"cylinder(r={p.r})", _SIGMA3)
 

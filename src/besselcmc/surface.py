@@ -168,9 +168,9 @@ def _vertex_normals(verts: np.ndarray, faces: np.ndarray) -> np.ndarray:
     flat = verts.reshape(-1, 3)
     q = flat[faces]                                      # (F, 4, 3)
     fn = np.cross(q[:, 3] - q[:, 1], q[:, 2] - q[:, 0])  # diagonal cross
-    acc = np.zeros_like(flat)
-    for c in range(4):
-        np.add.at(acc, faces[:, c], fn)
+    at = faces.T.ravel()                                 # corner by corner
+    acc = np.stack([np.bincount(at, np.tile(fn[:, k], 4), len(flat))
+                    for k in range(3)], axis=1)
     norm = np.linalg.norm(acc, axis=1)
     norm[norm < 1e-300] = 1.0
     return (acc / norm[:, None]).reshape(verts.shape)
@@ -182,29 +182,37 @@ def _curvature_stats(verts: np.ndarray, faces: np.ndarray, normals: np.ndarray,
 
     K_i = (1/(2 A_i)) sum_j (cot a + cot b)(x_i - x_j) with barycentric
     vertex areas; statistics exclude the two outermost rings at each end.
-    Triangles with area below 1e-14 are dropped and counted.
+    Triangles with area below 1e-14 are dropped and counted.  Each
+    scatter is one np.bincount per component, whose (index, weight) pairs
+    are concatenated corner by corner: every vertex sums its terms from
+    0.0 in that order, the order of one np.add.at call per corner.
     """
     flat = verts.reshape(-1, 3)
     nrm = normals.reshape(-1, 3)
     tris = np.concatenate([faces[:, [0, 1, 2]], faces[:, [0, 2, 3]]])
     p = flat[tris]
-    cross = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-    area2 = np.linalg.norm(cross, axis=1)
+    area2 = np.linalg.norm(np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]), axis=1)
     good = area2 >= 2e-14
     degenerate = int((~good).sum())
     tris, p, area2 = tris[good], p[good], area2[good]
 
-    K = np.zeros_like(flat)
-    A = np.zeros(len(flat))
+    # corner c weighs the edge from its next corner a to the one after, b,
+    # by its cotangent: K_a gains cot (x_a - x_b), K_b loses as much
+    cot = np.empty((3, len(tris)))
     for c in range(3):
-        ja, jb = tris[:, (c + 1) % 3], tris[:, (c + 2) % 3]
-        e1 = p[:, (c + 1) % 3] - p[:, c]
-        e2 = p[:, (c + 2) % 3] - p[:, c]
-        cot = np.einsum("ij,ij->i", e1, e2) / area2
-        d = cot[:, None] * (p[:, (c + 1) % 3] - p[:, (c + 2) % 3])
-        np.add.at(K, ja, d)
-        np.add.at(K, jb, -d)
-        np.add.at(A, tris[:, c], area2 / 6.0)
+        a, b = (c + 1) % 3, (c + 2) % 3
+        cot[c] = np.einsum("ij,ij->i", p[:, a] - p[:, c], p[:, b] - p[:, c]) / area2
+    del p                                         # the scatters' buffers reuse it
+    A = np.bincount(tris.T.ravel(), np.tile(area2 / 6.0, 3), len(flat))
+    at = tris.T[[1, 2, 2, 0, 0, 1]].ravel()       # (a, b) of corners 0, 1, 2
+    K = np.empty_like(flat)
+    d = np.empty((3, 2, len(tris)))
+    for k in range(3):                            # one component at a time
+        x = flat[:, k][tris.T]
+        for c in range(3):
+            np.multiply(cot[c], x[(c + 1) % 3] - x[(c + 2) % 3], out=d[c, 0])
+            np.negative(d[c, 0], out=d[c, 1])
+        K[:, k] = np.bincount(at, d.ravel(), len(flat))
     A[A < 1e-300] = 1.0
     K /= (2.0 * A)[:, None]
     H = 0.5 * np.einsum("ij,ij->i", K, nrm)

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from besselcmc import (
     CylinderParams,
@@ -14,6 +16,7 @@ from besselcmc import (
     PathSpec,
     PipelineConfig,
     alpha_of,
+    bessel_gauge_g1,
     bessel_integrate,
     closing_report,
     cylinder_basepoint_frame,
@@ -30,7 +33,7 @@ from besselcmc import (
 )
 from besselcmc import bessel, flow
 from besselcmc.flow import _rk_segment
-from besselcmc.loops import _exp2
+from besselcmc.loops import _exp2, _mat2, _mul2
 from besselcmc.potentials import PotentialSpec
 from oracles import circle, full_circuit_monodromy, make_delaunay_potential, radial
 
@@ -331,9 +334,8 @@ def perturbed_cylinder(p: CylinderParams, eps: float) -> PotentialSpec:
     xi = make_cylinder_potential(p)
 
     def evaluate(z, lam):
-        out = xi.evaluate(z, lam)
-        out[..., 1, 0] -= eps * lam / (z * z)
-        return out
+        up, lo = xi.evaluate(z, lam)
+        return up, lo - eps * lam / (z * z)
 
     return PotentialSpec(evaluate, f"perturbed({eps})", xi.half_turn)
 
@@ -403,6 +405,21 @@ def test_half_circuit_sees_a_wrong_basepoint_frame():
     assert abs(rep.unitarity_error - full.unitarity_error) <= 1e-9
 
 
+def test_integration_rejects_a_nonzero_diagonal():
+    # g1^-1 dg1 = diag(-1, 1) / (2z): the flow would drop that diagonal
+    p, grid = CylinderParams(0.5), LambdaGrid(8)
+    xi = gauge_transform(make_cylinder_potential(p), bessel_gauge_g1())
+    with pytest.raises(ValueError, match=re.escape(xi.description)):
+        integrate_frame(xi, radial(1.0, 2.0), None, grid, CFG)
+    # Lambda is z-independent, so dg = 0 keeps the coefficient off-diagonal,
+    # and its frame from I is Lambda^-1 Phi Lambda
+    gauged = gauge_transform(make_cylinder_potential(p), lambda_gauge())
+    end = integrate_frame(gauged, radial(1.0, 2.0), None, grid, CFG)
+    g = lambda_gauge().evaluate(1.0, grid.points)
+    phi = integrate_frame(make_cylinder_potential(p), radial(1.0, 2.0), None, grid, CFG)
+    assert np.abs(end - np.linalg.inv(g) @ phi @ g).max() <= 1e-9 * np.abs(phi).max()
+
+
 def test_monodromy_needs_a_declared_half_turn():
     gauged = gauge_transform(make_cylinder_potential(CylinderParams(0.5)), lambda_gauge())
     assert gauged.half_turn is None
@@ -438,7 +455,7 @@ def test_rk_segment_local_order_eight():
     y0 = np.tile(np.eye(2, dtype=complex), (8, 1, 1))
     errors = []
     for h in (0.8, 0.4, 0.2):
-        coeff, calls = counted(lambda s: np.broadcast_to(A, s.shape + A.shape))
+        coeff, calls = counted(lambda s: constant_planes(A, s))
         y, _ = _rk_segment(coeff, y0, 0.0, h, 1e300, h0=h)
         assert calls[0] == 1
         errors.append(np.abs(y - _exp2(np.array(h), A)).max())
@@ -468,8 +485,9 @@ def test_monodromy_takes_few_steps(monkeypatch):
 
 def reference_rk_segment(coeff, y, s0, s1, rtol, atol=1e-14, h0=None):
     """The plain DOP853 loop: one coefficient call per stage (element [0]
-    of a one-point call), generic matmul stage products and generator
-    stage sums, with the same controller as flow._rk_segment."""
+    of a one-point call's planes, assembled into a 2x2 stack), generic
+    matmul stage products and generator stage sums, with the same
+    controller as flow._rk_segment."""
     span = s1 - s0
     h = h0 if h0 is not None else span / 32.0
     h = math.copysign(min(abs(h), abs(span)), span)
@@ -480,7 +498,8 @@ def reference_rk_segment(coeff, y, s0, s1, rtol, atol=1e-14, h0=None):
             h = s1 - s
         for i in range(12):
             yi = y + h * sum(a * kj for a, kj in zip(flow._A[i], k))
-            k[i] = yi @ coeff(np.array([s + flow._C[i] * h]))[0]
+            up, lo = coeff(np.array([s + flow._C[i] * h]))
+            k[i] = yi @ _mat2(0, up[0], lo[0], 0)
         y8 = y + h * sum(b * ki for b, ki in zip(flow._B, k) if b != 0.0)
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y8))
         err5 = h * sum(e * ki for e, ki in zip(flow._E5, k) if e != 0.0)
@@ -510,9 +529,16 @@ def counted(coeff):
     return wrapped, calls
 
 
+def constant_planes(c, s):
+    """The entry planes of a constant off-diagonal coefficient c, a
+    (..., 2, 2) stack, at every stage point s."""
+    return tuple(np.broadcast_to(c[..., i, 1 - i], s.shape + c.shape[:-2])
+                 for i in range(2))
+
+
 def cylinder_ray_coeff(n_rays=4, m=32):
-    """Stacked coefficient of n_rays radial rays |z| in [1, 2.5], the
-    layout of the surface sweep: (n_rays, m, 2, 2) per stage point."""
+    """Coefficient planes of n_rays radial rays |z| in [1, 2.5], the
+    layout of the surface sweep: (n_rays, m) per plane and stage point."""
     xi = make_cylinder_potential(CylinderParams(-0.25))
     lam = LambdaGrid(m).points[None, :]
     theta = np.linspace(0.0, 2.0 * np.pi, n_rays, endpoint=False)[:, None]
@@ -520,22 +546,20 @@ def cylinder_ray_coeff(n_rays=4, m=32):
 
     def coeff(s):
         z = np.exp(w0 + s[:, None, None] * dw)
-        return xi(z, lam) * (z * dw)[..., None, None]
+        up, lo = xi.planes(z, lam)
+        return up * (z * dw), lo * (z * dw)
 
     y0 = np.tile(np.eye(2, dtype=complex), (n_rays, m, 1, 1))
     return coeff, y0
 
 
 def bessel_state_coeff(alpha=0.7, w1=math.log(3.0) + 0.5j):
-    """Row-vector Bessel system: a bare (2, 2) per stage point against a
-    (1, 2, 2) state."""
+    """Row-vector Bessel system: one-member planes per stage point against
+    a (1, 2, 2) state."""
     a2 = alpha * alpha
 
     def coeff(s):
-        c = np.zeros((len(s), 2, 2), dtype=complex)
-        c[:, 0, 1] = (a2 - np.exp(2.0 * s * w1)) * w1
-        c[:, 1, 0] = w1
-        return c
+        return (a2 - np.exp(2.0 * s * w1))[:, None] * w1, np.full((len(s), 1), w1)
 
     y0 = np.array([[[1.0, 0.3], [0.0, 0.0]]], dtype=complex)
     return coeff, y0
@@ -556,30 +580,57 @@ def test_rk_segment_matches_plain_loop(case):
     assert abs(h_new - h_old) <= 1e-6 * abs(h_old)
 
 
+_FINITE = st.complex_numbers(max_magnitude=1e100, allow_nan=False, allow_infinity=False)
+
+
+@pytest.mark.parametrize("family", ["frame", "rays", "bessel"])
+@given(data=st.data())
+def test_stage_product_is_mul2_of_the_assembled_stack(family, data):
+    # the planes' shapes per stage: a frame family (integrate_frame) has
+    # members (1, m), with c01 = 1/lam (cylinder) or 1/z (Bessel potential);
+    # the spanning-tree ray sweep (rays, m); the Bessel scalar family (n,)
+    # with one shared c10; m = 128 with 8 rays crosses _mul2's loop switch
+    m = data.draw(st.sampled_from([4, 16, 128]), label="m")
+    n = data.draw(st.integers(1, 8), label="rays or n")
+    members, up_shape, lo_shape = {
+        "frame": ((1, m), data.draw(st.sampled_from([(1, 1), (1, m)])), (1, m)),
+        "rays": ((n, m), (n, m), (n, m)),
+        "bessel": ((n,), (n,), (1,)),
+    }[family]
+    y = data.draw(arrays(complex, members + (2, 2), elements=_FINITE), label="y")
+    up = data.draw(arrays(complex, up_shape, elements=_FINITE), label="c01")
+    lo = data.draw(arrays(complex, lo_shape, elements=_FINITE), label="c10")
+    out = np.empty_like(y)
+    flow._stage(out, y, up[..., None], lo[..., None])
+    assert np.array_equal(out, _mul2(y, _mat2(0, up, lo, 0)))
+
+
 def test_rk_segment_step_underflow_raises():
-    stiff = 1e12 * np.diag([1.0, -1.0]).astype(complex)
+    # eigenvalues +-1e12, as diag(1e12, -1e12) has
+    stiff = 1e12 * np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     y0 = np.eye(2, dtype=complex)[None]
     with pytest.raises(RuntimeError, match="step-size underflow"):
-        _rk_segment(lambda s: np.broadcast_to(stiff, s.shape + (2, 2)), y0, 0.0, 1.0, 1e-10)
+        _rk_segment(lambda s: constant_planes(stiff[None], s), y0, 0.0, 1.0, 1e-10)
 
 
 def test_rk_segment_overflowing_trial_step_is_rejected():
-    # y = 1e300 I rotating at rate 50: the stages of the trial step h = 1
-    # overflow, and it is rejected with the minimum factor 0.2, with no
-    # warning; the steps then settle near h = 0.0066
-    rate = 50j * np.diag([1.0, -1.0])
+    # y = 1e300 I rotating at rate 50 (y' = y 50i sigma1, eigenvalues
+    # +-50i): the stages of the trial step h = 1 overflow, and it is
+    # rejected with the minimum factor 0.2, with no warning; the steps
+    # then settle near h = 0.0066
+    rate = 50j * np.array([[0.0, 1.0], [1.0, 0.0]])
     lengths = []
 
     def coeff(s):
         lengths.append(s[-1] - s[0])
-        return np.broadcast_to(rate, s.shape + (2, 2))
+        return constant_planes(rate[None], s)
 
     y0 = 1e300 * np.eye(2, dtype=complex)[None]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         y, _ = _rk_segment(coeff, y0, 0.0, 1.0, 1e-10, h0=1.0)
     assert lengths[:2] == [1.0, 0.2]
-    want = 1e300 * np.diag(np.exp([50j, -50j]))
+    want = 1e300 * (np.cos(50.0) * np.eye(2) + 1j * np.sin(50.0) * rate / 50j)
     assert np.abs(y[0] - want).max() <= 1e-8 * 1e300
 
 
@@ -591,7 +642,8 @@ def test_rk_segment_nan_error_raises():
     def nan_coeff(s):
         calls[0] += 1
         assert calls[0] < 1000, "the NaN step repeats"
-        return np.full(s.shape + (2, 2), np.nan, dtype=complex)
+        nan = np.full(s.shape + (1,), np.nan, dtype=complex)
+        return nan, nan
 
     y0 = np.eye(2, dtype=complex)[None]
     with pytest.raises(RuntimeError, match="path parameter 0.0"):
@@ -622,8 +674,12 @@ def test_batched_coefficient_adds_no_rounding(monkeypatch):
 
         def stepper(coeff, *args, **kwargs):
             patched.add(module.__name__)
-            return real(lambda s: np.stack([coeff(s[i:i + 1])[0] for i in range(len(s))]),
-                        *args, **kwargs)
+
+            def one_point_calls(s):
+                calls = [coeff(s[i:i + 1]) for i in range(len(s))]
+                return tuple(np.concatenate(plane) for plane in zip(*calls))
+
+            return real(one_point_calls, *args, **kwargs)
         return stepper
 
     for module in (flow, bessel):

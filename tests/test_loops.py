@@ -57,7 +57,7 @@ def test_mat2_broadcasts_its_entries():
     assert np.array_equal(_mat2(1, 0, 2j, 1), np.array([[1, 0], [2j, 1]]))
 
 
-# Runge-Kutta stage stacks (flow), a broadcast of one matrix per node
+# (1, m) stacks (the monodromy's K), a broadcast of one matrix per node
 # against a row of them, single-node stacks; the (nodes, m) stacks of a
 # factored block (the series frames, and H = Phi* Phi, F = Phi B^-1 and
 # the residuals of the tests' reference recursion) and that recursion's

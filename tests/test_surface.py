@@ -27,6 +27,7 @@ import besselcmc.loops as loops
 import besselcmc.potentials as potentials
 import besselcmc.surface as surface
 from besselcmc.loops import _mul2
+from oracles import curvature_stats_add_at, vertex_normals_add_at
 
 CFG = PipelineConfig(fourier_degree=16, lambda_samples=64)
 GRID = LambdaGrid(64)
@@ -165,6 +166,20 @@ def test_curvature_of_unit_sphere():
     stats = mesh_from_grid(V).H_stats
     assert abs(stats["mean"] - 1.0) <= 0.02
     assert stats["stddev"] / abs(stats["mean"]) < 0.02
+
+
+@pytest.mark.parametrize("r, n_radial, n_angular", [
+    (-0.25, 8, 8), (-0.25, 8, 9), (-0.25, 8, 10),   # the CI generate grids
+    (-0.3, 96, 48),                                 # the benchmark's generate grid
+])
+def test_mesh_scatters_match_add_at(r, n_radial, n_angular):
+    # one bincount per component sums each vertex's terms in np.add.at's order
+    mesh = build_surface(CylinderParams(r), DomainGrid(0.3, 3.0, n_radial, n_angular),
+                         LambdaGrid(32), PipelineConfig(8, 32))
+    normals = vertex_normals_add_at(mesh.vertices, mesh.faces)
+    assert np.array_equal(surface._vertex_normals(mesh.vertices, mesh.faces), normals)
+    assert mesh.H_stats == curvature_stats_add_at(mesh.vertices, mesh.faces, normals,
+                                                  n_radial, n_angular)
 
 
 def test_domain_validation():
