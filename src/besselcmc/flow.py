@@ -9,13 +9,13 @@ a whole family of independent 2x2 systems (all lambda samples, and all rays
 of a surface sweep) in lockstep: the step size is controlled by the worst
 error across the family.  Every potential the package integrates comes from
 a second-order scalar equation, so its coefficient is off-diagonal,
-[[0, c01], [c10, 0]], and the flow carries it as those two entry planes;
-a potential with a nonzero diagonal is rejected, never integrated with the
-diagonal dropped.  Each attempted step makes one coefficient call, the two
-planes over its twelve stage points s_i; a stage product Y coeff(s_i) is
-two multiplies, one per column (_stage), and each stage argument, the
-8th-order solution and the two error sums are one weighted sum over a
-preallocated stack of y and the stage derivatives.  At the CLI tolerance
+[[0, c01], [c10, 0]], and a PotentialSpec is those two entry planes: the
+flow integrates them as they come, and a diagonal cannot be handed to it.
+Each attempted step makes one coefficient call, the two planes over its
+twelve stage points s_i; a stage product Y coeff(s_i) is two multiplies,
+one per column (_stage), and each stage argument, the 8th-order solution
+and the two error sums are one weighted sum over a preallocated stack of
+y and the stage derivatives.  At the CLI tolerance
 1e-10 an 8th-order step is about four times longer than a 5th-order one,
 and the steps on small stacks cost mostly per-call overhead, so fewer,
 longer steps pay.
@@ -255,22 +255,19 @@ def _integrate_w_line(xi, lam, w0, w1, y0, rtol, stations=None):
     stations: increasing s values where output is wanted (1.0 implied).
     Returns array (S, B, m, 2, 2).
 
-    The flow drops the coefficient's diagonal, so it is checked once, at
-    both ends of every segment and every lambda sample: a nonzero entry
-    raises ValueError naming the potential.
+    xi.evaluate is called directly, without the pole check of xi(z, lam):
+    z = exp(w) is never 0, and should a path underflow it to 0 the
+    coefficient is not finite, which _rk_segment raises on.
     """
     w0 = np.atleast_1d(np.asarray(w0, dtype=complex))[:, None]
     w1 = np.atleast_1d(np.asarray(w1, dtype=complex))[:, None]
     lam = np.asarray(lam, dtype=complex)[None, :]
     dw = w1 - w0
-    if np.diagonal(xi(np.exp([w0, w1]), lam), axis1=-2, axis2=-1).any():
-        raise ValueError(f"{xi.description}: the coefficient has a nonzero "
-                         "diagonal, and the flow integrates off-diagonal ones only")
 
     def coeff(s):
         z = np.exp(w0 + s[:, None, None] * dw)   # (12, B, 1) against lam (1, m)
         f = z * dw
-        up, lo = xi.planes(z, lam)
+        up, lo = xi.evaluate(z, lam)
         return up * f, lo * f
 
     ss = [float(t) for t in (stations if stations is not None else [])]

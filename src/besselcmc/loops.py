@@ -48,23 +48,13 @@ def _mat2(a00, a01, a10, a11) -> np.ndarray:
     """The complex stack [[a00, a01], [a10, a11]] of broadcastable entries.
 
     Entries are arrays or scalars; the stack has their broadcast shape.
-    np.broadcast is asked only when the array entries' shapes differ, and
-    a scalar zero entry is left to the zero fill: each would cost about as
-    much as a small ufunc call, and the flow evaluates a potential on
-    every Runge-Kutta step.
+    No call is left in the Runge-Kutta step loop (the flow multiplies
+    coefficient planes, flow._stage), so no shortcut is taken here.
     """
     entries = (a00, a01, a10, a11)
-    shape = ()
-    for e in entries:
-        if isinstance(e, np.ndarray) and e.shape != shape:
-            if shape:
-                shape = np.broadcast(*entries).shape
-                break
-            shape = e.shape
-    out = np.zeros(shape + (2, 2), dtype=complex)
+    out = np.empty(np.broadcast(*entries).shape + (2, 2), dtype=complex)
     for ij, e in zip(_ENTRY, entries):
-        if isinstance(e, np.ndarray) or e != 0:
-            out[ij] = e
+        out[ij] = e
     return out
 
 

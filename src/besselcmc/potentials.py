@@ -45,41 +45,32 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """Evaluator for a meromorphic sl2-valued 1-form (coefficient of dz);
-    evaluate(z, lam) broadcasts z of any leading shape against lam.  The
-    only finite pole is z = 0, the puncture of C*: calling there raises.
+    """Evaluator for a meromorphic sl2-valued 1-form (coefficient of dz).
 
-    evaluate returns either the (..., 2, 2) stack of the coefficient or,
-    for an off-diagonal coefficient [[0, c01], [c10, 0]] (every
-    constructor below), its two entry planes (c01, c10), and builds no
-    zero-filled stack.  Calling the spec gives the stack either way;
-    planes() gives (c01, c10), the form flow integrates.
+    Every potential the package integrates comes from a second-order
+    scalar equation, so its coefficient is off-diagonal, [[0, c01],
+    [c10, 0]], and evaluate(z, lam) returns its two entry planes
+    (c01, c10), z of any leading shape broadcast against lam: that is the
+    form flow integrates, and a diagonal cannot be written down.  Calling
+    the spec gives the (..., 2, 2) stack; the only finite pole is z = 0,
+    the puncture of C*, and calling there raises.
 
     half_turn is the constant matrix D of the potential's symmetry under
     z -> -z in the log chart: (-z) xi(-z) = D (z xi(z)) D^-1 with D^2 = I.
     flow.monodromy integrates half a circuit and needs it; None (the
-    default, and what gauge_transform returns) declares no symmetry.
+    default) declares no symmetry.
     """
 
-    evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray | tuple[np.ndarray, np.ndarray]]
+    evaluate: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
     description: str
     half_turn: np.ndarray | None = field(default=None, compare=False)  # an array: not in == or hash
 
-    def _evaluate(self, z, lam):
+    def __call__(self, z, lam) -> np.ndarray:
         z = np.asarray(z, dtype=complex)
         if (z == 0).any():
             raise ValueError(f"{self.description}: evaluation at pole z=0j")
-        return self.evaluate(z, np.asarray(lam, dtype=complex))
-
-    def __call__(self, z, lam) -> np.ndarray:
-        c = self._evaluate(z, lam)
-        return _mat2(0, c[0], c[1], 0) if isinstance(c, tuple) else c
-
-    def planes(self, z, lam) -> tuple[np.ndarray, np.ndarray]:
-        """The off-diagonal entry planes (c01, c10).  A stack's diagonal is
-        not read here: flow checks it once per integration."""
-        c = self._evaluate(z, lam)
-        return c if isinstance(c, tuple) else (c[..., 0, 1], c[..., 1, 0])
+        c01, c10 = self.evaluate(z, np.asarray(lam, dtype=complex))
+        return _mat2(0, c01, c10, 0)
 
 
 @dataclass(frozen=True)
@@ -249,18 +240,21 @@ def lambda_gauge() -> GaugeSpec:
                   lambda z, lam: (np.zeros_like(z), 0, 0, 0), "Lambda")
 
 
-def gauge_transform(xi: PotentialSpec, g: GaugeSpec) -> PotentialSpec:
-    """xi.g = g^-1 xi g + g^-1 dg/dz.
+def gauge_transform(xi, g: GaugeSpec) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """xi.g = g^-1 xi g + g^-1 dg/dz, as a pointwise map (z, lam) -> the
+    (..., 2, 2) stack.
 
-    The result declares no half turn: a gauge may break the symmetry (g1
-    carries z^(1/2)), so the flow does not assume it survives.
+    xi is a PotentialSpec or another such map, so transforms compose.  The
+    result is no PotentialSpec and is never integrated: a gauge may bring
+    in a diagonal (g1^-1 dg1 does) and break the half turn (g1 carries
+    z^(1/2)).
     """
 
     def evaluate(z, lam):
         gv = g.evaluate(z, lam)
         return _mul2(_inv2(gv), _mul2(xi(z, lam), gv) + g.derivative(z, lam))
 
-    return PotentialSpec(evaluate, f"{xi.description}.{g.description}")
+    return evaluate
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,8 @@ def make_delaunay_potential(res: DelaunayResidue) -> PotentialSpec:
     constant, so the half turn is I."""
 
     def evaluate(z, lam):
-        return delaunay_residue_matrix(res, lam) / z[..., None, None]
+        A = delaunay_residue_matrix(res, lam)
+        return A[..., 0, 1] / z, A[..., 1, 0] / z
 
     return PotentialSpec(evaluate, f"delaunay(a={res.a}, b={res.b})",
                          np.eye(2, dtype=complex))

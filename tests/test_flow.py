@@ -16,7 +16,6 @@ from besselcmc import (
     PathSpec,
     PipelineConfig,
     alpha_of,
-    bessel_gauge_g1,
     bessel_integrate,
     closing_report,
     cylinder_basepoint_frame,
@@ -42,9 +41,8 @@ CFG = PipelineConfig(fourier_degree=4, lambda_samples=16)
 
 def zero_potential():
     def evaluate(z, lam):
-        z, lam = np.broadcast_arrays(np.asarray(z, dtype=complex),
-                                     np.asarray(lam, dtype=complex))
-        return np.zeros(z.shape + (2, 2), dtype=complex)
+        zero = np.zeros(np.broadcast(z, lam).shape, dtype=complex)
+        return zero, zero
 
     return PotentialSpec(evaluate, "zero")
 
@@ -405,25 +403,44 @@ def test_half_circuit_sees_a_wrong_basepoint_frame():
     assert abs(rep.unitarity_error - full.unitarity_error) <= 1e-9
 
 
-def test_integration_rejects_a_nonzero_diagonal():
-    # g1^-1 dg1 = diag(-1, 1) / (2z): the flow would drop that diagonal
+def test_lambda_gauged_cylinder_integrates_to_the_conjugate_frame():
+    # Lambda is z-independent, so dg = 0 keeps the coefficient off-diagonal:
+    # Lambda^-1 xi Lambda = [[0, c01 / lambda], [lambda c10, 0]], whose
+    # frame from I is Lambda^-1 Phi Lambda
     p, grid = CylinderParams(0.5), LambdaGrid(8)
-    xi = gauge_transform(make_cylinder_potential(p), bessel_gauge_g1())
-    with pytest.raises(ValueError, match=re.escape(xi.description)):
-        integrate_frame(xi, radial(1.0, 2.0), None, grid, CFG)
-    # Lambda is z-independent, so dg = 0 keeps the coefficient off-diagonal,
-    # and its frame from I is Lambda^-1 Phi Lambda
-    gauged = gauge_transform(make_cylinder_potential(p), lambda_gauge())
+    cyl = make_cylinder_potential(p)
+
+    def evaluate(z, lam):
+        up, lo = cyl.evaluate(z, lam)
+        return up / lam, lam * lo
+
+    gauged = PotentialSpec(evaluate, "cylinder.Lambda")
+    rng = np.random.default_rng(3)
+    z = rng.uniform(0.5, 2.0, 50) * np.exp(1j * rng.uniform(-2.7, 2.7, 50))
+    lam = np.exp(1j * rng.uniform(-2.7, 2.7, 50))
+    want = gauge_transform(cyl, lambda_gauge())(z, lam)
+    assert np.abs(gauged(z, lam) - want).max() <= 1e-15 * np.abs(want).max()
     end = integrate_frame(gauged, radial(1.0, 2.0), None, grid, CFG)
     g = lambda_gauge().evaluate(1.0, grid.points)
-    phi = integrate_frame(make_cylinder_potential(p), radial(1.0, 2.0), None, grid, CFG)
+    phi = integrate_frame(cyl, radial(1.0, 2.0), None, grid, CFG)
     assert np.abs(end - np.linalg.inv(g) @ phi @ g).max() <= 1e-9 * np.abs(phi).max()
 
 
+def test_path_into_the_puncture_raises_on_the_coefficient():
+    # the flow calls evaluate without the pole check: where 1/z overflows,
+    # w about -709.8 on this path, the coefficient is not finite and the
+    # step loop raises, before exp(w) could underflow to z = 0
+    xi = make_bessel_potential(0.3)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        with pytest.raises(RuntimeError, match="non-finite coefficient"):
+            integrate_frame(xi, PathSpec(0.0, -800.0), None, LambdaGrid(8), CFG)
+
+
 def test_monodromy_needs_a_declared_half_turn():
-    gauged = gauge_transform(make_cylinder_potential(CylinderParams(0.5)), lambda_gauge())
-    assert gauged.half_turn is None
-    for xi in (gauged, zero_potential()):
+    p = CylinderParams(0.5)
+    bare = PotentialSpec(make_cylinder_potential(p).evaluate, "cylinder, no half turn")
+    assert bare.half_turn is None
+    for xi in (bare, zero_potential()):
         with pytest.raises(ValueError, match=re.escape(xi.description)):
             monodromy(xi, LambdaGrid(8), CFG)
 
@@ -546,7 +563,7 @@ def cylinder_ray_coeff(n_rays=4, m=32):
 
     def coeff(s):
         z = np.exp(w0 + s[:, None, None] * dw)
-        up, lo = xi.planes(z, lam)
+        up, lo = xi.evaluate(z, lam)
         return up * (z * dw), lo * (z * dw)
 
     y0 = np.tile(np.eye(2, dtype=complex), (n_rays, m, 1, 1))

@@ -305,6 +305,28 @@ def test_failing_chunk_is_one_call(monkeypatch):
     assert calls == [summary["nodes"]] == [72]     # 8 rings of 9 columns
 
 
+@pytest.mark.parametrize("r, degree, m, annulus", [
+    (0.3, 32, 128, (0.3, 3.0)),
+    (-0.25, 8, 32, (0.3, 3.0)),
+    (0.9, 8, 32, (0.3, 3.0)),       # unitarity 1.0: the section is far too short
+    (0.9, 8, 32, (0.1, 5.0)),       # 6 nodes fail
+    (-2.9, 32, 128, (0.1, 5.0)),    # 2 nodes fail
+])
+def test_plus_factor_at_zero_is_normalized_by_construction(r, degree, m, annulus):
+    # B(0) is the recursion's last pivot: upper triangular with a real
+    # positive diagonal, exactly, on every node that factors, however badly
+    # the rest of its factorization went; iwasawa_grid's normalization_max
+    # relies on it and measures nothing
+    grid = LambdaGrid(m)
+    phi = series_frames(CylinderParams(r), DomainGrid(*annulus, 8, 8), grid)
+    _, bk, _ = factor_samples(phi.reshape(-1, m, 2, 2), grid, PipelineConfig(degree, m).section_rows)
+    b0 = bk[:, 0][~np.isnan(bk[:, 0, 0, 0])]
+    assert len(b0) >= 64
+    diag = b0[:, [0, 1], [0, 1]]
+    assert (b0[:, 1, 0] == 0).all()
+    assert (diag.imag == 0).all() and (diag.real > 0).all()
+
+
 # -------------------------------------------------------------- section size
 
 
