@@ -7,12 +7,15 @@ x_i = (1/2) Re tr(sigma_i f).  The resulting discrete mean curvature is
 whatever this normalization produces; constancy is the meaningful check.
 
 Frames are closed-form: the Frobenius series of the cylinder system times
-z^A in w = log z.  Both pipelines factor and Sym-evaluate only the columns
-0 <= theta <= pi / 2 of an even grid (0 <= theta <= pi of an odd one); the
-shared tail (_frames_to_mesh) places the others by the rigid motions that
-the half turn w -> w + i pi and the reflection symmetry of the
-real-coefficient potential (both derived in build_surface) induce on the
-points.  series_frames continues the series over the whole grid; the
+z^A in w = log z.  Every factor that depends on theta alone goes into one
+table per build (_series_columns), so each ring of frames is one real
+product with the weights e^{2ju} and one exp(u A) on the left.  Both
+pipelines factor and Sym-evaluate only the columns 0 <= theta <= pi / 2 of
+an even grid (0 <= theta <= pi of an odd one); the shared tail
+(_frames_to_mesh) places the others by the rigid motions that the half
+turn w -> w + i pi and the reflection symmetry of the real-coefficient
+potential (both derived in build_surface) induce on the points.
+series_frames continues the series over the whole grid; the
 Runge-Kutta flow over a spanning tree of the grid (_spanning_tree_frames)
 is kept as an independent oracle for it.
 """
@@ -327,26 +330,44 @@ def _series_columns(p: CylinderParams, dom: DomainGrid, grid: LambdaGrid,
     """series_frames on the angular columns theta, a block of rings at a time.
 
     Returns rings(lo, hi), the frames of rings lo .. hi - 1, shape
-    (hi - lo, columns, m, 2, 2).  P(z) times the constant right factor is
-    one (columns, terms) x (terms, 4m) product per ring.
+    (hi - lo, columns, m, 2, 2).  With w = u + i theta, z^A = exp(u A)
+    exp(i theta A) and z^{2j} = e^{2ju} e^{2ij theta}, so every factor
+    that depends on theta alone goes into one table, built once:
+
+        K[j, c] = exp(i theta_c A) C_j e^{2ij theta_c}
+                  diag(e^{-i theta_c / 2}, e^{i theta_c / 2}),
+
+    held as a real (terms, 2 columns 4m) view.  A block is then built in
+    place: each ring at u is one real product of the weights e^{2ju} with
+    that table, exp(u A) (one _exp2 per block) multiplies it on the left
+    one column of the block at a time, and diag(e^{-u/2}, e^{u/2}) scales
+    it on the right.  The largest temporary is one column of the block.
     """
     lam = grid.points
-    coeffs = _frobenius_coefficients(p, lam, dom.rho_max)
-    flat = coeffs.reshape(len(coeffs), -1)                   # (terms, 4m)
-    powers = 2.0 * np.arange(len(coeffs))
+    coeffs = _frobenius_coefficients(p, lam, dom.rho_max)       # (terms, m, 2, 2)
     A = delaunay_residue_matrix(DelaunayResidue(*delaunay_ab(p)), lam)
+    powers = 2.0 * np.arange(len(coeffs))
+    table = _mul2(_exp2(1j * theta, A), coeffs[:, None])
+    table *= np.exp(1j * np.outer(powers, theta))[..., None, None, None]
+    table[..., 0] *= np.exp(-0.5j * theta)[:, None, None]
+    table[..., 1] *= np.exp(0.5j * theta)[:, None, None]
+    table = table.view(float).reshape(len(coeffs), -1)
 
     def rings(lo: int, hi: int) -> np.ndarray:
+        u = dom.u()[lo:hi]
+        # formed before the block, so _exp2's temporaries do not add to its peak
+        weights, turn = np.exp(np.outer(u, powers)), _exp2(u, A)
         out = np.empty((hi - lo, len(theta), grid.m, 2, 2), dtype=complex)
-        for i, u in enumerate(dom.u()[lo:hi]):
-            w = u + 1j * theta
-            # einsum, not @: OpenBLAS splits a product this small over threads
-            # and can then take ~16 ms per ring on 2 vCPUs instead of ~0.5 ms
-            ring = np.einsum("kj,jc->kc", np.exp(np.outer(w, powers)), flat)
-            ring = ring.reshape(-1, grid.m, 2, 2)
-            out[i] = _mul2(_exp2(w, A), ring)
-            out[i, ..., 0] *= np.exp(-0.5 * w)[:, None, None]
-            out[i, ..., 1] *= np.exp(0.5 * w)[:, None, None]
+        flat = out.view(float).reshape(hi - lo, -1)
+        for i in range(hi - lo):
+            # a real gemv: 21 us per ring at 7 columns, m = 128, and 10 us at
+            # 13 columns, m = 32, against 34 and 16 us by einsum (OpenBLAS
+            # 0.3.31 defaults, 2 vCPUs, timeit); no thread stall seen
+            np.matmul(weights[i], table, out=flat[i])
+        # a column at a time: 7 _mul2 calls on a surface block, not 36
+        for c in range(len(theta)):
+            out[:, c] = _mul2(turn, out[:, c])
+        out *= np.exp(np.outer(u, [-0.5, 0.5]))[:, None, None, None]
         return out
     return rings
 

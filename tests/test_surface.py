@@ -1,5 +1,7 @@
 """Sym evaluation, mesh pipelines, reference surfaces, and diagnostics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ import besselcmc.flow as flow
 import besselcmc.loops as loops
 import besselcmc.potentials as potentials
 import besselcmc.surface as surface
+from besselcmc.iwasawa import _CHUNK
 from besselcmc.loops import _mul2
 from oracles import curvature_stats_add_at, vertex_normals_add_at
 
@@ -267,6 +270,48 @@ def test_series_seam_is_the_closed_form_monodromy(r):
     M = -loops._exp2(np.array(2j * np.pi), A)
     err = ring_relative(frames[:, -1], _mul2(M, frames[:, 0]))
     assert (err <= 1e-13).all(), err.max()
+
+
+@pytest.mark.parametrize("n_angular", [8, 9])
+@pytest.mark.parametrize("r", SERIES_R)
+def test_series_columns_match_the_series_node_by_node(r, n_angular):
+    # the theta-only table against exp(w A) sum_j e^{2jw} C_j diag(e^{-w/2},
+    # e^{w/2}) summed at each node of a block that does not start at ring 0
+    p, dom = CylinderParams(r), DomainGrid(0.1, 5.0, 7, n_angular)
+    theta = dom.thetas()[:surface._factored_columns(n_angular)]
+    lam = SERIES_GRID.points
+    C = potentials._frobenius_coefficients(p, lam, dom.rho_max)
+    A = delaunay_residue_matrix(DelaunayResidue(*delaunay_ab(p)), lam)
+    lo, hi = 2, 6
+    want = np.empty((hi - lo, len(theta), SERIES_GRID.m, 2, 2), dtype=complex)
+    for i, u in enumerate(dom.u()[lo:hi]):
+        for k, t in enumerate(theta):
+            w = u + 1j * t
+            P = sum(np.exp(2 * j * w) * c for j, c in enumerate(C))
+            want[i, k] = _mul2(loops._exp2(np.array(w), A), P) @ np.diag(
+                [np.exp(-0.5 * w), np.exp(0.5 * w)])
+    got = surface._series_columns(p, dom, SERIES_GRID, theta)(lo, hi)
+    err = ring_relative(got, want)
+    assert (err <= 1e-13).all(), err.max()       # measured <= 1.4e-15
+
+
+@pytest.mark.parametrize("annulus, m", [((0.3, 3.0, 48, 24), 128),    # surface
+                                        ((0.3, 3.0, 96, 48), 32)])    # generate
+def test_series_block_working_set(annulus, m):
+    # the block is built in place: no block-sized temporary
+    dom, grid = DomainGrid(*annulus), LambdaGrid(m)
+    cols = surface._factored_columns(dom.n_angular)
+    rings = surface._series_columns(CylinderParams(0.3), dom, grid, dom.thetas()[:cols])
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        block = rings(0, _CHUNK // cols)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    # measured 1.36 (surface) and 1.30 (generate): the block, exp(u A) on its
+    # rings and one column's temporaries
+    assert peak <= 1.5 * block.nbytes, peak / block.nbytes
 
 
 @pytest.mark.parametrize("r", SERIES_R)
@@ -539,7 +584,9 @@ def test_half_turn_of_the_factored_frames(r):
     D = np.diag([-1j, 1j])
     turned = _mul2(_mul2(U, F[:, : n // 2 + 1]), D)
     err = np.abs(F[:, n // 2:] - turned).max()
-    assert err <= 1e-9, err        # measured 1.8e-11 .. 4.3e-11, 6.2e-10 at r = -2.5
+    # measured 2.0e-11 .. 5.5e-11, and 6.6e-10 at r = -2.5, where it follows
+    # the factorization's roundoff floor (unitarity_max 1.2e-9 there)
+    assert err <= 1e-9, err
 
 
 @pytest.mark.parametrize("n_angular", [8, 9, 10])
