@@ -14,12 +14,28 @@ arithmetic (float rows for the real and imaginary parts of its complex
 rows), and each step's J-unitary rotation is built in closed form from a
 few per-node scalars and applied as one real 8x8 product per node.
 
+The recursion stops once it has converged.  A frame's symbol H is
+analytic in an annulus about the circle, so the recursion's reflection
+coefficients q fall geometrically until they reach rounding.  Each node
+has the floor eps kappa, kappa a bound on the condition number of H on
+the circle; once every node that still factors has |q| at its floor,
+every later rotation is the identity to rounding, and the rest of B is
+read off the generator as it stands.  On the surface benchmark's blocks
+at N = 32 that is after 12-16 of the 65 steps.  A node whose floor
+reaches 1 (H singular to working precision) never lets its chunk stop,
+and where q never reaches the floor every step runs, with the bits of
+the full recursion.
+
 Failure is data, not an exception.  Each node's rotation touches only
 its own generator rows, so a node whose pivot is not positive (or whose
 samples are not finite) is marked and the batch carries on; its factors
-come out NaN, and the other nodes' numbers are the same bits as in a
-batch without it.  iwasawa_grid makes one factor_samples call per chunk
-and reads the failed nodes from the NaN ones.
+come out NaN.  A good node's bits depend on the step at which its chunk
+stopped, but not on the failed nodes: a node that fails at its first
+pivot (NaN samples make it NaN) takes no part in the stop, so the other
+nodes are the same bits as in a batch without it, and a node that fails
+later holds the stop back only until its pivot fails, which moves the
+others by rounding.  iwasawa_grid makes one factor_samples call per
+chunk and reads the failed nodes from the NaN ones.
 
 The working set of a block is kept lean: H is taken as three entry
 planes of (nodes, m) samples, each transformed along its contiguous last
@@ -43,7 +59,8 @@ __all__ = ["iwasawa_grid", "factor_samples"]
 
 
 def _symbol_coefficients(phi: np.ndarray, kept: int):
-    """H_0 .. H_{kept-1} of H = Phi* Phi as four (nodes, kept) entry planes.
+    """H_0 .. H_{kept-1} of H = Phi* Phi as four (nodes, kept) entry planes,
+    and each node's rounding floor for the recursion's q (_bottom_row).
 
     H's diagonal is two real planes and its lower entry one complex
     plane, each with its samples on the contiguous last axis; H01 =
@@ -52,24 +69,47 @@ def _symbol_coefficients(phi: np.ndarray, kept: int):
     two round differently, and the sections just short of indefinite
     (tests' half-circle loop, least eigenvalue 1.8e-25 at 33 block rows
     of m = 128) then pass up to 53 block rows, against 26 with rfft.
+
+    The floor is eps kappa, with kappa = max over the circle of
+    (tr H)^2 / det H, a bound on the condition number of H(lambda) (tr^2 /
+    det >= sigma_1 / sigma_2), unchanged when Phi is scaled; for the
+    pipeline's frames det H = |det Phi|^2 = 1 and kappa = max (tr H)^2.
     """
     m = phi.shape[1]
     p00, p01, p10, p11 = phi[..., 0, 0], phi[..., 0, 1], phi[..., 1, 0], phi[..., 1, 1]
-    c00 = np.fft.fft(_norm2(p00, p10), norm="forward")[:, :kept]
-    c11 = np.fft.fft(_norm2(p01, p11), norm="forward")[:, :kept]
+    n00, n11 = _norm2(p00, p10), _norm2(p01, p11)
+    det = p00 * p11 - p01 * p10
+    kappa = ((n00 + n11) ** 2 / (det.real ** 2 + det.imag ** 2)).max(axis=1)
+    c00 = np.fft.fft(n00, norm="forward")[:, :kept]
+    c11 = np.fft.fft(n11, norm="forward")[:, :kept]
     c10 = np.fft.fft(np.conj(p01) * p00 + np.conj(p11) * p10, norm="forward")
-    return c00, np.conj(c10[:, -np.arange(kept) % m]), c10[:, :kept], c11
+    return (c00, np.conj(c10[:, -np.arange(kept) % m]), c10[:, :kept], c11,
+            np.finfo(float).eps * kappa)
 
 
-def _bottom_row(h00, h01, h10, h11, nsec: int) -> np.ndarray:
+def _reflection_bound(v, a00, a01, a11) -> np.ndarray:
+    """Per node, max_j |v_j|_F^2 |a^-1|_F^2 over v*'s blocks v_j, a bound
+    on max_j |v_j a^-1|_F^2 that needs no temporary of v's size.
+
+    v: the generator's rows [Re v*, Im v*], (nodes, 4, 2 blocks); a =
+    [[a00, a01], [0, a11]] per node, a^-1 = [[1/a00, -a01/(a00 a11)], [0, 1/a11]].
+    """
+    v = v.reshape(len(v), 4, -1, 2)
+    vv = np.einsum("nrjc,nrjc->nj", v, v).max(axis=1)
+    return vv * (1.0 / a00 ** 2 + 1.0 / a11 ** 2
+                 + (a01.real ** 2 + a01.imag ** 2) / (a00 * a11) ** 2)
+
+
+def _bottom_row(h00, h01, h10, h11, floor, nsec: int) -> np.ndarray:
     """B_0 .. B_{nsec-1} from the block Schur recursion on the section.
 
     h00 .. h11: H_k's entries for k < kept, (nodes, kept); the section's
     offsets from kept on are zero.  Returns (nodes, 2, 2, nsec) complex,
-    B_k[i, j] at [:, i, j, k].  See factor_samples for the steps.  A node
-    is ok while the diagonals of its first R0 and of every step's two
-    Cholesky factors are > 0 (NaN is not); the nodes that are not get NaN
-    coefficients.
+    B_k[i, j] at [:, i, j, k]; floor: each node's eps kappa, (nodes,).
+    See factor_samples for the steps and the stop.  A node is ok while
+    the diagonals of its first R0 and of every step's two Cholesky factors
+    are > 0 (NaN is not); the nodes that are not get NaN coefficients and
+    take no part in the stop.
     """
     nb, kept = h00.shape
     bk = np.empty((nb, 2, 2, nsec), dtype=complex)
@@ -107,6 +147,9 @@ def _bottom_row(h00, h01, h10, h11, nsec: int) -> np.ndarray:
     bk.real[..., -1], bk.imag[..., -1] = g[:, :2, -2:], g[:, 2:4, -2:]
     # a = [[a00, a01], [0, a11]], the last pivot adjoined
     a00, a01, a11 = l00, np.conj(l10), l11
+    # |q|^2 at which a node lets its chunk stop; a node whose floor is not
+    # below 1 (H singular to working precision) never does
+    floor2 = np.where(floor < 1.0, floor * floor, -1.0)
     for k in range(1, nsec):
         w -= 2
         shifted = sbuf[:nb * 8 * w].reshape(nb, 8, w)
@@ -117,6 +160,18 @@ def _bottom_row(h00, h01, h10, h11, nsec: int) -> np.ndarray:
         q = np.empty_like(b)                     # q = b a^-1
         q[:, 0] = b[:, 0] / a00
         q[:, 1] = (b[:, 1] - q[:, 0] * a01) / a11
+        qq = (q.real ** 2 + q.imag ** 2).sum(axis=1)
+        # stop once q is at its floor on every node that still factors.  q
+        # need not fall monotonically (a symbol in lambda^3 has q = 0 at
+        # steps 1 and 2), so every block v_j of v* is bounded too: a rotation
+        # moves u* by about q* v*, so with |v_j a^-1|^2 <= floor the
+        # rotations left would move B by about the floor
+        if (((qq[0] + qq[1] <= floor2) | ~ok).all()
+                and ((_reflection_bound(shifted[:, 4:], a00, a01, a11) <= floor) | ~ok).all()):
+            # the rest of B is u*'s blocks as they stand
+            u = shifted[:, :4].reshape(nb, 2, 2, nsec - k, 2).transpose(1, 0, 2, 4, 3)
+            bk.real[..., :nsec - k], bk.imag[..., :nsec - k] = u
+            break
         # the new pivot: L L* = a* a - b* b
         bb = (top * top).sum(axis=0)
         l00, l10, l11 = _chol2_entries(
@@ -126,7 +181,6 @@ def _bottom_row(h00, h01, h10, h11, nsec: int) -> np.ndarray:
         m00, m11 = a00 / l00, a11 / l11
         m10 = (np.conj(a01) - l10 * m00) / l11
         # M2 = C^-1 with C C* = I - q q*
-        qq = (q.real ** 2 + q.imag ** 2).sum(axis=1)
         c00, c10, c11 = _chol2_entries(
             1.0 - qq[0], -(q[1] * np.conj(q[0])).sum(axis=0), 1.0 - qq[1])
         ok &= (l00 > 0) & (l11 > 0) & (c00 > 0) & (c11 > 0)
@@ -185,16 +239,36 @@ def factor_samples(phi: np.ndarray, grid: LambdaGrid, nsec: int):
     The shift and the product write into the same two buffers at every
     step.  B's samples are one inverse FFT of its coefficient planes,
     zero-padded to m inside the transform, and F = Phi adj(B) / det(B)
-    entry by entry (loops._rdiv2).  On a 252-node block at N = 32, m = 128
-    this takes 40 ms on 2 vCPUs (timeit min over 30 calls, three runs),
-    against 44-60 ms with stacked temporaries.
+    entry by entry (loops._rdiv2).
+
+    q is the step's reflection coefficient, and the recursion stops at the
+    first step k at which every node that still factors has |q|_F <=
+    floor, floor = eps kappa with kappa = max over the samples of
+    (tr H)^2 / det H >= cond H (_symbol_coefficients), and every block v_j
+    of v* has |v_j|_F^2 |a^-1|_F^2 <= floor.  A rotation moves u* by about
+    q* v*, so the rotations left would move B by about the floor: B_0 ..
+    B_{nsec-1-k} are then u*'s blocks of the shifted generator, and B_0
+    is still the exact triangular pivot.  The second test is there
+    because q need not fall monotonically: a symbol in lambda^3 has q = 0
+    at its first two steps.  A node with floor >= 1 never lets its chunk
+    stop.  On the surface benchmark's frames (r = 0.2, 0.3, 0.4) the
+    plateau that |q| reaches reads 0.09-0.56 of the floor, ring by ring;
+    the chunks stop after 12-16 of 65 steps, and B moves from the full
+    recursion's by at most 4.8e-16 |B|.  generate's chunks (N = 8) stop
+    after 12 of 17 steps.  At r = -2.9 (N = 32) q never reaches the floor
+    and every step runs.  On a 252-node block at N = 32, m = 128 the call
+    takes 20-27 ms at r = 0.3 and 35-51 ms at r = 0.9, where the chunk
+    stops after 47 steps, on 2 vCPUs (timeit min over 30 calls, three
+    runs), against 35-50 and 37-53 ms for all 65 steps in the same runs.
 
     Nothing is raised for a node that does not factor: where a pivot of
     its recursion is not positive (a NaN in its samples makes the first
     one NaN), its F, B coefficients and B samples are all NaN, and as the
-    steps go node by node the other nodes are untouched.  The arithmetic
-    on such a node divides by zero and takes roots of negatives, so the
-    call runs under one np.errstate that silences those two warnings.
+    steps go node by node the other nodes' rotations are untouched; such a
+    node counts for the stop only until its pivot fails (see the module
+    docstring).  The arithmetic on such a node divides by zero and takes
+    roots of negatives, so the call runs under one np.errstate that
+    silences those two warnings.
     """
     m = grid.m
     with np.errstate(divide="ignore", invalid="ignore"):

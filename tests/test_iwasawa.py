@@ -21,7 +21,7 @@ from besselcmc import (
 )
 import besselcmc.iwasawa as iwasawa
 from besselcmc.iwasawa import _unitarity, factor_samples
-from besselcmc.loops import _adj, _inv2, _mul2
+from besselcmc.loops import _adj, _chol2_entries, _inv2, _mul2
 from besselcmc.surface import _factored_columns, _series_columns
 from oracles import chol2, radial
 
@@ -94,6 +94,16 @@ def test_recovers_known_product():
     b = plus_loop()
     got_f, got_b, _ = factor_one(f @ b)
     assert np.abs(got_f - f).max() < 1e-9
+    assert np.abs(got_b - b).max() < 1e-9
+
+
+def test_recovers_a_plus_factor_in_lambda_cubed():
+    # H depends on lambda^3 only, so the recursion's q is 0 at its first two
+    # steps while v* is not: the stop must bound all of v*, not its top block
+    b = plus_loop()
+    b[:, 0, 1] = 0.5 * GRID.points**3
+    got_f, got_b, _ = factor_one(rotation_loop() @ b)
+    assert np.abs(got_f - rotation_loop()).max() < 1e-9
     assert np.abs(got_b - b).max() < 1e-9
 
 
@@ -253,6 +263,78 @@ def test_real_kernel_matches_the_complex_recursion(r, degree, m):
     err_f = np.abs(f - ref_f).reshape(len(phi), -1).max(axis=1)
     assert (err_b <= 1e-12 * scale).all(), (err_b / scale).max()
     assert (err_f <= 1e-12 * scale).all(), (err_f / scale).max()
+
+
+def schur_steps(monkeypatch, phi, grid, nsec):
+    """(steps, factor_samples' result): the rotations the recursion applied,
+    counted by its Cholesky calls, one before the loop and two per step."""
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return _chol2_entries(*args)
+
+    monkeypatch.setattr(iwasawa, "_chol2_entries", counted)
+    out = factor_samples(phi, grid, nsec)
+    monkeypatch.undo()
+    return (len(calls) - 1) // 2, out
+
+
+@pytest.mark.parametrize("r, degree, m, most", [
+    (0.2, 32, 128, 20), (0.3, 32, 128, 20), (0.4, 32, 128, 20),   # of 65 steps
+    (-0.4, 8, 32, 16), (-0.25, 8, 32, 16), (-0.15, 8, 32, 16),    # of 17
+])
+def test_recursion_stops_at_the_rounding_floor(monkeypatch, r, degree, m, most):
+    # the symbol is analytic in an annulus, so q falls geometrically and
+    # reaches every node's floor long before the section ends (12-16 steps
+    # measured); test_real_kernel_matches_the_complex_recursion checks the
+    # same frames against the recursion run to the end
+    phi, grid, cfg = annulus_frames(r, degree, m)
+    steps, _ = schur_steps(monkeypatch, phi, grid, cfg.section_rows)
+    assert steps <= most
+
+
+def test_recursion_runs_to_the_end_short_of_the_floor(monkeypatch):
+    # r = -2.9 (rho = 1.45): the outer rings' q never reach their floor
+    phi, grid, cfg = annulus_frames(-2.9, 32, 128)
+    steps, _ = schur_steps(monkeypatch, phi, grid, cfg.section_rows)
+    assert steps == cfg.section_rows - 1
+    # the half-circle loop's H is singular on half the circle, so its floor
+    # is infinite; on the sections short of indefinite it factors to the end
+    for m, nsec in ((32, 9), (128, 16)):
+        grid = LambdaGrid(m)
+        steps, out = schur_steps(monkeypatch, half_circle_loop(grid)[None], grid, nsec)
+        assert steps == nsec - 1
+        assert all(np.isfinite(x).all() for x in out)
+
+
+def test_singular_symbol_holds_its_chunk_to_the_end(monkeypatch):
+    # diag(1, 1e-8) is constant, so its q is exactly 0 at every step, but
+    # cond H = 1e16 puts its floor eps kappa above 1: it never lets its
+    # chunk stop, though the product loop beside it converges at once
+    phi = np.stack([rotation_loop() @ plus_loop(), np.tile(np.diag([1.0, 1e-8]), (GRID.m, 1, 1))])
+    nsec = CFG.section_rows
+    alone, (f, bk, _) = schur_steps(monkeypatch, phi[:1], GRID, nsec)
+    held, (both_f, both_bk, _) = schur_steps(monkeypatch, phi, GRID, nsec)
+    assert alone < held == nsec - 1
+    assert np.abs(both_bk[1, 0] - np.diag([1.0, 1e-8])).max() <= 1e-15
+    assert np.abs(both_f[0] - f[0]).max() <= 1e-12
+    assert np.abs(both_bk[0] - bk[0]).max() <= 1e-12
+
+
+def test_nan_node_leaves_the_stop_alone(monkeypatch):
+    # a node that never factors takes no part in the stop: the chunk stops
+    # at the step it stops at without the node, with the same bits
+    phi, grid, cfg = annulus_frames(0.3, 32, 128)
+    ok = np.arange(len(phi)) != 5
+    clean_steps, clean = schur_steps(monkeypatch, phi[ok], grid, cfg.section_rows)
+    phi = phi.copy()
+    phi[5] = np.nan
+    steps, out = schur_steps(monkeypatch, phi, grid, cfg.section_rows)
+    assert steps == clean_steps < cfg.section_rows - 1
+    for x, clean_x in zip(out, clean):
+        assert np.isnan(x[5]).all()
+        assert np.array_equal(x[ok], clean_x)
 
 
 def raising_nodes(factor, phi, grid, nsec):
