@@ -18,13 +18,14 @@ The recursion stops once it has converged.  A frame's symbol H is
 analytic in an annulus about the circle, so the recursion's reflection
 coefficients q fall geometrically until they reach rounding.  Each node
 has the floor eps kappa, kappa a bound on the condition number of H on
-the circle; once every node that still factors has |q| at its floor,
-every later rotation is the identity to rounding, and the rest of B is
-read off the generator as it stands.  On the surface benchmark's blocks
-at N = 32 that is after 12-16 of the 65 steps.  A node whose floor
-reaches 1 (H singular to working precision) never lets its chunk stop,
-and where q never reaches the floor every step runs, with the bits of
-the full recursion.
+the circle.  A rotation moves the generator by about q* v*, a product of
+two small factors, so once every node that still factors has |q|^2 and
+every |v_j a^-1|^2 at its floor, the rotations left would move B by about
+eps kappa |B|, and the rest of B is read off the generator as it stands.
+On the surface benchmark's blocks at N = 32 that is after 6-8 of the 65
+steps.  A node whose floor reaches 1 (H singular to working precision)
+never lets its chunk stop, and where v* never reaches the floor every
+step runs, with the bits of the full recursion.
 
 Failure is data, not an exception.  Each node's rotation touches only
 its own generator rows, so a node whose pivot is not positive (or whose
@@ -60,7 +61,8 @@ __all__ = ["iwasawa_grid", "factor_samples"]
 
 def _symbol_coefficients(phi: np.ndarray, kept: int):
     """H_0 .. H_{kept-1} of H = Phi* Phi as four (nodes, kept) entry planes,
-    and each node's rounding floor for the recursion's q (_bottom_row).
+    and each node's rounding floor for the squared size of the recursion's
+    q and v* (_bottom_row).
 
     H's diagonal is two real planes and its lower entry one complex
     plane, each with its samples on the contiguous last axis; H01 =
@@ -147,9 +149,9 @@ def _bottom_row(h00, h01, h10, h11, floor, nsec: int) -> np.ndarray:
     bk.real[..., -1], bk.imag[..., -1] = g[:, :2, -2:], g[:, 2:4, -2:]
     # a = [[a00, a01], [0, a11]], the last pivot adjoined
     a00, a01, a11 = l00, np.conj(l10), l11
-    # |q|^2 at which a node lets its chunk stop; a node whose floor is not
-    # below 1 (H singular to working precision) never does
-    floor2 = np.where(floor < 1.0, floor * floor, -1.0)
+    # a node whose floor is not below 1 (H singular to working precision)
+    # never lets its chunk stop
+    floor = np.where(floor < 1.0, floor, -1.0)
     for k in range(1, nsec):
         w -= 2
         shifted = sbuf[:nb * 8 * w].reshape(nb, 8, w)
@@ -161,12 +163,14 @@ def _bottom_row(h00, h01, h10, h11, floor, nsec: int) -> np.ndarray:
         q[:, 0] = b[:, 0] / a00
         q[:, 1] = (b[:, 1] - q[:, 0] * a01) / a11
         qq = (q.real ** 2 + q.imag ** 2).sum(axis=1)
-        # stop once q is at its floor on every node that still factors.  q
-        # need not fall monotonically (a symbol in lambda^3 has q = 0 at
-        # steps 1 and 2), so every block v_j of v* is bounded too: a rotation
-        # moves u* by about q* v*, so with |v_j a^-1|^2 <= floor the
-        # rotations left would move B by about the floor
-        if (((qq[0] + qq[1] <= floor2) | ~ok).all()
+        # stop once every block v_j of v* has |v_j a^-1|^2 <= floor on every
+        # node that still factors: a rotation moves u* by about q* v*, a
+        # product of two such factors, so the rotations left would move B
+        # by about the floor.  q = b a^-1 with b v*'s top block, so |q|^2 <=
+        # floor is implied; it is the cheap test run first.  v* is bounded
+        # whole because q need not fall monotonically (a symbol in lambda^3
+        # has q = 0 at steps 1 and 2)
+        if (((qq[0] + qq[1] <= floor) | ~ok).all()
                 and ((_reflection_bound(shifted[:, 4:], a00, a01, a11) <= floor) | ~ok).all()):
             # the rest of B is u*'s blocks as they stand
             u = shifted[:, :4].reshape(nb, 2, 2, nsec - k, 2).transpose(1, 0, 2, 4, 3)
@@ -242,24 +246,26 @@ def factor_samples(phi: np.ndarray, grid: LambdaGrid, nsec: int):
     entry by entry (loops._rdiv2).
 
     q is the step's reflection coefficient, and the recursion stops at the
-    first step k at which every node that still factors has |q|_F <=
-    floor, floor = eps kappa with kappa = max over the samples of
-    (tr H)^2 / det H >= cond H (_symbol_coefficients), and every block v_j
-    of v* has |v_j|_F^2 |a^-1|_F^2 <= floor.  A rotation moves u* by about
-    q* v*, so the rotations left would move B by about the floor: B_0 ..
-    B_{nsec-1-k} are then u*'s blocks of the shifted generator, and B_0
-    is still the exact triangular pivot.  The second test is there
-    because q need not fall monotonically: a symbol in lambda^3 has q = 0
-    at its first two steps.  A node with floor >= 1 never lets its chunk
-    stop.  On the surface benchmark's frames (r = 0.2, 0.3, 0.4) the
-    plateau that |q| reaches reads 0.09-0.56 of the floor, ring by ring;
-    the chunks stop after 12-16 of 65 steps, and B moves from the full
-    recursion's by at most 4.8e-16 |B|.  generate's chunks (N = 8) stop
-    after 12 of 17 steps.  At r = -2.9 (N = 32) q never reaches the floor
-    and every step runs.  On a 252-node block at N = 32, m = 128 the call
-    takes 20-27 ms at r = 0.3 and 35-51 ms at r = 0.9, where the chunk
-    stops after 47 steps, on 2 vCPUs (timeit min over 30 calls, three
-    runs), against 35-50 and 37-53 ms for all 65 steps in the same runs.
+    first step k at which every block v_j of v* has |v_j|_F^2 |a^-1|_F^2
+    <= floor on every node that still factors, floor = eps kappa with
+    kappa = max over the samples of (tr H)^2 / det H >= cond H
+    (_symbol_coefficients).  A rotation moves u* by about q* v*, with
+    |q|_F and every |v_j a^-1|_F at most sqrt(floor), so the rotations
+    left would move B by about floor |B|: B_0 .. B_{nsec-1-k} are then
+    u*'s blocks of the shifted generator, and B_0 is still the exact
+    triangular pivot.  As q = b a^-1 and b is v*'s top block, |q|_F^2 <=
+    floor is implied, and it is tested first because it is cheap.  All
+    of v* is bounded because q need not fall monotonically: a symbol in
+    lambda^3 has q = 0 at its first two steps.  A node with floor >= 1
+    never lets its chunk stop.  The chunks of the surface benchmark
+    (r = 0.2, 0.3, 0.4) stop after 6, 7 and 8 of 65 steps, generate's
+    (N = 8) after 5-7 of 17, and at r = 0.9 after 23 of 65; B moves from
+    the full recursion's by at most 0.34 eps kappa |B| per node.  At
+    r = -2.9 (N = 32) the outer rings never reach the floor and every
+    step runs.  On a 252-node block at N = 32, m = 128 the call takes
+    14-15 ms at r = 0.3 and 22-23 ms at r = 0.9 on 2 vCPUs (timeit min
+    over 30 calls, three runs), against 32-35 and 31-34 ms for all 65
+    steps in the same runs.
 
     Nothing is raised for a node that does not factor: where a pivot of
     its recursion is not positive (a NaN in its samples makes the first
@@ -296,7 +302,13 @@ def _unitarity(f: np.ndarray) -> np.ndarray:
 
 
 def _reconstruction(f: np.ndarray, bs: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Per-node max |F B - Phi| over the samples, one entry plane at a time."""
+    """Per-node max |F B - Phi| over the samples, one entry plane at a time.
+
+    factor_samples forms F = Phi adj(B) / det B, so F B = Phi by
+    construction and this reads rounding only, however poor B is: at
+    r = -2.9 (N = 32, annulus 0.3:3.0) it reads 3.0e-10 where the
+    unitarity reads 2.2e-2.
+    """
     dev = np.zeros(phi.shape[:-2])
     for i in range(2):
         for j in range(2):
@@ -335,7 +347,10 @@ def iwasawa_grid(phis, grid: LambdaGrid,
     normalization and reconstruction |F B - Phi| over the nodes that
     factored (NaN where none did).  The normalization, B(0)'s deviation
     from upper triangular with real positive diagonal, is 0 by
-    construction: B(0) is the recursion's last pivot (_bottom_row).
+    construction: B(0) is the recursion's last pivot (_bottom_row).  The
+    reconstruction reads rounding by construction, since F = Phi adj(B) /
+    det B (_reconstruction); unitarity and plus_loop_tail carry the
+    factorization's error.
     """
     _check_grid(grid, cfg)
     phis = np.asarray(phis, dtype=complex)

@@ -281,17 +281,64 @@ def schur_steps(monkeypatch, phi, grid, nsec):
 
 
 @pytest.mark.parametrize("r, degree, m, most", [
-    (0.2, 32, 128, 20), (0.3, 32, 128, 20), (0.4, 32, 128, 20),   # of 65 steps
-    (-0.4, 8, 32, 16), (-0.25, 8, 32, 16), (-0.15, 8, 32, 16),    # of 17
+    (0.2, 32, 128, 10), (0.3, 32, 128, 10), (0.4, 32, 128, 10),   # of 65 steps
+    (-0.4, 8, 32, 9), (-0.25, 8, 32, 9), (-0.15, 8, 32, 9),       # of 17
 ])
 def test_recursion_stops_at_the_rounding_floor(monkeypatch, r, degree, m, most):
-    # the symbol is analytic in an annulus, so q falls geometrically and
-    # reaches every node's floor long before the section ends (12-16 steps
-    # measured); test_real_kernel_matches_the_complex_recursion checks the
-    # same frames against the recursion run to the end
+    # the symbol is analytic in an annulus, so q and v* fall geometrically
+    # and reach every node's floor long before the section ends (6-8 steps
+    # measured at N = 32, 5-7 at N = 8); test_stop_moves_b_by_at_most_its_floor
+    # and test_real_kernel_matches_the_complex_recursion check the same
+    # frames against the recursion run to the end
     phi, grid, cfg = annulus_frames(r, degree, m)
     steps, _ = schur_steps(monkeypatch, phi, grid, cfg.section_rows)
     assert steps <= most
+
+
+@pytest.mark.parametrize("r, degree, m", [
+    (0.2, 32, 128), (0.3, 32, 128), (0.4, 32, 128),        # surface workload
+    (-0.4, 8, 32), (-0.25, 8, 32), (-0.15, 8, 32),         # generate workload
+    (0.9, 32, 128), (-1.5, 32, 128), (-2.5, 32, 128),
+])
+def test_stop_moves_b_by_at_most_its_floor(r, degree, m):
+    # a skipped rotation moves u* by about q* v*, both at most sqrt(floor),
+    # so the stopped recursion is within floor |B| of the one run to the
+    # end, which a floor of 2 forces on every node (measured: at most 0.34
+    # of the bound, at r = -1.5)
+    phi, grid, cfg = annulus_frames(r, degree, m)
+    nsec = cfg.section_rows
+    *h, floor = iwasawa._symbol_coefficients(phi, min(nsec, m // 2 + 1))
+    stopped = iwasawa._bottom_row(*h, floor, nsec)
+    full = iwasawa._bottom_row(*h, np.full_like(floor, 2.0), nsec)
+    err = np.abs(stopped - full).reshape(len(phi), -1).max(axis=1)
+    bound = floor * np.abs(full).reshape(len(phi), -1).max(axis=1)
+    assert (err <= bound).all(), (err / bound).max()
+
+
+def su2_rotations(count, seed=0):
+    """The identity and count random constant SU(2) matrices."""
+    rng = np.random.default_rng(seed)
+    out = [np.eye(2, dtype=complex)]
+    for _ in range(count):
+        q = rng.normal(size=4)
+        q /= np.linalg.norm(q)
+        out.append(np.array([[q[0] + 1j * q[1], q[2] + 1j * q[3]],
+                             [-q[2] + 1j * q[3], q[0] - 1j * q[1]]]))
+    return out
+
+
+@pytest.mark.parametrize("r, lo", [(-0.3, 0), (-0.2, 76)])
+def test_rounding_does_not_move_the_stop(monkeypatch, r, lo):
+    # U Phi has the same H as Phi for a constant unitary U, but other bits,
+    # so a stop decided on q's rounding plateau moves with U.  The block is
+    # one generate chunk (96:48, N = 8, m = 32).  A first-order stop, |q|_F
+    # <= eps kappa, moved on the first two: 12-13 and 11-12 steps
+    grid, dom = LambdaGrid(32), DomainGrid(0.3, 3.0, 96, 48)
+    thetas = dom.thetas()[:_factored_columns(dom.n_angular)]
+    phi = _series_columns(CylinderParams(r), dom, grid, thetas)(lo, lo + 19)
+    phi = phi.reshape(-1, grid.m, 2, 2)
+    steps = {schur_steps(monkeypatch, u @ phi, grid, 18)[0] for u in su2_rotations(8)}
+    assert len(steps) == 1, steps
 
 
 def test_recursion_runs_to_the_end_short_of_the_floor(monkeypatch):
