@@ -40,13 +40,19 @@ chunk and reads the failed nodes from the NaN ones.
 
 The working set of a block is kept lean: H is taken as three entry
 planes of (nodes, m) samples, each transformed along its contiguous last
-axis; the generator lives in two flat buffers allocated once per call;
-B's samples are one inverse FFT of its coefficient planes; and F, the
-residuals and iwasawa_grid's result are formed without a copy of any
-(nodes, m, 2, 2) stack.  On a 252-node block at N = 32, m = 128 (1.97 MiB
-of samples) iwasawa_grid peaks at 4.4 times the samples' bytes under
-tracemalloc, results included, against 9.0 times with stacked H, hat,
-generator and output temporaries.
+axis; each factor_samples call allocates one work buffer, which holds
+the generator and its shift and then, once B's coefficients are read
+off and the generator is dead, F itself; B's samples are one inverse FFT
+of its coefficient planes; and the residuals and iwasawa_grid's result
+are formed without a copy of any (nodes, m, 2, 2) stack.  Fewer buffers
+of a block's size are freed and allocated again, so fewer heap pages
+that the allocator trims in between are faulted in afresh: in process,
+the surface benchmark's op takes 2980 minor faults (5000 with the
+generator and F in separate buffers), generate's 4550-4750 (5700-6200),
+and a 252-node iwasawa_grid call 1956 (3317), on 2 vCPUs.  On that block
+(N = 32, m = 128, 1.97 MiB of samples) iwasawa_grid peaks at 4.4 times
+the samples' bytes under tracemalloc, results included, against 9.0
+times with stacked H, hat, generator and output temporaries.
 """
 
 from __future__ import annotations
@@ -89,25 +95,31 @@ def _symbol_coefficients(phi: np.ndarray, kept: int):
             np.finfo(float).eps * kappa)
 
 
-def _reflection_bound(v, a00, a01, a11) -> np.ndarray:
+def _reflection_bound(v, a00, a01, a11, scratch) -> np.ndarray:
     """Per node, max_j |v_j|_F^2 |a^-1|_F^2 over v*'s blocks v_j, a bound
     on max_j |v_j a^-1|_F^2 that needs no temporary of v's size.
 
-    v: the generator's rows [Re v*, Im v*], (nodes, 4, 2 blocks); a =
-    [[a00, a01], [0, a11]] per node, a^-1 = [[1/a00, -a01/(a00 a11)], [0, 1/a11]].
+    v: the generator's rows [Re v*, Im v*], (nodes, 4, 2 J) for J blocks
+    of two columns; a = [[a00, a01], [0, a11]] per node, a^-1 =
+    [[1/a00, -a01/(a00 a11)], [0, 1/a11]]; scratch: a flat float buffer
+    of at least v.size entries, free to overwrite, for v's squares.  The
+    sums take 0.18 ms at 252 nodes and 120 columns, einsum over
+    (nodes, 4, J, 2) 0.49 ms (2 vCPUs).
     """
-    v = v.reshape(len(v), 4, -1, 2)
-    vv = np.einsum("nrjc,nrjc->nj", v, v).max(axis=1)
+    vv = np.square(v, out=scratch[:v.size].reshape(v.shape)).sum(axis=1)
+    vv = (vv[:, ::2] + vv[:, 1::2]).max(axis=1)   # each block's, then the largest
     return vv * (1.0 / a00 ** 2 + 1.0 / a11 ** 2
                  + (a01.real ** 2 + a01.imag ** 2) / (a00 * a11) ** 2)
 
 
-def _bottom_row(h00, h01, h10, h11, floor, nsec: int) -> np.ndarray:
+def _bottom_row(h00, h01, h10, h11, floor, nsec: int, work: np.ndarray) -> np.ndarray:
     """B_0 .. B_{nsec-1} from the block Schur recursion on the section.
 
     h00 .. h11: H_k's entries for k < kept, (nodes, kept); the section's
     offsets from kept on are zero.  Returns (nodes, 2, 2, nsec) complex,
-    B_k[i, j] at [:, i, j, k]; floor: each node's eps kappa, (nodes,).
+    B_k[i, j] at [:, i, j, k]; floor: each node's eps kappa, (nodes,);
+    work: a flat float buffer of at least 8 nodes (4 nsec - 2) entries
+    for the generator and its shift, free to overwrite.
     See factor_samples for the steps and the stop.  A node is ok while
     the diagonals of its first R0 and of every step's two Cholesky factors
     are > 0 (NaN is not); the nodes that are not get NaN coefficients and
@@ -125,12 +137,11 @@ def _bottom_row(h00, h01, h10, h11, floor, nsec: int) -> np.ndarray:
     parts = np.empty((2, 2, 2, 2, 2, 2, nb))
     rot = parts.reshape(64, nb).T.reshape(nb, 8, 8)
     blocks = theta.reshape(2, 2, 2, 2, nb)
-    # the generator and its shift, one flat buffer each: step k writes
-    # contiguous prefixes of width w = 2 (nsec - k); at 256 nodes and
-    # N = 32 each holds 2.2 MB, under the 4 MiB from which numpy asks
-    # for huge pages
+    # the generator and its shift, two flat parts of work: step k writes
+    # contiguous prefixes of width w = 2 (nsec - k).  Nothing here is
+    # left in work once B is read off, and factor_samples writes F there
     w = 2 * nsec
-    gbuf, sbuf = np.empty(nb * 8 * w), np.empty(nb * 8 * (w - 2))
+    gbuf, sbuf = work[:nb * 8 * w], work[nb * 8 * w:nb * 8 * (2 * w - 2)]
     # u* = R0^-1 [H_0 .. H_{nsec-1}] (the first column of the factor,
     # adjoined), v* = u* with its first block 0; R0 R0* = H_0, and
     # R0^-1 = [[1 / l00, 0], [s10, 1 / l11]]
@@ -169,9 +180,11 @@ def _bottom_row(h00, h01, h10, h11, floor, nsec: int) -> np.ndarray:
         # by about the floor.  q = b a^-1 with b v*'s top block, so |q|^2 <=
         # floor is implied; it is the cheap test run first.  v* is bounded
         # whole because q need not fall monotonically (a symbol in lambda^3
-        # has q = 0 at steps 1 and 2)
+        # has q = 0 at steps 1 and 2).  g is dead once shifted is formed,
+        # so its memory takes v*'s squares
         if (((qq[0] + qq[1] <= floor) | ~ok).all()
-                and ((_reflection_bound(shifted[:, 4:], a00, a01, a11) <= floor) | ~ok).all()):
+                and ((_reflection_bound(shifted[:, 4:], a00, a01, a11, gbuf)
+                      <= floor) | ~ok).all()):
             # the rest of B is u*'s blocks as they stand
             u = shifted[:, :4].reshape(nb, 2, 2, nsec - k, 2).transpose(1, 0, 2, 4, 3)
             bk.real[..., :nsec - k], bk.imag[..., :nsec - k] = u
@@ -240,10 +253,16 @@ def factor_samples(phi: np.ndarray, grid: LambdaGrid, nsec: int):
       the rotation must map u*'s top block a to L*, so M1 = L* d^-1; and
       L^-1 a* d = L^-1 a* (I - q* q) a = L^-1 L L* = L*;
       M2 = chol(I - q q*)^-1, lower triangular.
-    The shift and the product write into the same two buffers at every
+    The shift and the product write into the same two parts of the
+    call's one work buffer, max(8 B (4 nsec - 2), 8 B m) floats, at every
     step.  B's samples are one inverse FFT of its coefficient planes,
     zero-padded to m inside the transform, and F = Phi adj(B) / det(B)
-    entry by entry (loops._rdiv2).
+    entry by entry (loops._rdiv2), written into that buffer: the
+    generator is dead once B's coefficients are read off.  The caller
+    owns the three results: none shares memory with phi, with one another or
+    with another call's results.  F is a view of the work buffer, which
+    lives as long as F does, and B's samples are the inverse FFT's own
+    output.
 
     q is the step's reflection coefficient, and the recursion stops at the
     first step k at which every block v_j of v* has |v_j|_F^2 |a^-1|_F^2
@@ -263,9 +282,9 @@ def factor_samples(phi: np.ndarray, grid: LambdaGrid, nsec: int):
     the full recursion's by at most 0.34 eps kappa |B| per node.  At
     r = -2.9 (N = 32) the outer rings never reach the floor and every
     step runs.  On a 252-node block at N = 32, m = 128 the call takes
-    14-15 ms at r = 0.3 and 22-23 ms at r = 0.9 on 2 vCPUs (timeit min
-    over 30 calls, three runs), against 32-35 and 31-34 ms for all 65
-    steps in the same runs.
+    12-17 ms at r = 0.3 and 20-27 ms at r = 0.9 on 2 vCPUs (timeit min
+    over 30 calls, three runs), and about twice that when all 65 steps
+    run.
 
     Nothing is raised for a node that does not factor: where a pivot of
     its recursion is not positive (a NaN in its samples makes the first
@@ -276,15 +295,18 @@ def factor_samples(phi: np.ndarray, grid: LambdaGrid, nsec: int):
     roots of negatives, so the call runs under one np.errstate that
     silences those two warnings.
     """
-    m = grid.m
+    nb, m = len(phi), grid.m
+    # the call's one work buffer: the generator and its shift, then F
+    work = np.empty(8 * nb * max(4 * nsec - 2, m))
     with np.errstate(divide="ignore", invalid="ignore"):
         # first block row H_0 .. H_{nsec-1}; offsets beyond the m resolved
         # coefficients are genuinely tiny (m >= 2N+2 and H decays): zero
         # them rather than alias-wrap, so the section stays a true Toeplitz
         # matrix of the interpolated symbol
-        bk = _bottom_row(*_symbol_coefficients(phi, min(nsec, m // 2 + 1)), nsec)
+        bk = _bottom_row(*_symbol_coefficients(phi, min(nsec, m // 2 + 1)), nsec, work)
         bs = np.fft.ifft(bk, n=m, norm="forward").transpose(0, 3, 1, 2)
-        return _rdiv2(phi, bs), bk.transpose(0, 3, 1, 2), bs
+        f = _rdiv2(phi, bs, out=work[:8 * nb * m].view(complex).reshape(nb, m, 2, 2))
+        return f, bk.transpose(0, 3, 1, 2), bs
 
 
 def _plus_tail(bk: np.ndarray, degree: int) -> np.ndarray:
@@ -307,7 +329,9 @@ def _reconstruction(f: np.ndarray, bs: np.ndarray, phi: np.ndarray) -> np.ndarra
     factor_samples forms F = Phi adj(B) / det B, so F B = Phi by
     construction and this reads rounding only, however poor B is: at
     r = -2.9 (N = 32, annulus 0.3:3.0) it reads 3.0e-10 where the
-    unitarity reads 2.2e-2.
+    unitarity reads 2.2e-2.  So iwasawa_grid runs it on one node per
+    call, not on all of them (the pass over every node cost 1.5 of a
+    16.3 ms block); tests/oracles.py keeps that pass.
     """
     dev = np.zeros(phi.shape[:-2])
     for i in range(2):
@@ -343,14 +367,20 @@ def iwasawa_grid(phis, grid: LambdaGrid,
     factor_samples' own arrays, reshaped; the chunks of a larger family
     are concatenated.  Returns (F_samples, B_samples, summary); summary
     holds the node count, the failed node indices (the NaN nodes), the
-    mean unitarity and the worst unitarity, plus_loop_tail,
-    normalization and reconstruction |F B - Phi| over the nodes that
-    factored (NaN where none did).  The normalization, B(0)'s deviation
-    from upper triangular with real positive diagonal, is 0 by
-    construction: B(0) is the recursion's last pivot (_bottom_row).  The
-    reconstruction reads rounding by construction, since F = Phi adj(B) /
-    det B (_reconstruction); unitarity and plus_loop_tail carry the
-    factorization's error.
+    mean unitarity and the worst unitarity, plus_loop_tail and
+    normalization over the nodes that factored, and the reconstruction
+    |F B - Phi| of one of them (each NaN where none did).  The
+    normalization, B(0)'s deviation from upper triangular with real
+    positive diagonal, is 0 by construction: B(0) is the recursion's last
+    pivot (_bottom_row).  The reconstruction reads rounding by
+    construction, since F = Phi adj(B) / det B (_reconstruction), and
+    that rounding grows with |B|.  So it is read on one node, the factored
+    node with the largest sum of |B_k|'s entries, a bound on |B| over the
+    disk.  A build's reconstruction_max, the largest over its calls, then
+    reads 0.94-1 times the largest over every node on the benchmarks'
+    builds, the production build and at r = 0.9 and -2.5; picked by the
+    largest entry of B's samples or coefficients, r = -2.5 read 0.32.
+    Unitarity and plus_loop_tail carry the factorization's error.
     """
     _check_grid(grid, cfg)
     phis = np.asarray(phis, dtype=complex)
@@ -363,18 +393,22 @@ def iwasawa_grid(phis, grid: LambdaGrid,
     parts = [factor_samples(flat[lo:lo + _CHUNK], grid, cfg.section_rows)
              for lo in range(0, n, _CHUNK)] or [(flat, flat, flat)]
     f, bk, bs = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
-    res = {"unitarity": _unitarity(f),
-           "plus_loop_tail": _plus_tail(bk, cfg.fourier_degree),
-           "normalization": np.zeros(n),
-           "reconstruction": _reconstruction(f, bs, flat)}
     ok = ~np.isnan(bk[:, 0, 0, 0])
+    good = np.flatnonzero(ok)
+    # the factored node with the largest sum of |B_k|'s entries, a bound
+    # on |B| over the disk (none if none factored)
+    top = good[np.argsort(np.abs(bk).sum(axis=(1, 2, 3))[good])[-1:]]
+    res = {"unitarity": _unitarity(f)[good],
+           "plus_loop_tail": _plus_tail(bk, cfg.fourier_degree)[good],
+           "normalization": np.zeros(len(good)),
+           "reconstruction": _reconstruction(f[top], bs[top], flat[top])}
 
     def worst(x):
-        return float(x[ok].max()) if ok.any() else float("nan")
+        return float(x.max()) if x.size else float("nan")
     summary = {
         "nodes": n,
         "failed_nodes": np.flatnonzero(~ok).tolist(),
-        "unitarity_mean": float(res["unitarity"][ok].mean()) if ok.any() else float("nan"),
+        "unitarity_mean": float(res["unitarity"].mean()) if good.size else float("nan"),
         **{f"{k}_max": worst(v) for k, v in res.items()},
     }
     return f.reshape(lead + (grid.m, 2, 2)), bs.reshape(lead + (grid.m, 2, 2)), summary

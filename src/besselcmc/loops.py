@@ -75,17 +75,25 @@ def _norm2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a.real ** 2 + a.imag ** 2 + (b.real ** 2 + b.imag ** 2)
 
 
-def _rdiv2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _rdiv2(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """a b^-1 = a adj(b) / det(b) for stacks of 2x2 matrices.
 
     Formed entry by entry, so no inverse stack is built: the temporaries
-    are entry planes of the broadcast shape.
+    are entry planes of the broadcast shape, one entry at a time.  out:
+    a complex stack of that shape to write into, sharing no memory with
+    a or b (iwasawa.factor_samples passes the Schur generator's buffer,
+    dead by then); a new one by default.  Both give the same bits.
     """
+    if out is None:
+        out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    a00, a01, a10, a11 = (a[ij] for ij in _ENTRY)
+    b00, b01, b10, b11 = (b[ij] for ij in _ENTRY)
     r = 1.0 / _det2(b)
-    return _mat2((a[..., 0, 0] * b[..., 1, 1] - a[..., 0, 1] * b[..., 1, 0]) * r,
-                 (a[..., 0, 1] * b[..., 0, 0] - a[..., 0, 0] * b[..., 0, 1]) * r,
-                 (a[..., 1, 0] * b[..., 1, 1] - a[..., 1, 1] * b[..., 1, 0]) * r,
-                 (a[..., 1, 1] * b[..., 0, 0] - a[..., 1, 0] * b[..., 0, 1]) * r)
+    np.multiply(a00 * b11 - a01 * b10, r, out=out[..., 0, 0])
+    np.multiply(a01 * b00 - a00 * b01, r, out=out[..., 0, 1])
+    np.multiply(a10 * b11 - a11 * b10, r, out=out[..., 1, 0])
+    np.multiply(a11 * b00 - a10 * b01, r, out=out[..., 1, 1])
+    return out
 
 
 def _adj(a: np.ndarray) -> np.ndarray:

@@ -6,7 +6,7 @@ import numpy as np
 
 from besselcmc import (DelaunayResidue, PathSpec, PipelineConfig, closing_report,
                        delaunay_residue_matrix, integrate_frame)
-from besselcmc.loops import _chol2_entries, _mat2
+from besselcmc.loops import _chol2_entries, _det2, _mat2
 from besselcmc.potentials import PotentialSpec
 
 
@@ -22,6 +22,32 @@ def chol2(h: np.ndarray) -> np.ndarray:
     if not ((l00 > 0).all() and (l11 > 0).all()):
         raise np.linalg.LinAlgError("2x2 matrix not positive definite")
     return _mat2(l00, 0, l10, l11)
+
+
+def fresh_epilogue(phi: np.ndarray, bk: np.ndarray, m: int):
+    """(F, B's samples) from B's coefficient planes bk, (nodes, 2, 2, nsec):
+    one inverse FFT, then F = Phi adj(B) / det B in a new stack, where
+    factor_samples writes F into its work buffer."""
+    bs = np.fft.ifft(bk, n=m, norm="forward").transpose(0, 3, 1, 2)
+    r = 1.0 / _det2(bs)
+    f = _mat2((phi[..., 0, 0] * bs[..., 1, 1] - phi[..., 0, 1] * bs[..., 1, 0]) * r,
+              (phi[..., 0, 1] * bs[..., 0, 0] - phi[..., 0, 0] * bs[..., 0, 1]) * r,
+              (phi[..., 1, 0] * bs[..., 1, 1] - phi[..., 1, 1] * bs[..., 1, 0]) * r,
+              (phi[..., 1, 1] * bs[..., 0, 0] - phi[..., 1, 0] * bs[..., 0, 1]) * r)
+    return f, bs
+
+
+def reconstruction_full_pass(f: np.ndarray, bs: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Per-node max |F B - Phi| over the samples of every node, one entry
+    plane at a time: iwasawa._reconstruction run on all nodes rather than
+    the one iwasawa_grid reads.  NaN on the nodes that did not factor."""
+    dev = np.zeros(phi.shape[:-2])
+    for i in range(2):
+        for j in range(2):
+            np.maximum(dev, np.abs(f[..., i, 0] * bs[..., 0, j]
+                                   + f[..., i, 1] * bs[..., 1, j] - phi[..., i, j]),
+                       out=dev)
+    return dev.max(axis=1)
 
 
 def radial(z_from: float, z_to: float) -> PathSpec:

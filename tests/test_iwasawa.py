@@ -14,16 +14,18 @@ from besselcmc import (
     LambdaGrid,
     PathSpec,
     PipelineConfig,
+    build_surface,
     integrate_frame,
     iwasawa_grid,
     make_cylinder_potential,
     series_frames,
 )
 import besselcmc.iwasawa as iwasawa
+import besselcmc.surface as surface
 from besselcmc.iwasawa import _unitarity, factor_samples
 from besselcmc.loops import _adj, _chol2_entries, _inv2, _mul2
 from besselcmc.surface import _factored_columns, _series_columns
-from oracles import chol2, radial
+from oracles import chol2, fresh_epilogue, radial, reconstruction_full_pass
 
 CFG = PipelineConfig(fourier_degree=8, lambda_samples=32)
 GRID = LambdaGrid(32)
@@ -308,8 +310,9 @@ def test_stop_moves_b_by_at_most_its_floor(r, degree, m):
     phi, grid, cfg = annulus_frames(r, degree, m)
     nsec = cfg.section_rows
     *h, floor = iwasawa._symbol_coefficients(phi, min(nsec, m // 2 + 1))
-    stopped = iwasawa._bottom_row(*h, floor, nsec)
-    full = iwasawa._bottom_row(*h, np.full_like(floor, 2.0), nsec)
+    work = np.empty(8 * len(phi) * (4 * nsec - 2))
+    stopped = iwasawa._bottom_row(*h, floor, nsec, work)
+    full = iwasawa._bottom_row(*h, np.full_like(floor, 2.0), nsec, work)
     err = np.abs(stopped - full).reshape(len(phi), -1).max(axis=1)
     bound = floor * np.abs(full).reshape(len(phi), -1).max(axis=1)
     assert (err <= bound).all(), (err / bound).max()
@@ -612,13 +615,25 @@ def test_chunks_agree_with_one_call(monkeypatch):
         assert abs(summary[key] - one[key]) <= 1e-12, key
 
 
+def workload_block(r, degree, m, n_radial, n_angular, rings):
+    """(phi, grid, nsec): the first block build_surface factors on the
+    annulus 0.3:3.0, rings 0 .. rings - 1 of the factored columns."""
+    grid, dom = LambdaGrid(m), DomainGrid(0.3, 3.0, n_radial, n_angular)
+    thetas = dom.thetas()[:_factored_columns(dom.n_angular)]
+    phi = _series_columns(CylinderParams(r), dom, grid, thetas)(0, rings)
+    return phi.reshape(-1, m, 2, 2), grid, PipelineConfig(degree, m).section_rows
+
+
+BLOCKS = {"surface": (0.3, 32, 128, 48, 24, 36),     # 36 rings x 7 columns
+          "generate": (-0.3, 8, 32, 96, 48, 19)}     # 19 rings x 13 columns
+
+
 def test_one_block_working_set():
     # the first block build_surface factors at 48x24, N = 32, m = 128:
     # 36 rings of the 7 columns theta <= pi / 2, 252 nodes
-    grid, cfg, dom = LambdaGrid(128), PipelineConfig(32, 128), DomainGrid(0.3, 3.0, 48, 24)
-    thetas = dom.thetas()[:_factored_columns(dom.n_angular)]
-    block = _series_columns(CylinderParams(0.3), dom, grid, thetas)(0, 36)
-    assert block.shape[:2] == (36, 7)
+    block, grid, _ = workload_block(*BLOCKS["surface"])
+    cfg = PipelineConfig(32, 128)
+    assert len(block) == 252
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -628,6 +643,59 @@ def test_one_block_working_set():
         tracemalloc.stop()
     # F, B's samples and B's 66 coefficients alone take 2.5 times the input
     assert peak <= 7 * block.nbytes, peak / block.nbytes
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_factors_own_their_memory(block):
+    # F is written into the call's work buffer once the Schur generator is
+    # done with it, so no output may alias another, phi, or a later call's
+    phi, grid, nsec = workload_block(*BLOCKS[block])
+    out = factor_samples(phi, grid, nsec)
+    for i, x in enumerate(out):
+        assert not np.shares_memory(x, phi)
+        for y in out[i + 1:]:
+            assert not np.shares_memory(x, y)
+    kept = [x.copy() for x in out]
+    factor_samples(su2_rotations(1)[1] @ phi[::-1], grid, nsec)
+    for x, y in zip(out, kept):
+        assert x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_factors_keep_the_bits_of_a_fresh_epilogue(block):
+    # F in the generator's memory is the same arithmetic as F in a new stack
+    phi, grid, nsec = workload_block(*BLOCKS[block])
+    f, bk, bs = factor_samples(phi, grid, nsec)
+    want_f, want_bs = fresh_epilogue(phi, bk.transpose(0, 2, 3, 1), grid.m)
+    assert f.tobytes() == want_f.tobytes()
+    assert bs.tobytes() == want_bs.tobytes()
+
+
+@pytest.mark.parametrize("r, annulus, grid_size, degree, m", [
+    (0.3, (0.3, 3.0), (48, 24), 32, 128),       # surface workload
+    (-0.3, (0.3, 3.0), (96, 48), 8, 32),        # generate workload
+    (1 / 3, (0.1, 2.5), (128, 64), 32, 128),    # production build
+    (0.9, (0.3, 3.0), (48, 24), 32, 128),
+    (-2.5, (0.3, 3.0), (48, 24), 32, 128),
+])
+def test_reconstruction_reads_the_node_with_the_largest_plus_factor(
+        monkeypatch, r, annulus, grid_size, degree, m):
+    # reconstruction_max is read on one node of each iwasawa_grid call; on
+    # the build it comes within 0.5 of the pass over every node (measured:
+    # 0.94-1, and 0.32 at r = -2.5 had the node been picked by max |B_k|)
+    full = []
+
+    def recorded(phis, grid, cfg):
+        f, bs, summary = iwasawa_grid(phis, grid, cfg)
+        full.append(np.nanmax(reconstruction_full_pass(
+            *(x.reshape(-1, m, 2, 2) for x in (f, bs, phis)))))
+        return f, bs, summary
+
+    monkeypatch.setattr(surface, "iwasawa_grid", recorded)
+    mesh = build_surface(CylinderParams(r), DomainGrid(*annulus, *grid_size),
+                         LambdaGrid(m), PipelineConfig(degree, m))
+    ratio = mesh.diagnostics["iwasawa"]["reconstruction_max"] / max(full)
+    assert 0.5 <= ratio <= 1.0, ratio
 
 
 def test_singular_node_is_localized():
