@@ -44,15 +44,25 @@ axis; each factor_samples call allocates one work buffer, which holds
 the generator and its shift and then, once B's coefficients are read
 off and the generator is dead, F itself; B's samples are one inverse FFT
 of its coefficient planes; and the residuals and iwasawa_grid's result
-are formed without a copy of any (nodes, m, 2, 2) stack.  Fewer buffers
-of a block's size are freed and allocated again, so fewer heap pages
-that the allocator trims in between are faulted in afresh: in process,
-the surface benchmark's op takes 2980 minor faults (5000 with the
-generator and F in separate buffers), generate's 4550-4750 (5700-6200),
-and a 252-node iwasawa_grid call 1956 (3317), on 2 vCPUs.  On that block
-(N = 32, m = 128, 1.97 MiB of samples) iwasawa_grid peaks at 4.4 times
-the samples' bytes under tracemalloc, results included, against 9.0
-times with stacked H, hat, generator and output temporaries.
+are formed without a copy of any (nodes, m, 2, 2) stack.  No array of a
+call is larger than its work buffer.
+
+Blocks are sized by their bytes, not by a node count (_blocks): the work
+buffer takes _work_floats(nsec, m) floats per node and at most
+_WORK_BYTES = 1 MiB, which is 62 nodes at N = 32, m = 128 and 234 at
+N = 8, m = 32, and a build's rings go in the fewest such blocks, whose
+sizes differ by at most one ring.  The surface benchmark's 48 rings of 7
+columns are 6 calls of 56 nodes, generate's 96 of 13 are 6 of 208 (and
+its reference's 96 nodes one call), a 128x64 build's are 43 of 34-51.
+Against fixed 256-node chunks (252 + 84 nodes on the surface grid, with
+4.0 MiB work buffers) the surface benchmark's peak RSS falls from 50.9 to
+40.8 MB and build_surface's tracemalloc peak there from 11.4 to 3.3 MiB;
+a 56-node block peaks at 4.6 times its samples' bytes (0.44 MiB),
+results included.  Time, op by op in separate processes (2 vCPUs): the
+production 128x64 build takes 0.86 times as long and generate 0.99, but
+the surface op 1.06-1.12, as its four more blocks pay their fixed costs
+(series rings, Sym, the Schur steps' per-call overhead) and fault their
+pages in afresh (3474 minor faults per op, against 2980).
 """
 
 from __future__ import annotations
@@ -278,13 +288,14 @@ def factor_samples(phi: np.ndarray, grid: LambdaGrid, nsec: int):
     lambda^3 has q = 0 at its first two steps.  A node with floor >= 1
     never lets its chunk stop.  The chunks of the surface benchmark
     (r = 0.2, 0.3, 0.4) stop after 6, 7 and 8 of 65 steps, generate's
-    (N = 8) after 5-7 of 17, and at r = 0.9 after 23 of 65; B moves from
+    (N = 8) after 5-7 of 17, and at r = 0.9 after 22-23 of 65; B moves from
     the full recursion's by at most 0.34 eps kappa |B| per node.  At
     r = -2.9 (N = 32) the outer rings never reach the floor and every
-    step runs.  On a 252-node block at N = 32, m = 128 the call takes
-    12-17 ms at r = 0.3 and 20-27 ms at r = 0.9 on 2 vCPUs (timeit min
-    over 30 calls, three runs), and about twice that when all 65 steps
-    run.
+    step runs.  On a 56-node block at N = 32, m = 128 (the surface
+    benchmark's) the call takes 2.9-3.9 ms at r = 0.3, 5.1-5.7 ms at
+    r = 0.9 and 9-13 ms when all 65 steps run (r = -2.9), against 23-26,
+    31-36 and 40-49 ms for 252 nodes, on 2 vCPUs (timeit min over 30
+    calls, three runs, in one warm process).
 
     Nothing is raised for a node that does not factor: where a pivot of
     its recursion is not positive (a NaN in its samples makes the first
@@ -297,7 +308,7 @@ def factor_samples(phi: np.ndarray, grid: LambdaGrid, nsec: int):
     """
     nb, m = len(phi), grid.m
     # the call's one work buffer: the generator and its shift, then F
-    work = np.empty(8 * nb * max(4 * nsec - 2, m))
+    work = np.empty(nb * _work_floats(nsec, m))
     with np.errstate(divide="ignore", invalid="ignore"):
         # first block row H_0 .. H_{nsec-1}; offsets beyond the m resolved
         # coefficients are genuinely tiny (m >= 2N+2 and H decays): zero
@@ -352,7 +363,27 @@ def _check_grid(grid: LambdaGrid, cfg: PipelineConfig) -> None:
             f"{cfg.fourier_degree})")
 
 
-_CHUNK = 256  # nodes per batch; bounds the real (nodes, 8, 2 nsec) generator stack
+# the most a factor_samples call's work buffer may take: below 1 MiB the
+# benchmark builds slow down, above it their peak memory grows
+_WORK_BYTES = 1 << 20
+
+
+def _work_floats(nsec: int, m: int) -> int:
+    """Floats per node in a factor_samples call's work buffer: the
+    generator and its shift, 8 (4 nsec - 2), and then F, 8 m."""
+    return 8 * max(4 * nsec - 2, m)
+
+
+def _blocks(count: int, nodes: int, nsec: int, m: int) -> list[tuple[int, int]]:
+    """The factorization's block plan: (lo, hi) bounds that split count
+    items of `nodes` nodes each (rings of a grid's columns, or single
+    nodes) into the fewest blocks whose work buffer stays within
+    _WORK_BYTES, and as even as can be, their sizes differing by at most
+    one item.  An item larger than the budget is a block of its own.
+    """
+    most = max(1, _WORK_BYTES // (8 * _work_floats(nsec, m) * nodes))
+    k = -(-count // most)
+    return [(i * count // k, (i + 1) * count // k) for i in range(k)]
 
 
 def iwasawa_grid(phis, grid: LambdaGrid,
@@ -360,12 +391,13 @@ def iwasawa_grid(phis, grid: LambdaGrid,
     """Factor a whole family of sampled loops, chunked to bound memory.
 
     phis: (..., m, 2, 2) samples; leading axes index the nodes (one loop
-    is phis[None]).  Each chunk is one factor_samples call, made one
-    after another in the calling thread.  A node that does not factor
-    comes back with NaN F and B, and the chunk's other nodes factor as
-    they would without it.  Input that fits one chunk comes back as
-    factor_samples' own arrays, reshaped; the chunks of a larger family
-    are concatenated.  Returns (F_samples, B_samples, summary); summary
+    is phis[None]).  The nodes go in the fewest chunks whose work buffer
+    stays within _WORK_BYTES, as even as can be (_blocks); each chunk is
+    one factor_samples call, made one after another in the calling
+    thread.  A node that does not factor comes back with NaN F and B, and
+    the chunk's other nodes factor as they would without it.  Input that
+    fits one chunk comes back as factor_samples' own arrays, reshaped;
+    the chunks of a larger family are concatenated.  Returns (F_samples, B_samples, summary); summary
     holds the node count, the failed node indices (the NaN nodes), the
     mean unitarity and the worst unitarity, plus_loop_tail and
     normalization over the nodes that factored, and the reconstruction
@@ -390,8 +422,8 @@ def iwasawa_grid(phis, grid: LambdaGrid,
     flat = phis.reshape((-1, grid.m, 2, 2))
     n = flat.shape[0]
     # an empty family has nothing to factor and stands for its own factors
-    parts = [factor_samples(flat[lo:lo + _CHUNK], grid, cfg.section_rows)
-             for lo in range(0, n, _CHUNK)] or [(flat, flat, flat)]
+    parts = [factor_samples(flat[lo:hi], grid, cfg.section_rows)
+             for lo, hi in _blocks(n, 1, cfg.section_rows, grid.m)] or [(flat, flat, flat)]
     f, bk, bs = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
     ok = ~np.isnan(bk[:, 0, 0, 0])
     good = np.flatnonzero(ok)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .config import PipelineConfig, DEFAULT_CONFIG
 from .flow import _integrate_w_line
-from .iwasawa import _CHUNK, _check_grid, iwasawa_grid
+from .iwasawa import _blocks, _check_grid, iwasawa_grid
 from .loops import LambdaGrid, _adj, _dlambda_at_one, _exp2, _inv2, _mul2
 from .potentials import (
     CylinderParams,
@@ -262,17 +262,22 @@ def _factored_columns(n_angular: int) -> int:
 
 
 def _frames_to_mesh(frames, A: np.ndarray, dom: DomainGrid, grid: LambdaGrid,
-                    parts: list[dict]) -> SurfaceMesh:
+                    nsec: int, parts: list[dict]) -> SurfaceMesh:
     """Shared tail of both pipelines: Sym, rigid motions, defect warning,
     seam, weld.
 
     frames(lo, hi): (hi - lo, c, m, 2, 2) unitary factors of rings lo ..
     hi - 1 on the c = _factored_columns(n_angular) columns theta_0 ..
-    theta_{c-1}, the only ones Sym sees.  A block holds at most _CHUNK
-    nodes, so the frames and Sym's temporaries do not grow with n_radial,
-    and at m <= 128 every array stays under the 4 MiB at which numpy asks
-    the kernel for transparent huge pages (those made the peak memory of
-    one run differ from the next).
+    theta_{c-1}, the only ones Sym sees.  The blocks are the factorization's
+    plan for section size nsec (iwasawa._blocks): the fewest runs of rings,
+    even to one ring, whose factorization work buffer stays within
+    iwasawa._WORK_BYTES (1 MiB), so the frames and Sym's temporaries do
+    not grow with n_radial.  No array of a block is larger than that
+    buffer (the frames take 8 m floats per node, the buffer at least as
+    many), so all stay at a quarter of the 4 MiB at which numpy asks the
+    kernel for transparent huge pages (those made the peak memory of one
+    run differ from the next), as long as one ring fits the budget: 62
+    nodes at N = 32, m = 128.
 
     A: the (m, 2, 2) residue.  Its half turn U = exp(i pi A) is a unitary
     loop with U(1) = i sigma_x, and F(u, theta + pi) = U F(u, theta) D for
@@ -295,9 +300,7 @@ def _frames_to_mesh(frames, A: np.ndarray, dom: DomainGrid, grid: LambdaGrid,
     nth = dom.n_angular
     half, cols = nth // 2 + 1, _factored_columns(nth)
     pts, defect = np.empty((dom.n_radial, nth + 1, 3)), np.empty((dom.n_radial, cols))
-    rows = max(1, _CHUNK // cols)
-    for lo in range(0, dom.n_radial, rows):
-        hi = min(lo + rows, dom.n_radial)
+    for lo, hi in _blocks(dom.n_radial, cols, nsec, grid.m):
         pts[lo:hi, :cols], defect[lo:hi] = _sym_points(frames(lo, hi), grid)
     turn, _ = _sym_points(_exp2(np.array(1j * np.pi), A), grid)
     shift = turn + turn * (1.0, -1.0, -1.0)                 # Sym(M)
@@ -439,7 +442,7 @@ def build_surface(p: CylinderParams, dom: DomainGrid, grid: LambdaGrid,
         parts.append(part)
         return F
 
-    return _frames_to_mesh(frames, A, dom, grid, parts)
+    return _frames_to_mesh(frames, A, dom, grid, cfg.section_rows, parts)
 
 
 def _spanning_tree_frames(xi, phi0: np.ndarray, dom: DomainGrid,
@@ -502,7 +505,7 @@ def delaunay_reference(res: DelaunayResidue, dom: DomainGrid, grid: LambdaGrid,
                            f"(radial) = {summary['failed_nodes'][:8]}")
     turn = _exp2(1j * dom.thetas()[:_factored_columns(dom.n_angular)], A)
     return _frames_to_mesh(lambda lo, hi: _mul2(turn[None], F0[lo:hi, None]),
-                           A, dom, grid, [summary])
+                           A, dom, grid, cfg.section_rows, [summary])
 
 
 # ---------------------------------------------------------------------------

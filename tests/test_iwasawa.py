@@ -330,15 +330,17 @@ def su2_rotations(count, seed=0):
     return out
 
 
-@pytest.mark.parametrize("r, lo", [(-0.3, 0), (-0.2, 76)])
-def test_rounding_does_not_move_the_stop(monkeypatch, r, lo):
+@pytest.mark.parametrize("r, block", [(-0.3, 0), (-0.2, -1)])
+def test_rounding_does_not_move_the_stop(monkeypatch, r, block):
     # U Phi has the same H as Phi for a constant unitary U, but other bits,
     # so a stop decided on q's rounding plateau moves with U.  The block is
-    # one generate chunk (96:48, N = 8, m = 32).  A first-order stop, |q|_F
-    # <= eps kappa, moved on the first two: 12-13 and 11-12 steps
+    # the first or the last generate block (96:48, N = 8, m = 32), 16 rings.
+    # A first-order stop, |q|_F <= eps kappa, moved on both: 12-13 and
+    # 11-12 steps
     grid, dom = LambdaGrid(32), DomainGrid(0.3, 3.0, 96, 48)
-    thetas = dom.thetas()[:_factored_columns(dom.n_angular)]
-    phi = _series_columns(CylinderParams(r), dom, grid, thetas)(lo, lo + 19)
+    cols = _factored_columns(dom.n_angular)
+    lo, hi = iwasawa._blocks(dom.n_radial, cols, 18, grid.m)[block]
+    phi = _series_columns(CylinderParams(r), dom, grid, dom.thetas()[:cols])(lo, hi)
     phi = phi.reshape(-1, grid.m, 2, 2)
     steps = {schur_steps(monkeypatch, u @ phi, grid, 18)[0] for u in su2_rotations(8)}
     assert len(steps) == 1, steps
@@ -434,7 +436,10 @@ def test_failing_chunk_is_one_call(monkeypatch):
     monkeypatch.setattr(iwasawa, "factor_samples", counted)
     _, _, summary = iwasawa_grid(frames, grid, cfg)
     assert summary["failed_nodes"]
-    assert calls == [summary["nodes"]] == [72]     # 8 rings of 9 columns
+    # 8 rings of 9 columns; a call holds at most 62 nodes at N = 32, m = 128,
+    # so two calls of 36, and every node goes through one of them once
+    assert sum(calls) == summary["nodes"] == 72
+    assert calls == [36, 36]
 
 
 @pytest.mark.parametrize("r, degree, m, annulus", [
@@ -596,13 +601,15 @@ def test_pivot_failure_in_the_recursion_is_localized():
 
 
 def test_chunks_agree_with_one_call(monkeypatch):
-    # 64 nodes with one that fails: at 5 nodes per chunk it fails inside
-    # a chunk of 5, and the 13 chunks are concatenated into the results
+    # 64 nodes with one that fails: with room for 5 nodes per call it fails
+    # in a chunk of 5, and the 13 chunks of 4 or 5 are concatenated into the
+    # results
     phi, grid, cfg = annulus_frames(-0.25, 8, 32)
     phi = phi[:64].copy()
     phi[29] = half_circle_loop(grid)
     one_f, one_b, one = iwasawa_grid(phi, grid, cfg)
-    monkeypatch.setattr(iwasawa, "_CHUNK", 5)
+    monkeypatch.setattr(iwasawa, "_WORK_BYTES",
+                        5 * 8 * iwasawa._work_floats(cfg.section_rows, grid.m))
     f, b, summary = iwasawa_grid(phi, grid, cfg)
     assert one["failed_nodes"] == summary["failed_nodes"] == [29]
     assert np.isnan(f[29]).all() and np.isnan(b[29]).all()
@@ -615,25 +622,90 @@ def test_chunks_agree_with_one_call(monkeypatch):
         assert abs(summary[key] - one[key]) <= 1e-12, key
 
 
-def workload_block(r, degree, m, n_radial, n_angular, rings):
+PLANS = {   # r, annulus, grid, degree, m of the benchmark and production builds
+    "surface": (0.3, (0.3, 3.0), (48, 24), 32, 128),
+    "generate": (-0.3, (0.3, 3.0), (96, 48), 8, 32),
+    "production": (1 / 3, (0.1, 2.5), (128, 64), 32, 128),
+}
+
+
+@pytest.mark.parametrize("plan, calls", [
+    ("surface", 6),        # 6 blocks of 8 rings x 7 columns
+    ("generate", 6),       # 6 blocks of 16 rings x 13 columns
+    ("production", 43),    # 42 blocks of 3 rings x 17 columns and one of 2
+])
+def test_block_plan(monkeypatch, plan, calls):
+    # the blocks cover every ring once, differ by at most one ring, and no
+    # factor_samples call's work buffer (F's base) is over the budget
+    r, annulus, grid_size, degree, m = PLANS[plan]
+    rings, buffers = [], []
+    tail, factor = surface._frames_to_mesh, iwasawa.factor_samples
+
+    def planned(frames, *args):
+        def kept(lo, hi):
+            rings.append((lo, hi))
+            return frames(lo, hi)
+        return tail(kept, *args)
+
+    def recorded(phi, grid, nsec):
+        out = factor(phi, grid, nsec)
+        buffers.append(out[0].base.nbytes)
+        return out
+
+    monkeypatch.setattr(surface, "_frames_to_mesh", planned)
+    monkeypatch.setattr(iwasawa, "factor_samples", recorded)
+    build_surface(CylinderParams(r), DomainGrid(*annulus, *grid_size), LambdaGrid(m),
+                  PipelineConfig(degree, m))
+    assert [lo for lo, _ in rings] == [0] + [hi for _, hi in rings[:-1]]
+    assert rings[-1][1] == grid_size[0]
+    sizes = [hi - lo for lo, hi in rings]
+    assert max(sizes) - min(sizes) <= 1
+    assert len(buffers) == len(rings) == calls
+    assert max(buffers) <= iwasawa._WORK_BYTES, max(buffers)
+
+
+@pytest.mark.parametrize("plan, r, bound", [
+    ("surface", 0.3, 1e-13), ("generate", -0.2, 1e-13), ("surface", 0.9, 1e-13),
+    ("surface", -2.5, 1e-12),
+])
+def test_block_plan_moves_vertices_by_rounding_only(monkeypatch, plan, r, bound):
+    # each call decides its own stop, so the split may move a node's bits:
+    # against one call per build (a budget no block reaches) the vertices
+    # moved by 0 on the surface and generate configs and 9.6e-15 of the
+    # diagonal at r = 0.9.  At r = -2.5 the outer rings' floors are high
+    # (unitarity 1.2e-9) and the split moves them by 5.8e-13, as much as
+    # the stop itself moves them from the recursion run to the end
+    # (2.3e-13 .. 6.2e-13) and as much as fixed 256-node chunks did
+    _, annulus, grid_size, degree, m = PLANS[plan]
+    args = (CylinderParams(r), DomainGrid(*annulus, *grid_size), LambdaGrid(m),
+            PipelineConfig(degree, m))
+    planned = build_surface(*args)
+    monkeypatch.setattr(iwasawa, "_WORK_BYTES", 1 << 40)
+    whole = build_surface(*args)
+    err = np.abs(planned.vertices - whole.vertices).max() / whole.bbox_diagonal()
+    assert err <= bound, err
+
+
+def workload_block(r, degree, m, n_radial, n_angular):
     """(phi, grid, nsec): the first block build_surface factors on the
-    annulus 0.3:3.0, rings 0 .. rings - 1 of the factored columns."""
+    annulus 0.3:3.0, its first rings of the factored columns."""
     grid, dom = LambdaGrid(m), DomainGrid(0.3, 3.0, n_radial, n_angular)
-    thetas = dom.thetas()[:_factored_columns(dom.n_angular)]
-    phi = _series_columns(CylinderParams(r), dom, grid, thetas)(0, rings)
-    return phi.reshape(-1, m, 2, 2), grid, PipelineConfig(degree, m).section_rows
+    cols, nsec = _factored_columns(dom.n_angular), PipelineConfig(degree, m).section_rows
+    (lo, hi), *_ = iwasawa._blocks(n_radial, cols, nsec, m)
+    phi = _series_columns(CylinderParams(r), dom, grid, dom.thetas()[:cols])(lo, hi)
+    return phi.reshape(-1, m, 2, 2), grid, nsec
 
 
-BLOCKS = {"surface": (0.3, 32, 128, 48, 24, 36),     # 36 rings x 7 columns
-          "generate": (-0.3, 8, 32, 96, 48, 19)}     # 19 rings x 13 columns
+BLOCKS = {"surface": (0.3, 32, 128, 48, 24),     # 8 rings x 7 columns
+          "generate": (-0.3, 8, 32, 96, 48)}     # 16 rings x 13 columns
 
 
 def test_one_block_working_set():
     # the first block build_surface factors at 48x24, N = 32, m = 128:
-    # 36 rings of the 7 columns theta <= pi / 2, 252 nodes
+    # 8 rings of the 7 columns theta <= pi / 2, 56 nodes
     block, grid, _ = workload_block(*BLOCKS["surface"])
     cfg = PipelineConfig(32, 128)
-    assert len(block) == 252
+    assert len(block) == 56
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]

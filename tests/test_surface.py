@@ -28,7 +28,7 @@ import besselcmc.flow as flow
 import besselcmc.loops as loops
 import besselcmc.potentials as potentials
 import besselcmc.surface as surface
-from besselcmc.iwasawa import _CHUNK
+from besselcmc.iwasawa import _blocks
 from besselcmc.loops import _mul2
 from oracles import curvature_stats_add_at, vertex_normals_add_at
 
@@ -295,17 +295,18 @@ def test_series_columns_match_the_series_node_by_node(r, n_angular):
     assert (err <= 1e-13).all(), err.max()       # measured <= 1.4e-15
 
 
-@pytest.mark.parametrize("annulus, m", [((0.3, 3.0, 48, 24), 128),    # surface
-                                        ((0.3, 3.0, 96, 48), 32)])    # generate
-def test_series_block_working_set(annulus, m):
+@pytest.mark.parametrize("annulus, degree, m", [((0.3, 3.0, 48, 24), 32, 128),    # surface
+                                                ((0.3, 3.0, 96, 48), 8, 32)])     # generate
+def test_series_block_working_set(annulus, degree, m):
     # the block is built in place: no block-sized temporary
     dom, grid = DomainGrid(*annulus), LambdaGrid(m)
     cols = surface._factored_columns(dom.n_angular)
     rings = surface._series_columns(CylinderParams(0.3), dom, grid, dom.thetas()[:cols])
+    (lo, hi), *_ = _blocks(dom.n_radial, cols, PipelineConfig(degree, m).section_rows, m)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        block = rings(0, _CHUNK // cols)
+        block = rings(lo, hi)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
@@ -549,7 +550,9 @@ def test_mirrored_columns_match_the_full_grid(r, n_angular, monkeypatch):
     monkeypatch.setattr(surface, "_frames_to_mesh", keep_frames)
     mesh = build_surface(p, dom, MIRROR_GRID, MIRROR_CFG)
     assert mesh.diagnostics["iwasawa"]["nodes"] == 48 * cols
-    assert len(blocks) == (3 if n % 2 else 2)         # 19 + 19 + 10 or 36 + 12 rings
+    # a block's work buffer holds at most 1 MiB / (64 * 262 B) = 62 nodes at
+    # N = 32, m = 128: 12 blocks of 4 rings of 13 columns, or 6 of 8 rings of 7
+    assert len(blocks) == (12 if n % 2 else 6)
     F, _, summary = iwasawa_grid(series_frames(p, dom, MIRROR_GRID),
                                  MIRROR_GRID, MIRROR_CFG)
     assert summary["failed_nodes"] == []
@@ -557,7 +560,7 @@ def test_mirrored_columns_match_the_full_grid(r, n_angular, monkeypatch):
     oracle = mesh_from_grid(pts[:, :n])
     seam = np.abs(pts[:, n] - pts[:, 0]).max() / oracle.bbox_diagonal()
     err = np.abs(np.concatenate(blocks) - F[:, :cols]).max()
-    assert err <= 1e-9, err                            # measured 0
+    assert err <= 1e-9, err                # measured 0, and <= 1.1e-13 at r = 0.9
     err = np.abs(mesh.vertices - oracle.vertices).max()
     assert err <= 2e-9 * oracle.bbox_diagonal(), err  # measured <= 3.4e-10
     assert mesh.diagnostics["seam_residual"] <= 1e-12
@@ -647,7 +650,9 @@ def test_cylinder_failure_names_the_node_odd_angular(monkeypatch):
 
 
 def test_cylinder_failure_in_a_later_block_names_the_node(monkeypatch):
-    # 256 // 3 = 85 rings per block at 8 angles: the second call starts at ring 85
+    # a block's work buffer holds at most 1 MiB / (64 * 70 B) = 234 nodes at
+    # N = 8, m = 32, 78 rings of the 3 columns at 8 angles, so the 90 rings
+    # go in two blocks of 45: the second call starts at ring 45
     calls = []
 
     def fake(phis, grid, cfg):
@@ -656,10 +661,10 @@ def test_cylinder_failure_in_a_later_block_names_the_node(monkeypatch):
         return F, B, {**summary, "failed_nodes": [5] if len(calls) == 2 else []}
 
     monkeypatch.setattr(surface, "iwasawa_grid", fake)
-    with pytest.raises(RuntimeError, match=r"\(radial, angular\) = \[\(86, 2\)\]"):
+    with pytest.raises(RuntimeError, match=r"\(radial, angular\) = \[\(46, 2\)\]"):
         build_surface(CylinderParams(1 / 3), DomainGrid(0.3, 3.0, 90, 8),
                       SERIES_GRID, PipelineConfig(8, SERIES_GRID.m))
-    assert calls == [85, 5]
+    assert calls == [45, 45]
 
 
 def test_noise_breaks_reflection(unduloid_reference):
