@@ -48,8 +48,8 @@ are formed without a copy of any (nodes, m, 2, 2) stack.  No array of a
 call is larger than its work buffer.
 
 Blocks are sized by their bytes, not by a node count (_blocks): the work
-buffer takes _work_floats(nsec, m) floats per node and at most
-_WORK_BYTES = 1 MiB, which is 62 nodes at N = 32, m = 128 and 234 at
+buffer takes _node_bytes(nsec, m) per node and at most _WORK_BYTES =
+1 MiB, which is 62 nodes at N = 32, m = 128 and 234 at
 N = 8, m = 32, and a build's rings go in the fewest such blocks, whose
 sizes differ by at most one ring.  The surface benchmark's 48 rings of 7
 columns are 6 calls of 56 nodes, generate's 96 of 13 are 6 of 208 (and
@@ -308,7 +308,7 @@ def factor_samples(phi: np.ndarray, grid: LambdaGrid, nsec: int):
     """
     nb, m = len(phi), grid.m
     # the call's one work buffer: the generator and its shift, then F
-    work = np.empty(nb * _work_floats(nsec, m))
+    work = np.empty(nb * _node_bytes(nsec, m) // 8)
     with np.errstate(divide="ignore", invalid="ignore"):
         # first block row H_0 .. H_{nsec-1}; offsets beyond the m resolved
         # coefficients are genuinely tiny (m >= 2N+2 and H decays): zero
@@ -363,25 +363,26 @@ def _check_grid(grid: LambdaGrid, cfg: PipelineConfig) -> None:
             f"{cfg.fourier_degree})")
 
 
-# the most a factor_samples call's work buffer may take: below 1 MiB the
-# benchmark builds slow down, above it their peak memory grows
+# the most a factor_samples call's work buffer may take: below 1 MiB every
+# benchmark build slows down, above it generate's peak memory grows (by
+# 1.2 MB at 1.5 MiB), though the surface benchmark's op would run faster
 _WORK_BYTES = 1 << 20
 
 
-def _work_floats(nsec: int, m: int) -> int:
-    """Floats per node in a factor_samples call's work buffer: the
-    generator and its shift, 8 (4 nsec - 2), and then F, 8 m."""
-    return 8 * max(4 * nsec - 2, m)
+def _node_bytes(nsec: int, m: int) -> int:
+    """Bytes per node of a factor_samples call's work buffer: the
+    generator and its shift, 8 (4 nsec - 2) floats, and then F, 8 m."""
+    return 64 * max(4 * nsec - 2, m)
 
 
-def _blocks(count: int, nodes: int, nsec: int, m: int) -> list[tuple[int, int]]:
-    """The factorization's block plan: (lo, hi) bounds that split count
-    items of `nodes` nodes each (rings of a grid's columns, or single
-    nodes) into the fewest blocks whose work buffer stays within
-    _WORK_BYTES, and as even as can be, their sizes differing by at most
-    one item.  An item larger than the budget is a block of its own.
+def _blocks(count: int, item_bytes: int) -> list[tuple[int, int]]:
+    """(lo, hi) bounds that split count items of item_bytes each into the
+    fewest blocks of at most _WORK_BYTES, as even as can be: their sizes
+    differ by at most one item.  An item larger than the budget is a
+    block of its own.  The items are nodes of a factor_samples call
+    (item_bytes = _node_bytes) or rings of a build.
     """
-    most = max(1, _WORK_BYTES // (8 * _work_floats(nsec, m) * nodes))
+    most = max(1, _WORK_BYTES // item_bytes)
     k = -(-count // most)
     return [(i * count // k, (i + 1) * count // k) for i in range(k)]
 
@@ -422,8 +423,9 @@ def iwasawa_grid(phis, grid: LambdaGrid,
     flat = phis.reshape((-1, grid.m, 2, 2))
     n = flat.shape[0]
     # an empty family has nothing to factor and stands for its own factors
-    parts = [factor_samples(flat[lo:hi], grid, cfg.section_rows)
-             for lo, hi in _blocks(n, 1, cfg.section_rows, grid.m)] or [(flat, flat, flat)]
+    parts = ([factor_samples(flat[lo:hi], grid, cfg.section_rows)
+             for lo, hi in _blocks(n, _node_bytes(cfg.section_rows, grid.m))]
+             or [(flat, flat, flat)])
     f, bk, bs = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
     ok = ~np.isnan(bk[:, 0, 0, 0])
     good = np.flatnonzero(ok)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .config import PipelineConfig, DEFAULT_CONFIG
 from .flow import _integrate_w_line
-from .iwasawa import _blocks, _check_grid, iwasawa_grid
+from .iwasawa import _blocks, _check_grid, _node_bytes, iwasawa_grid
 from .loops import LambdaGrid, _adj, _dlambda_at_one, _exp2, _inv2, _mul2
 from .potentials import (
     CylinderParams,
@@ -261,23 +261,25 @@ def _factored_columns(n_angular: int) -> int:
     return n_angular // 4 + 1 if n_angular % 2 == 0 else n_angular // 2 + 1
 
 
-def _frames_to_mesh(frames, A: np.ndarray, dom: DomainGrid, grid: LambdaGrid,
-                    nsec: int, parts: list[dict]) -> SurfaceMesh:
+def _frames_to_mesh(frames, blocks, A: np.ndarray, dom: DomainGrid,
+                    grid: LambdaGrid, parts: list[dict]) -> SurfaceMesh:
     """Shared tail of both pipelines: Sym, rigid motions, defect warning,
     seam, weld.
 
     frames(lo, hi): (hi - lo, c, m, 2, 2) unitary factors of rings lo ..
     hi - 1 on the c = _factored_columns(n_angular) columns theta_0 ..
-    theta_{c-1}, the only ones Sym sees.  The blocks are the factorization's
-    plan for section size nsec (iwasawa._blocks): the fewest runs of rings,
-    even to one ring, whose factorization work buffer stays within
-    iwasawa._WORK_BYTES (1 MiB), so the frames and Sym's temporaries do
-    not grow with n_radial.  No array of a block is larger than that
-    buffer (the frames take 8 m floats per node, the buffer at least as
-    many), so all stay at a quarter of the 4 MiB at which numpy asks the
-    kernel for transparent huge pages (those made the peak memory of one
-    run differ from the next), as long as one ring fits the budget: 62
-    nodes at N = 32, m = 128.
+    theta_{c-1}, the only ones Sym sees; blocks: the (lo, hi) runs of
+    rings to build and Sym-evaluate one at a time, each within
+    iwasawa._WORK_BYTES (1 MiB) as its caller counts it (iwasawa._blocks),
+    so the frames and Sym's temporaries do not grow with n_radial.
+    build_surface counts a ring's factorization work buffer, so that a
+    block is one factor_samples call, and delaunay_reference, which
+    factors nothing here, its frames.  No frames block is then larger than
+    1 MiB (the frames take 8 m floats per node, the work buffer at least
+    as many), a quarter of the 4 MiB at which numpy asks the kernel for
+    transparent huge pages (those made the peak memory of one run differ
+    from the next), as long as one ring fits the budget: 62 nodes at
+    N = 32, m = 128.
 
     A: the (m, 2, 2) residue.  Its half turn U = exp(i pi A) is a unitary
     loop with U(1) = i sigma_x, and F(u, theta + pi) = U F(u, theta) D for
@@ -300,7 +302,7 @@ def _frames_to_mesh(frames, A: np.ndarray, dom: DomainGrid, grid: LambdaGrid,
     nth = dom.n_angular
     half, cols = nth // 2 + 1, _factored_columns(nth)
     pts, defect = np.empty((dom.n_radial, nth + 1, 3)), np.empty((dom.n_radial, cols))
-    for lo, hi in _blocks(dom.n_radial, cols, nsec, grid.m):
+    for lo, hi in blocks:
         pts[lo:hi, :cols], defect[lo:hi] = _sym_points(frames(lo, hi), grid)
     turn, _ = _sym_points(_exp2(np.array(1j * np.pi), A), grid)
     shift = turn + turn * (1.0, -1.0, -1.0)                 # Sym(M)
@@ -442,7 +444,9 @@ def build_surface(p: CylinderParams, dom: DomainGrid, grid: LambdaGrid,
         parts.append(part)
         return F
 
-    return _frames_to_mesh(frames, A, dom, grid, cfg.section_rows, parts)
+    # a block of rings is one factor_samples call (iwasawa._blocks)
+    blocks = _blocks(dom.n_radial, cols * _node_bytes(cfg.section_rows, grid.m))
+    return _frames_to_mesh(frames, blocks, A, dom, grid, parts)
 
 
 def _spanning_tree_frames(xi, phi0: np.ndarray, dom: DomainGrid,
@@ -504,8 +508,10 @@ def delaunay_reference(res: DelaunayResidue, dom: DomainGrid, grid: LambdaGrid,
         raise RuntimeError(f"Iwasawa factorization failed at reference rings "
                            f"(radial) = {summary['failed_nodes'][:8]}")
     turn = _exp2(1j * dom.thetas()[:_factored_columns(dom.n_angular)], A)
+    # Sym's blocks factor nothing: their frames, 64 m bytes a node, are bounded
+    blocks = _blocks(dom.n_radial, len(turn) * 64 * grid.m)
     return _frames_to_mesh(lambda lo, hi: _mul2(turn[None], F0[lo:hi, None]),
-                           A, dom, grid, cfg.section_rows, [summary])
+                           blocks, A, dom, grid, [summary])
 
 
 # ---------------------------------------------------------------------------

@@ -339,7 +339,7 @@ def test_rounding_does_not_move_the_stop(monkeypatch, r, block):
     # 11-12 steps
     grid, dom = LambdaGrid(32), DomainGrid(0.3, 3.0, 96, 48)
     cols = _factored_columns(dom.n_angular)
-    lo, hi = iwasawa._blocks(dom.n_radial, cols, 18, grid.m)[block]
+    lo, hi = iwasawa._blocks(dom.n_radial, cols * iwasawa._node_bytes(18, grid.m))[block]
     phi = _series_columns(CylinderParams(r), dom, grid, dom.thetas()[:cols])(lo, hi)
     phi = phi.reshape(-1, grid.m, 2, 2)
     steps = {schur_steps(monkeypatch, u @ phi, grid, 18)[0] for u in su2_rotations(8)}
@@ -609,7 +609,7 @@ def test_chunks_agree_with_one_call(monkeypatch):
     phi[29] = half_circle_loop(grid)
     one_f, one_b, one = iwasawa_grid(phi, grid, cfg)
     monkeypatch.setattr(iwasawa, "_WORK_BYTES",
-                        5 * 8 * iwasawa._work_floats(cfg.section_rows, grid.m))
+                        5 * iwasawa._node_bytes(cfg.section_rows, grid.m))
     f, b, summary = iwasawa_grid(phi, grid, cfg)
     assert one["failed_nodes"] == summary["failed_nodes"] == [29]
     assert np.isnan(f[29]).all() and np.isnan(b[29]).all()
@@ -664,26 +664,28 @@ def test_block_plan(monkeypatch, plan, calls):
     assert max(buffers) <= iwasawa._WORK_BYTES, max(buffers)
 
 
-@pytest.mark.parametrize("plan, r, bound", [
-    ("surface", 0.3, 1e-13), ("generate", -0.2, 1e-13), ("surface", 0.9, 1e-13),
-    ("surface", -2.5, 1e-12),
+@pytest.mark.parametrize("plan, r", [
+    ("surface", 0.3), ("generate", -0.2), ("surface", 0.9), ("surface", -2.5),
 ])
-def test_block_plan_moves_vertices_by_rounding_only(monkeypatch, plan, r, bound):
-    # each call decides its own stop, so the split may move a node's bits:
-    # against one call per build (a budget no block reaches) the vertices
-    # moved by 0 on the surface and generate configs and 9.6e-15 of the
-    # diagonal at r = 0.9.  At r = -2.5 the outer rings' floors are high
-    # (unitarity 1.2e-9) and the split moves them by 5.8e-13, as much as
-    # the stop itself moves them from the recursion run to the end
-    # (2.3e-13 .. 6.2e-13) and as much as fixed 256-node chunks did
+def test_block_plan_moves_vertices_by_rounding_only(monkeypatch, plan, r):
+    # against fixed chunks of 256 nodes (36 + 12 rings and 252 + 84 nodes
+    # on the surface grid): each call decides its own stop, so the split
+    # may move a node's bits, by rounding only
     _, annulus, grid_size, degree, m = PLANS[plan]
     args = (CylinderParams(r), DomainGrid(*annulus, *grid_size), LambdaGrid(m),
             PipelineConfig(degree, m))
     planned = build_surface(*args)
-    monkeypatch.setattr(iwasawa, "_WORK_BYTES", 1 << 40)
-    whole = build_surface(*args)
-    err = np.abs(planned.vertices - whole.vertices).max() / whole.bbox_diagonal()
-    assert err <= bound, err
+    node = iwasawa._node_bytes(args[3].section_rows, m)
+
+    def chunks(count, item_bytes):
+        per = max(1, 256 // (item_bytes // node))
+        return [(lo, min(lo + per, count)) for lo in range(0, count, per)]
+
+    monkeypatch.setattr(iwasawa, "_blocks", chunks)
+    monkeypatch.setattr(surface, "_blocks", chunks)
+    chunked = build_surface(*args)
+    err = np.abs(planned.vertices - chunked.vertices).max() / chunked.bbox_diagonal()
+    assert err <= 1e-13, err
 
 
 def workload_block(r, degree, m, n_radial, n_angular):
@@ -691,7 +693,7 @@ def workload_block(r, degree, m, n_radial, n_angular):
     annulus 0.3:3.0, its first rings of the factored columns."""
     grid, dom = LambdaGrid(m), DomainGrid(0.3, 3.0, n_radial, n_angular)
     cols, nsec = _factored_columns(dom.n_angular), PipelineConfig(degree, m).section_rows
-    (lo, hi), *_ = iwasawa._blocks(n_radial, cols, nsec, m)
+    (lo, hi), *_ = iwasawa._blocks(n_radial, cols * iwasawa._node_bytes(nsec, m))
     phi = _series_columns(CylinderParams(r), dom, grid, dom.thetas()[:cols])(lo, hi)
     return phi.reshape(-1, m, 2, 2), grid, nsec
 

@@ -28,7 +28,7 @@ import besselcmc.flow as flow
 import besselcmc.loops as loops
 import besselcmc.potentials as potentials
 import besselcmc.surface as surface
-from besselcmc.iwasawa import _blocks
+from besselcmc.iwasawa import _blocks, _node_bytes
 from besselcmc.loops import _mul2
 from oracles import curvature_stats_add_at, vertex_normals_add_at
 
@@ -302,7 +302,7 @@ def test_series_block_working_set(annulus, degree, m):
     dom, grid = DomainGrid(*annulus), LambdaGrid(m)
     cols = surface._factored_columns(dom.n_angular)
     rings = surface._series_columns(CylinderParams(0.3), dom, grid, dom.thetas()[:cols])
-    (lo, hi), *_ = _blocks(dom.n_radial, cols, PipelineConfig(degree, m).section_rows, m)
+    (lo, hi), *_ = _blocks(dom.n_radial, cols * _node_bytes(PipelineConfig(degree, m).section_rows, m))
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
