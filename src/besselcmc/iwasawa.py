@@ -67,6 +67,8 @@ pages in afresh (3474 minor faults per op, against 2980).
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from .config import PipelineConfig, DEFAULT_CONFIG
@@ -307,17 +309,40 @@ def factor_samples(phi: np.ndarray, grid: LambdaGrid, nsec: int):
     silences those two warnings.
     """
     nb, m = len(phi), grid.m
-    # the call's one work buffer: the generator and its shift, then F
-    work = np.empty(nb * _node_bytes(nsec, m) // 8)
+    # the call's one work buffer: the generator and its shift, then F and
+    # B's samples; a buffer lent by the caller (_lend) if it is big enough
+    size = nb * _node_bytes(nsec, m) // 8
+    work, _spare.work = getattr(_spare, "work", None), None
+    work = np.empty(size) if work is None or work.size < size else work[:size]
     with np.errstate(divide="ignore", invalid="ignore"):
         # first block row H_0 .. H_{nsec-1}; offsets beyond the m resolved
         # coefficients are genuinely tiny (m >= 2N+2 and H decays): zero
         # them rather than alias-wrap, so the section stays a true Toeplitz
         # matrix of the interpolated symbol
         bk = _bottom_row(*_symbol_coefficients(phi, min(nsec, m // 2 + 1)), nsec, work)
-        bs = np.fft.ifft(bk, n=m, norm="forward").transpose(0, 3, 1, 2)
+        # B's samples after F's 8 nb m floats where the buffer has room
+        # (4 nsec - 2 >= 2 m), else in an array of their own
+        tail = work[8 * nb * m:16 * nb * m]
+        out = tail.view(complex).reshape(nb, 2, 2, m) if tail.size == 8 * nb * m else None
+        bs = np.fft.ifft(bk, n=m, norm="forward", out=out).transpose(0, 3, 1, 2)
         f = _rdiv2(phi, bs, out=work[:8 * nb * m].view(complex).reshape(nb, m, 2, 2))
         return f, bk.transpose(0, 3, 1, 2), bs
+
+
+_spare = threading.local()
+
+
+def _lend(work: np.ndarray | None) -> None:
+    """Hand a flat float buffer to the next factor_samples call in this
+    thread, which factors in it if it holds that call's work buffer, so
+    that the call's F and B samples are views of it; None takes a lent
+    buffer back.  A call takes the buffer either way, so it serves one
+    call only.  build_surface lends one buffer to each of its blocks in
+    turn, each block's F being dead (Sym has read it) before the next is
+    factored: a block's largest arrays are then not freed and mapped
+    again, and their pages not faulted in afresh, block after block.
+    """
+    _spare.work = work
 
 
 def _plus_tail(bk: np.ndarray, degree: int) -> np.ndarray:

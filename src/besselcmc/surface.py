@@ -29,7 +29,7 @@ import numpy as np
 
 from .config import PipelineConfig, DEFAULT_CONFIG
 from .flow import _integrate_w_line
-from .iwasawa import _blocks, _check_grid, _node_bytes, iwasawa_grid
+from .iwasawa import _blocks, _check_grid, _lend, _node_bytes, iwasawa_grid
 from .loops import LambdaGrid, _adj, _dlambda_at_one, _exp2, _inv2, _mul2
 from .potentials import (
     CylinderParams,
@@ -334,8 +334,9 @@ def _series_columns(p: CylinderParams, dom: DomainGrid, grid: LambdaGrid,
                     theta: np.ndarray):
     """series_frames on the angular columns theta, a block of rings at a time.
 
-    Returns rings(lo, hi), the frames of rings lo .. hi - 1, shape
-    (hi - lo, columns, m, 2, 2).  With w = u + i theta, z^A = exp(u A)
+    Returns rings(lo, hi, buf=None), the frames of rings lo .. hi - 1,
+    shape (hi - lo, columns, m, 2, 2), written into the flat complex
+    buffer buf if one is given, else into a new array.  With w = u + i theta, z^A = exp(u A)
     exp(i theta A) and z^{2j} = e^{2ju} e^{2ij theta}, so every factor
     that depends on theta alone goes into one table, built once:
 
@@ -358,11 +359,13 @@ def _series_columns(p: CylinderParams, dom: DomainGrid, grid: LambdaGrid,
     table[..., 1] *= np.exp(0.5j * theta)[:, None, None]
     table = table.view(float).reshape(len(coeffs), -1)
 
-    def rings(lo: int, hi: int) -> np.ndarray:
+    def rings(lo: int, hi: int, buf: np.ndarray | None = None) -> np.ndarray:
         u = dom.u()[lo:hi]
         # formed before the block, so _exp2's temporaries do not add to its peak
         weights, turn = np.exp(np.outer(u, powers)), _exp2(u, A)
-        out = np.empty((hi - lo, len(theta), grid.m, 2, 2), dtype=complex)
+        shape = (hi - lo, len(theta), grid.m, 2, 2)
+        out = (np.empty(shape, dtype=complex) if buf is None
+               else buf[:np.prod(shape)].reshape(shape))
         flat = out.view(float).reshape(hi - lo, -1)
         for i in range(hi - lo):
             # a real gemv: 21 us per ring at 7 columns, m = 128, and 10 us at
@@ -434,9 +437,24 @@ def build_surface(p: CylinderParams, dom: DomainGrid, grid: LambdaGrid,
     series = _series_columns(p, dom, grid, dom.thetas()[:cols])
     A = delaunay_residue_matrix(DelaunayResidue(*delaunay_ab(p)), grid.points)
     parts = []
+    # a block of rings is one factor_samples call (iwasawa._blocks); its
+    # series frames and its factorization reuse two buffers, block after
+    # block, so they are not freed and their pages faulted in again, and
+    # the last block lets them go, so the mesh assembly does not hold them
+    node = _node_bytes(cfg.section_rows, grid.m)
+    blocks = _blocks(dom.n_radial, cols * node)
+    most = cols * max(hi - lo for lo, hi in blocks)
+    bufs = [np.empty(most * grid.m * 4, dtype=complex), np.empty(most * node // 8)]
 
     def frames(lo: int, hi: int) -> np.ndarray:
-        F, _, part = iwasawa_grid(series(lo, hi), grid, cfg)
+        phi, work = bufs
+        if hi == dom.n_radial:
+            bufs.clear()
+        _lend(work)
+        try:
+            F, _, part = iwasawa_grid(series(lo, hi, phi), grid, cfg)
+        finally:
+            _lend(None)
         if part["failed_nodes"]:
             coords = [divmod(k + lo * cols, cols) for k in part["failed_nodes"]]
             raise RuntimeError(f"Iwasawa factorization failed at grid nodes "
@@ -444,8 +462,6 @@ def build_surface(p: CylinderParams, dom: DomainGrid, grid: LambdaGrid,
         parts.append(part)
         return F
 
-    # a block of rings is one factor_samples call (iwasawa._blocks)
-    blocks = _blocks(dom.n_radial, cols * _node_bytes(cfg.section_rows, grid.m))
     return _frames_to_mesh(frames, blocks, A, dom, grid, parts)
 
 

@@ -543,7 +543,8 @@ def test_mirrored_columns_match_the_full_grid(r, n_angular, monkeypatch):
 
     def keep_frames(frames, *args):
         def kept(lo, hi):
-            blocks.append(frames(lo, hi))
+            # a block's frames live in buffers the next block reuses
+            blocks.append(frames(lo, hi).copy())
             return blocks[-1]
         return tail(kept, *args)
 
