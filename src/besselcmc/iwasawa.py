@@ -40,29 +40,34 @@ chunk and reads the failed nodes from the NaN ones.
 
 The working set of a block is kept lean: H is taken as three entry
 planes of (nodes, m) samples, each transformed along its contiguous last
-axis; each factor_samples call allocates one work buffer, which holds
+axis; each factor_samples call factors in one work buffer, which holds
 the generator and its shift and then, once B's coefficients are read
-off and the generator is dead, F itself; B's samples are one inverse FFT
-of its coefficient planes; and the residuals and iwasawa_grid's result
-are formed without a copy of any (nodes, m, 2, 2) stack.  No array of a
-call is larger than its work buffer.
+off and the generator is dead, F itself and, where the buffer has room
+(4 nsec - 2 >= 2 m, as at N = 32, m = 128 and at N = 8, m = 32), B's
+samples, one inverse FFT of its coefficient planes; and the residuals
+and iwasawa_grid's result are formed without a copy of any (nodes, m,
+2, 2) stack.  No array of a call is larger than its work buffer.  The
+buffer is the call's own, or one its caller lends it (_lend):
+build_surface lends each of its blocks in turn the same buffer, so that
+a build's largest arrays are not freed, mapped again and faulted in
+afresh block after block.
 
 Blocks are sized by their bytes, not by a node count (_blocks): the work
 buffer takes _node_bytes(nsec, m) per node and at most _WORK_BYTES =
-1 MiB, which is 62 nodes at N = 32, m = 128 and 234 at
-N = 8, m = 32, and a build's rings go in the fewest such blocks, whose
-sizes differ by at most one ring.  The surface benchmark's 48 rings of 7
-columns are 6 calls of 56 nodes, generate's 96 of 13 are 6 of 208 (and
-its reference's 96 nodes one call), a 128x64 build's are 43 of 34-51.
+1 MiB, which is 62 nodes at N = 32, m = 128 and 234 at N = 8, m = 32,
+and a build's rings go in the fewest such blocks, whose sizes differ by
+at most one ring.  The surface benchmark's 48 rings of 7 columns are 6
+calls of 56 nodes, generate's 96 of 13 are 6 of 208 (and its
+reference's 96 nodes one call), a 128x64 build's are 43 of 34-51.
 Against fixed 256-node chunks (252 + 84 nodes on the surface grid, with
-4.0 MiB work buffers) the surface benchmark's peak RSS falls from 50.9 to
-40.8 MB and build_surface's tracemalloc peak there from 11.4 to 3.3 MiB;
+4.0 MiB work buffers) the surface benchmark's peak RSS falls from 50.8 to
+40.5 MB and build_surface's tracemalloc peak there from 11.4 to 3.2 MiB;
 a 56-node block peaks at 4.6 times its samples' bytes (0.44 MiB),
-results included.  Time, op by op in separate processes (2 vCPUs): the
-production 128x64 build takes 0.86 times as long and generate 0.99, but
-the surface op 1.06-1.12, as its four more blocks pay their fixed costs
-(series rings, Sym, the Schur steps' per-call overhead) and fault their
-pages in afresh (3474 minor faults per op, against 2980).
+results included.  Small blocks cost time only where each pays for its
+own memory: with a new series block and work buffer per block, the
+surface op took 1.06-1.12 times as long as with 256-node chunks (op by
+op in separate processes, 2 vCPUs; 3474 minor faults per op against
+2980), and with the two reused 0.94 (about 520 faults per op).
 """
 
 from __future__ import annotations
@@ -243,7 +248,9 @@ def factor_samples(phi: np.ndarray, grid: LambdaGrid, nsec: int):
     coefficients come out for exponents 0 .. nsec-1.
     Returns (F_samples (B,m,2,2), B_coeffs (B,nsec,2,2), B_samples).
     B_coeffs and B_samples are transposed views of (B, 2, 2, nsec) and
-    (B, 2, 2, m) arrays, so each entry plane is contiguous.
+    (B, 2, 2, m) arrays, so each entry plane is contiguous.  F and, where
+    it has room, B_samples lie apart in the call's work buffer, which is
+    its own unless one was lent to it (_lend).
 
     The section T (block (i, j) = H_{j-i}) is never built.  Its
     displacement T - Z T Z* = G J G*, with Z the block down-shift and
@@ -388,9 +395,10 @@ def _check_grid(grid: LambdaGrid, cfg: PipelineConfig) -> None:
             f"{cfg.fourier_degree})")
 
 
-# the most a factor_samples call's work buffer may take: below 1 MiB every
-# benchmark build slows down, above it generate's peak memory grows (by
-# 1.2 MB at 1.5 MiB), though the surface benchmark's op would run faster
+# the most a factor_samples call's work buffer may take: below 1 MiB the
+# surface benchmark slows down (by 10% at 0.75 MiB), and above it
+# generate's peak memory grows (by 0.9 MB at 1.5 MiB, where the surface
+# op would run 5% faster)
 _WORK_BYTES = 1 << 20
 
 

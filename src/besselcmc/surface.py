@@ -268,7 +268,8 @@ def _frames_to_mesh(frames, blocks, A: np.ndarray, dom: DomainGrid,
 
     frames(lo, hi): (hi - lo, c, m, 2, 2) unitary factors of rings lo ..
     hi - 1 on the c = _factored_columns(n_angular) columns theta_0 ..
-    theta_{c-1}, the only ones Sym sees; blocks: the (lo, hi) runs of
+    theta_{c-1}, the only ones Sym sees, which may live in memory that
+    the next block's frames reuse; blocks: the (lo, hi) runs of
     rings to build and Sym-evaluate one at a time, each within
     iwasawa._WORK_BYTES (1 MiB) as its caller counts it (iwasawa._blocks),
     so the frames and Sym's temporaries do not grow with n_radial.
@@ -429,8 +430,10 @@ def build_surface(p: CylinderParams, dom: DomainGrid, grid: LambdaGrid,
     _frames_to_mesh places the other columns, the theta = 2 pi one
     included, by the rigid motions these induce on the Sym points.
     Building, factoring and Sym run one block of rings at a time; the
-    first block with a failed node raises, naming its nodes.  No ODE is
-    integrated, so cfg.ode_tol plays no part.
+    first block with a failed node raises, naming its nodes.  Every block
+    builds its series frames and factors them in the same two buffers,
+    sized for the largest block.  No ODE is integrated, so cfg.ode_tol
+    plays no part.
     """
     _check_grid(grid, cfg)
     cols = _factored_columns(dom.n_angular)

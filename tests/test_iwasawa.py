@@ -670,7 +670,8 @@ def test_block_plan(monkeypatch, plan, calls):
 def test_block_plan_moves_vertices_by_rounding_only(monkeypatch, plan, r):
     # against fixed chunks of 256 nodes (36 + 12 rings and 252 + 84 nodes
     # on the surface grid): each call decides its own stop, so the split
-    # may move a node's bits, by rounding only
+    # may move a node's bits, by rounding only (measured 0, 8.2e-16,
+    # 9.6e-15 and 5.8e-14 of the diagonal)
     _, annulus, grid_size, degree, m = PLANS[plan]
     args = (CylinderParams(r), DomainGrid(*annulus, *grid_size), LambdaGrid(m),
             PipelineConfig(degree, m))
@@ -733,6 +734,28 @@ def test_factors_own_their_memory(block):
     factor_samples(su2_rotations(1)[1] @ phi[::-1], grid, nsec)
     for x, y in zip(out, kept):
         assert x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_lent_buffer_serves_one_call(block):
+    # a lent buffer holds one call's F and B samples, apart, with the bits
+    # of a buffer of the call's own; the next call factors in new memory,
+    # and so does a call handed a buffer too small for it
+    phi, grid, nsec = workload_block(*BLOCKS[block])
+    want = factor_samples(phi, grid, nsec)
+    work = np.empty(len(phi) * iwasawa._node_bytes(nsec, grid.m) // 8 + 5)
+    iwasawa._lend(work)
+    got = factor_samples(phi, grid, nsec)
+    assert np.shares_memory(got[0], work) and np.shares_memory(got[2], work)
+    assert not np.shares_memory(got[0], got[2])
+    for x, y in zip(want, got):
+        assert x.tobytes() == y.tobytes()
+    again = factor_samples(phi, grid, nsec)
+    assert not any(np.shares_memory(x, work) for x in again)
+    iwasawa._lend(work[:len(work) // 2])
+    short = factor_samples(phi, grid, nsec)
+    assert not any(np.shares_memory(x, work) for x in short)
+    assert not any(np.shares_memory(x, work) for x in factor_samples(phi, grid, nsec))
 
 
 @pytest.mark.parametrize("block", BLOCKS)

@@ -25,6 +25,7 @@ from besselcmc import (
     series_frames,
 )
 import besselcmc.flow as flow
+import besselcmc.iwasawa as iwasawa
 import besselcmc.loops as loops
 import besselcmc.potentials as potentials
 import besselcmc.surface as surface
@@ -616,6 +617,31 @@ def test_sym_runs_on_the_factored_columns_only(pipeline, n_angular, monkeypatch)
     assert loops_seen == [(SERIES_GRID.m, 2, 2)]
     assert len(blocks) == len(shapes) - 1
     assert sum(np.prod(s[:2]) for s in blocks) == 8 * factored_columns(n_angular)
+
+
+def test_blocks_factor_in_one_lent_buffer(monkeypatch):
+    # build_surface lends one work buffer to each of its blocks in turn:
+    # every block's F lies in it, and the mesh has the bits of blocks
+    # factored in buffers of their own
+    args = (CylinderParams(0.3), DomainGrid(0.3, 3.0, 48, 24), LambdaGrid(128),
+            PipelineConfig(32, 128))
+    frames = []
+    factor = iwasawa.factor_samples
+
+    def recorded(phi, grid, nsec):
+        out = factor(phi, grid, nsec)
+        frames.append(out[0])
+        return out
+
+    monkeypatch.setattr(iwasawa, "factor_samples", recorded)
+    lent = build_surface(*args)
+    assert len(frames) == 6
+    assert all(np.shares_memory(frames[0], f) for f in frames[1:])
+    monkeypatch.setattr(surface, "_lend", lambda work: None)
+    own = build_surface(*args)
+    assert len(frames) == 12
+    assert not any(np.shares_memory(frames[6], f) for f in frames[7:])
+    assert lent.vertices.tobytes() == own.vertices.tobytes()
 
 
 def failing_iwasawa_grid(bad):
