@@ -337,9 +337,10 @@ def _series_columns(p: CylinderParams, dom: DomainGrid, grid: LambdaGrid,
 
     Returns rings(lo, hi, buf=None), the frames of rings lo .. hi - 1,
     shape (hi - lo, columns, m, 2, 2), written into the flat complex
-    buffer buf if one is given, else into a new array.  With w = u + i theta, z^A = exp(u A)
-    exp(i theta A) and z^{2j} = e^{2ju} e^{2ij theta}, so every factor
-    that depends on theta alone goes into one table, built once:
+    buffer buf if one is given, else into a new array.  With w = u +
+    i theta, z^A = exp(u A) exp(i theta A) and z^{2j} = e^{2ju}
+    e^{2ij theta}, so every factor that depends on theta alone goes into
+    one table, built once:
 
         K[j, c] = exp(i theta_c A) C_j e^{2ij theta_c}
                   diag(e^{-i theta_c / 2}, e^{i theta_c / 2}),

@@ -303,7 +303,8 @@ def test_series_block_working_set(annulus, degree, m):
     dom, grid = DomainGrid(*annulus), LambdaGrid(m)
     cols = surface._factored_columns(dom.n_angular)
     rings = surface._series_columns(CylinderParams(0.3), dom, grid, dom.thetas()[:cols])
-    (lo, hi), *_ = _blocks(dom.n_radial, cols * _node_bytes(PipelineConfig(degree, m).section_rows, m))
+    nsec = PipelineConfig(degree, m).section_rows
+    (lo, hi), *_ = _blocks(dom.n_radial, cols * _node_bytes(nsec, m))
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
