@@ -404,7 +404,8 @@ _WORK_BYTES = 1 << 20
 
 def _node_bytes(nsec: int, m: int) -> int:
     """Bytes per node of a factor_samples call's work buffer: the
-    generator and its shift, 8 (4 nsec - 2) floats, and then F, 8 m."""
+    generator and its shift, 8 (4 nsec - 2) floats, and then F, 8 m,
+    followed by B's samples, 8 m more, where 4 nsec - 2 >= 2 m."""
     return 64 * max(4 * nsec - 2, m)
 
 
