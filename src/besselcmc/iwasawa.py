@@ -42,10 +42,9 @@ The working set of a block is kept lean: H is taken as three entry
 planes of (nodes, m) samples, each transformed along its contiguous last
 axis; each factor_samples call factors in one work buffer, which holds
 the generator and its shift and then, once B's coefficients are read
-off and the generator is dead, F itself and, where the buffer has room
-(4 nsec - 2 >= 2 m, as at N = 32, m = 128 and at N = 8, m = 32), B's
-samples, one inverse FFT of its coefficient planes; and the residuals
-and iwasawa_grid's result are formed without a copy of any (nodes, m,
+off and the generator is dead, F itself and after it B's samples, one
+inverse FFT of its coefficient planes; and the residuals and
+iwasawa_grid's result are formed without a copy of any (nodes, m,
 2, 2) stack.  No array of a call is larger than its work buffer.  The
 buffer is the call's own, or one its caller lends it (_lend):
 build_surface lends each of its blocks in turn the same buffer, so that
@@ -58,16 +57,9 @@ buffer takes _node_bytes(nsec, m) per node and at most _WORK_BYTES =
 and a build's rings go in the fewest such blocks, whose sizes differ by
 at most one ring.  The surface benchmark's 48 rings of 7 columns are 6
 calls of 56 nodes, generate's 96 of 13 are 6 of 208 (and its
-reference's 96 nodes one call), a 128x64 build's are 43 of 34-51.
-Against fixed 256-node chunks (252 + 84 nodes on the surface grid, with
-4.0 MiB work buffers) the surface benchmark's peak RSS falls from 50.8 to
-40.5 MB and build_surface's tracemalloc peak there from 11.4 to 3.2 MiB;
-a 56-node block peaks at 4.6 times its samples' bytes (0.44 MiB),
-results included.  Small blocks cost time only where each pays for its
-own memory: with a new series block and work buffer per block, the
-surface op took 1.06-1.12 times as long as with 256-node chunks (op by
-op in separate processes, 2 vCPUs; 3474 minor faults per op against
-2980), and with the two reused 0.94 (about 520 faults per op).
+reference's 96 nodes one call), a 128x64 build's are 43 of 34-51.  A
+56-node block peaks at 4.6 times its samples' bytes (0.44 MiB), results
+included.
 """
 
 from __future__ import annotations
@@ -248,9 +240,9 @@ def factor_samples(phi: np.ndarray, grid: LambdaGrid, nsec: int):
     coefficients come out for exponents 0 .. nsec-1.
     Returns (F_samples (B,m,2,2), B_coeffs (B,nsec,2,2), B_samples).
     B_coeffs and B_samples are transposed views of (B, 2, 2, nsec) and
-    (B, 2, 2, m) arrays, so each entry plane is contiguous.  F and, where
-    it has room, B_samples lie apart in the call's work buffer, which is
-    its own unless one was lent to it (_lend).
+    (B, 2, 2, m) arrays, so each entry plane is contiguous.  F and
+    B_samples lie apart in the call's work buffer, which is its own
+    unless one was lent to it (_lend).
 
     The section T (block (i, j) = H_{j-i}) is never built.  Its
     displacement T - Z T Z* = G J G*, with Z the block down-shift and
@@ -273,15 +265,15 @@ def factor_samples(phi: np.ndarray, grid: LambdaGrid, nsec: int):
       L^-1 a* d = L^-1 a* (I - q* q) a = L^-1 L L* = L*;
       M2 = chol(I - q q*)^-1, lower triangular.
     The shift and the product write into the same two parts of the
-    call's one work buffer, max(8 B (4 nsec - 2), 8 B m) floats, at every
+    call's one work buffer, 8 B max(4 nsec - 2, 2 m) floats, at every
     step.  B's samples are one inverse FFT of its coefficient planes,
     zero-padded to m inside the transform, and F = Phi adj(B) / det(B)
-    entry by entry (loops._rdiv2), written into that buffer: the
+    entry by entry (loops._rdiv2); both are written into that buffer, F
+    into its first 8 B m floats and B's samples into the next 8 B m: the
     generator is dead once B's coefficients are read off.  The caller
     owns the three results: none shares memory with phi, with one another or
-    with another call's results.  F is a view of the work buffer, which
-    lives as long as F does, and B's samples are the inverse FFT's own
-    output.
+    with another call's results.  F and B's samples are views of the work
+    buffer, which lives as long as either does.
 
     q is the step's reflection coefficient, and the recursion stops at the
     first step k at which every block v_j of v* has |v_j|_F^2 |a^-1|_F^2
@@ -327,12 +319,11 @@ def factor_samples(phi: np.ndarray, grid: LambdaGrid, nsec: int):
         # them rather than alias-wrap, so the section stays a true Toeplitz
         # matrix of the interpolated symbol
         bk = _bottom_row(*_symbol_coefficients(phi, min(nsec, m // 2 + 1)), nsec, work)
-        # B's samples after F's 8 nb m floats where the buffer has room
-        # (4 nsec - 2 >= 2 m), else in an array of their own
-        tail = work[8 * nb * m:16 * nb * m]
-        out = tail.view(complex).reshape(nb, 2, 2, m) if tail.size == 8 * nb * m else None
-        bs = np.fft.ifft(bk, n=m, norm="forward", out=out).transpose(0, 3, 1, 2)
-        f = _rdiv2(phi, bs, out=work[:8 * nb * m].view(complex).reshape(nb, m, 2, 2))
+        # F in the buffer's first 8 nb m floats, B's samples in the next
+        f, bs = work[:16 * nb * m].view(complex).reshape(2, nb, 4 * m)
+        bs = np.fft.ifft(bk, n=m, norm="forward",
+                         out=bs.reshape(nb, 2, 2, m)).transpose(0, 3, 1, 2)
+        f = _rdiv2(phi, bs, out=f.reshape(nb, m, 2, 2))
         return f, bk.transpose(0, 3, 1, 2), bs
 
 
@@ -398,15 +389,16 @@ def _check_grid(grid: LambdaGrid, cfg: PipelineConfig) -> None:
 # the most a factor_samples call's work buffer may take: below 1 MiB the
 # surface benchmark slows down (by 10% at 0.75 MiB), and above it
 # generate's peak memory grows (by 0.9 MB at 1.5 MiB, where the surface
-# op would run 5% faster)
+# op would run 5% faster); at 4 MiB numpy asks the kernel for transparent
+# huge pages, which made the peak memory of one run differ from the next
 _WORK_BYTES = 1 << 20
 
 
 def _node_bytes(nsec: int, m: int) -> int:
     """Bytes per node of a factor_samples call's work buffer: the
     generator and its shift, 8 (4 nsec - 2) floats, and then F, 8 m,
-    followed by B's samples, 8 m more, where 4 nsec - 2 >= 2 m."""
-    return 64 * max(4 * nsec - 2, m)
+    followed by B's samples, 8 m more."""
+    return 64 * max(4 * nsec - 2, 2 * m)
 
 
 def _blocks(count: int, item_bytes: int) -> list[tuple[int, int]]:

@@ -10,9 +10,9 @@ Frames are closed-form: the Frobenius series of the cylinder system times
 z^A in w = log z.  Every factor that depends on theta alone goes into one
 table per build (_series_columns), so each ring of frames is one real
 product with the weights e^{2ju} and one exp(u A) on the left.  Both
-pipelines factor and Sym-evaluate only the columns 0 <= theta <= pi / 2 of
-an even grid (0 <= theta <= pi of an odd one); the shared tail
-(_frames_to_mesh) places the others by the rigid motions that the half
+pipelines compute the Sym points of the columns 0 <= theta <= pi / 2 of
+an even grid (0 <= theta <= pi of an odd one) only, and the shared tail
+(_points_to_mesh) places the others by the rigid motions that the half
 turn w -> w + i pi and the reflection symmetry of the real-coefficient
 potential (both derived in build_surface) induce on the points.
 series_frames continues the series over the whole grid; the
@@ -255,39 +255,25 @@ def mesh_from_grid(points: np.ndarray, diagnostics: dict | None = None) -> Surfa
 # pipelines
 
 def _factored_columns(n_angular: int) -> int:
-    """How many columns theta_0, theta_1, ... the pipelines factor and
-    Sym-evaluate: those with theta <= pi / 2 for even n_angular, those
-    with theta <= pi for odd (see DomainGrid)."""
+    """How many columns theta_0, theta_1, ... the pipelines compute Sym
+    points on: those with theta <= pi / 2 for even n_angular, those with
+    theta <= pi for odd (see DomainGrid)."""
     return n_angular // 4 + 1 if n_angular % 2 == 0 else n_angular // 2 + 1
 
 
-def _frames_to_mesh(frames, blocks, A: np.ndarray, dom: DomainGrid,
-                    grid: LambdaGrid, parts: list[dict]) -> SurfaceMesh:
-    """Shared tail of both pipelines: Sym, rigid motions, defect warning,
-    seam, weld.
+def _points_to_mesh(factored: np.ndarray, defect: np.ndarray, A: np.ndarray,
+                    dom: DomainGrid, grid: LambdaGrid, parts: list[dict]) -> SurfaceMesh:
+    """Shared tail of both pipelines: rigid motions, defect warning, seam,
+    weld.
 
-    frames(lo, hi): (hi - lo, c, m, 2, 2) unitary factors of rings lo ..
-    hi - 1 on the c = _factored_columns(n_angular) columns theta_0 ..
-    theta_{c-1}, the only ones Sym sees, which may live in memory that
-    the next block's frames reuse; blocks: the (lo, hi) runs of
-    rings to build and Sym-evaluate one at a time, each within
-    iwasawa._WORK_BYTES (1 MiB) as its caller counts it (iwasawa._blocks),
-    so the frames and Sym's temporaries do not grow with n_radial.
-    build_surface counts a ring's factorization work buffer, so that a
-    block is one factor_samples call, and delaunay_reference, which
-    factors nothing here, its frames.  No frames block is then larger than
-    1 MiB (the frames take 8 m floats per node, the work buffer at least
-    as many), a quarter of the 4 MiB at which numpy asks the kernel for
-    transparent huge pages (those made the peak memory of one run differ
-    from the next), as long as one ring fits the budget: 62 nodes at
-    N = 32, m = 128.
-
-    A: the (m, 2, 2) residue.  Its half turn U = exp(i pi A) is a unitary
-    loop with U(1) = i sigma_x, and F(u, theta + pi) = U F(u, theta) D for
-    a constant D (derived in build_surface).  Sym of U F D is Sym(U) +
-    U(1) f U(1)^-1, and conjugation by i sigma_x is the rotation R_x:
-    (x1, x2, x3) -> (x1, -x2, -x3), so column k + n_angular / 2 sits at
-    R_x P_k + Sym(U).  The monodromy is M = +-U^2
+    factored: (n_radial, c, 3) Sym points of the c = _factored_columns(
+    n_angular) columns theta_0 .. theta_{c-1}; defect: their Sym defect,
+    (n_radial, c).  A: the (m, 2, 2) residue.  Its half turn U = exp(i pi
+    A) is a unitary loop with U(1) = i sigma_x, and F(u, theta + pi) =
+    U F(u, theta) D for a constant D (derived in build_surface).  Sym of
+    U F D is Sym(U) + U(1) f U(1)^-1, and conjugation by i sigma_x is the
+    rotation R_x: (x1, x2, x3) -> (x1, -x2, -x3), so column k +
+    n_angular / 2 sits at R_x P_k + Sym(U).  The monodromy is M = +-U^2
     (a constant sign drops out of Sym), so Sym(M) = Sym(U) + R_x Sym(U),
     and F(u, 2 pi - theta) = M conj F(u, theta)(conj lambda) places
     column n_angular - k at (x1, -x2, x3) + Sym(M) from column k (conj
@@ -297,14 +283,13 @@ def _frames_to_mesh(frames, blocks, A: np.ndarray, dom: DomainGrid,
     reflection fills the rest.  Every placed column has the Sym defect of
     its source.  x2 vanishes at theta = 0, so the seam reads |Sym(M)|: the
     closing condition M'(1) = 0 plus roundoff.  parts: the summaries of
-    failure-free iwasawa_grid calls, complete once every block is built
-    (frames may append to it); their merge goes into the diagnostics.
+    the failure-free iwasawa_grid calls; their merge goes into the
+    diagnostics.
     """
     nth = dom.n_angular
     half, cols = nth // 2 + 1, _factored_columns(nth)
-    pts, defect = np.empty((dom.n_radial, nth + 1, 3)), np.empty((dom.n_radial, cols))
-    for lo, hi in blocks:
-        pts[lo:hi, :cols], defect[lo:hi] = _sym_points(frames(lo, hi), grid)
+    pts = np.empty((dom.n_radial, nth + 1, 3))
+    pts[:, :cols] = factored
     turn, _ = _sym_points(_exp2(np.array(1j * np.pi), A), grid)
     shift = turn + turn * (1.0, -1.0, -1.0)                 # Sym(M)
     src = nth // 2 - np.arange(cols, half)                  # empty for odd nth
@@ -428,35 +413,29 @@ def build_surface(p: CylinderParams, dom: DomainGrid, grid: LambdaGrid,
 
         F(u, theta + pi) = U F(u, theta) D.
 
-    _frames_to_mesh places the other columns, the theta = 2 pi one
+    _points_to_mesh places the other columns, the theta = 2 pi one
     included, by the rigid motions these induce on the Sym points.
-    Building, factoring and Sym run one block of rings at a time; the
+    Building, factoring and Sym run one block of rings at a time, one
+    factor_samples call within iwasawa._WORK_BYTES (iwasawa._blocks); the
     first block with a failed node raises, naming its nodes.  Every block
     builds its series frames and factors them in the same two buffers,
-    sized for the largest block.  No ODE is integrated, so cfg.ode_tol
-    plays no part.
+    sized for the largest block, and both are let go before the mesh is
+    assembled.  No ODE is integrated, so cfg.ode_tol plays no part.
     """
     _check_grid(grid, cfg)
     cols = _factored_columns(dom.n_angular)
     series = _series_columns(p, dom, grid, dom.thetas()[:cols])
     A = delaunay_residue_matrix(DelaunayResidue(*delaunay_ab(p)), grid.points)
-    parts = []
-    # a block of rings is one factor_samples call (iwasawa._blocks); its
-    # series frames and its factorization reuse two buffers, block after
-    # block, so they are not freed and their pages faulted in again, and
-    # the last block lets them go, so the mesh assembly does not hold them
     node = _node_bytes(cfg.section_rows, grid.m)
     blocks = _blocks(dom.n_radial, cols * node)
     most = cols * max(hi - lo for lo, hi in blocks)
-    bufs = [np.empty(most * grid.m * 4, dtype=complex), np.empty(most * node // 8)]
-
-    def frames(lo: int, hi: int) -> np.ndarray:
-        phi, work = bufs
-        if hi == dom.n_radial:
-            bufs.clear()
+    phi, work = np.empty(most * grid.m * 4, dtype=complex), np.empty(most * node // 8)
+    points, defect = np.empty((dom.n_radial, cols, 3)), np.empty((dom.n_radial, cols))
+    parts = []
+    for lo, hi in blocks:
         _lend(work)
         try:
-            F, _, part = iwasawa_grid(series(lo, hi, phi), grid, cfg)
+            F, B, part = iwasawa_grid(series(lo, hi, phi), grid, cfg)
         finally:
             _lend(None)
         if part["failed_nodes"]:
@@ -464,9 +443,10 @@ def build_surface(p: CylinderParams, dom: DomainGrid, grid: LambdaGrid,
             raise RuntimeError(f"Iwasawa factorization failed at grid nodes "
                                f"(radial, angular) = {coords[:8]}")
         parts.append(part)
-        return F
-
-    return _frames_to_mesh(frames, blocks, A, dom, grid, parts)
+        points[lo:hi], defect[lo:hi] = _sym_points(F, grid)
+    # F and B are views of work: the mesh assembly holds none of the buffers
+    del phi, work, F, B
+    return _points_to_mesh(points, defect, A, dom, grid, parts)
 
 
 def _spanning_tree_frames(xi, phi0: np.ndarray, dom: DomainGrid,
@@ -516,22 +496,37 @@ def delaunay_reference(res: DelaunayResidue, dom: DomainGrid, grid: LambdaGrid,
     Segal, Loop Groups, 1986; Dorfmeister, Pedit & Wu, Comm. Anal. Geom.
     6, 1998), so exp(u A) = F0 B0 gives Phi = (exp(i theta A) F0) B0 with
     the same B0 on the whole ring.  Only the theta = 0 node of each ring
-    is factored, and the turn exp(i theta A) is formed on the columns
-    _frames_to_mesh Sym-evaluates only.  The half turn and the reflection
-    of build_surface hold here with D = I and M = U^2 = exp(2 pi i A), so
-    the tail places the other columns as for the cylinder.
+    is factored, and the product is not formed either: with R = exp(i
+    theta A), Sym(R F0) = Sym(R) + T Sym(F0) T^-1, T = R(1) = exp(i theta
+    sigma_x / 2) as A(1) = (a + b) sigma_x.  sigma_x anticommutes with
+    sigma_y and sigma_z, so T sigma_y T^-1 = sigma_y T^-2 = cos theta
+    sigma_y - sin theta sigma_z and T sigma_z T^-1 = cos theta sigma_z +
+    sin theta sigma_y: in the Pauli coordinates of _sym_points, column
+    theta of ring u is the ring's theta = 0 point turned about x1,
+
+        (x1, x2 cos theta + x3 sin theta, x3 cos theta - x2 sin theta) + Sym(R),
+
+    at theta = pi the tail's R_x.  A column's Sym defect is its ring's
+    plus its turn's.  The half turn and the reflection of build_surface
+    hold here with D = I and M = U^2 = exp(2 pi i A), so the tail places
+    the other columns as for the cylinder.
     """
     _check_grid(grid, cfg)
     A = delaunay_residue_matrix(res, grid.points)
-    F0, _, summary = iwasawa_grid(_exp2(dom.u(), A), grid, cfg)
+    F0, B0, summary = iwasawa_grid(_exp2(dom.u(), A), grid, cfg)
     if summary["failed_nodes"]:
         raise RuntimeError(f"Iwasawa factorization failed at reference rings "
                            f"(radial) = {summary['failed_nodes'][:8]}")
-    turn = _exp2(1j * dom.thetas()[:_factored_columns(dom.n_angular)], A)
-    # Sym's blocks factor nothing: their frames, 64 m bytes a node, are bounded
-    blocks = _blocks(dom.n_radial, len(turn) * 64 * grid.m)
-    return _frames_to_mesh(lambda lo, hi: _mul2(turn[None], F0[lo:hi, None]),
-                           blocks, A, dom, grid, [summary])
+    ring, ring_defect = _sym_points(F0, grid)
+    # F0 and B0 are views of the factorization's work buffer
+    del F0, B0
+    theta = dom.thetas()[:_factored_columns(dom.n_angular)]
+    turn, turn_defect = _sym_points(_exp2(1j * theta, A), grid)
+    c, s = np.cos(theta), np.sin(theta)
+    x1, x2, x3 = ring.T[..., None]
+    points = np.stack(np.broadcast_arrays(x1, x2 * c + x3 * s, x3 * c - x2 * s), axis=-1)
+    return _points_to_mesh(points + turn, ring_defect[:, None] + turn_defect, A, dom,
+                           grid, [summary])
 
 
 # ---------------------------------------------------------------------------

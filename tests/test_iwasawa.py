@@ -638,27 +638,26 @@ def test_block_plan(monkeypatch, plan, calls):
     # the blocks cover every ring once, differ by at most one ring, and no
     # factor_samples call's work buffer (F's base) is over the budget
     r, annulus, grid_size, degree, m = PLANS[plan]
+    p, dom, grid = CylinderParams(r), DomainGrid(*annulus, *grid_size), LambdaGrid(m)
     rings, buffers = [], []
-    tail, factor = surface._frames_to_mesh, iwasawa.factor_samples
+    factor, factor_grid = iwasawa.factor_samples, surface.iwasawa_grid
 
-    def planned(frames, *args):
-        def kept(lo, hi):
-            rings.append((lo, hi))
-            return frames(lo, hi)
-        return tail(kept, *args)
+    def planned(phis, *args):
+        # each block's theta = 0 frames, which live in a buffer the next reuses
+        rings.append(phis[:, 0].copy())
+        return factor_grid(phis, *args)
 
     def recorded(phi, grid, nsec):
         out = factor(phi, grid, nsec)
         buffers.append(out[0].base.nbytes)
         return out
 
-    monkeypatch.setattr(surface, "_frames_to_mesh", planned)
+    monkeypatch.setattr(surface, "iwasawa_grid", planned)
     monkeypatch.setattr(iwasawa, "factor_samples", recorded)
-    build_surface(CylinderParams(r), DomainGrid(*annulus, *grid_size), LambdaGrid(m),
-                  PipelineConfig(degree, m))
-    assert [lo for lo, _ in rings] == [0] + [hi for _, hi in rings[:-1]]
-    assert rings[-1][1] == grid_size[0]
-    sizes = [hi - lo for lo, hi in rings]
+    build_surface(p, dom, grid, PipelineConfig(degree, m))
+    every = surface._series_columns(p, dom, grid, dom.thetas()[:1])(0, dom.n_radial)
+    assert np.abs(np.concatenate(rings) - every[:, 0]).max() <= 1e-12
+    sizes = [len(block) for block in rings]
     assert max(sizes) - min(sizes) <= 1
     assert len(buffers) == len(rings) == calls
     assert max(buffers) <= iwasawa._WORK_BYTES, max(buffers)
@@ -700,7 +699,8 @@ def workload_block(r, degree, m, n_radial, n_angular):
 
 
 BLOCKS = {"surface": (0.3, 32, 128, 48, 24),     # 8 rings x 7 columns
-          "generate": (-0.3, 8, 32, 96, 48)}     # 16 rings x 13 columns
+          "generate": (-0.3, 8, 32, 96, 48),     # 16 rings x 13 columns
+          "wide": (0.3, 8, 64, 24, 12)}          # 2 m > 4 nsec - 2: 24 rings x 4 columns
 
 
 def test_one_block_working_set():

@@ -1,6 +1,7 @@
 """Sym evaluation, mesh pipelines, reference surfaces, and diagnostics."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -510,6 +511,8 @@ def full_grid_reference(res, dom, grid, cfg):
     (DelaunayResidue(0.375, 0.125), DomainGrid(0.01, 5.0, 48, 15)),    # odd n_angular
     (DelaunayResidue(0.75, -0.25), DomainGrid(0.05, 3.0, 32, 16)),     # nodoid
     (DelaunayResidue(0.25, 0.25), DomainGrid(0.3, 3.0, 24, 16)),       # round cylinder
+    (DelaunayResidue(*delaunay_ab(CylinderParams(-0.3))),
+     DomainGrid(0.3, 3.0, 96, 48)),                                     # generate's grid
 ])
 def test_reference_rotates_one_factor_per_ring(res, dom):
     # exp(i theta A) is unitary, so F(u, theta) = exp(i theta A) F(u, 0)
@@ -541,16 +544,15 @@ def test_mirrored_columns_match_the_full_grid(r, n_angular, monkeypatch):
     cols = factored_columns(n)
     p, dom = CylinderParams(r), DomainGrid(0.3, 3.0, 48, n)
     blocks = []
-    tail = surface._frames_to_mesh
+    factor = surface.iwasawa_grid
 
-    def keep_frames(frames, *args):
-        def kept(lo, hi):
-            # a block's frames live in buffers the next block reuses
-            blocks.append(frames(lo, hi).copy())
-            return blocks[-1]
-        return tail(kept, *args)
+    def keep_frames(*args):
+        F, B, summary = factor(*args)
+        # a block's frames live in the buffer the next block reuses
+        blocks.append(F.copy())
+        return F, B, summary
 
-    monkeypatch.setattr(surface, "_frames_to_mesh", keep_frames)
+    monkeypatch.setattr(surface, "iwasawa_grid", keep_frames)
     mesh = build_surface(p, dom, MIRROR_GRID, MIRROR_CFG)
     assert mesh.diagnostics["iwasawa"]["nodes"] == 48 * cols
     # a block's work buffer holds at most 1 MiB / (64 * 262 B) = 62 nodes at
@@ -599,7 +601,9 @@ def test_half_turn_of_the_factored_frames(r):
 @pytest.mark.parametrize("pipeline", ["cylinder", "delaunay"])
 def test_sym_runs_on_the_factored_columns_only(pipeline, n_angular, monkeypatch):
     # the other columns are rigid motions of the factored ones: Sym sees
-    # the factored frames, one block at a time, and the half turn U once
+    # the cylinder's factored frames, one block at a time, and the half turn
+    # U once; the reference's F0, one node a ring, its turn exp(i theta A) on
+    # the factored columns and U, each once, and no frames block
     dom, cfg = DomainGrid(0.3, 3.0, 8, n_angular), PipelineConfig(8, SERIES_GRID.m)
     shapes = []
     sym = surface._sym_points
@@ -609,15 +613,44 @@ def test_sym_runs_on_the_factored_columns_only(pipeline, n_angular, monkeypatch)
         return sym(frames, grid)
 
     monkeypatch.setattr(surface, "_sym_points", recorded)
-    if pipeline == "cylinder":
-        build_surface(CylinderParams(1 / 3), dom, SERIES_GRID, cfg)
-    else:
+    m, cols = SERIES_GRID.m, factored_columns(n_angular)
+    if pipeline == "delaunay":
         delaunay_reference(DelaunayResidue(0.375, 0.125), dom, SERIES_GRID, cfg)
-    loops_seen = [s for s in shapes if len(s) == 3]
-    blocks = [s for s in shapes if len(s) == 5]
-    assert loops_seen == [(SERIES_GRID.m, 2, 2)]
-    assert len(blocks) == len(shapes) - 1
-    assert sum(np.prod(s[:2]) for s in blocks) == 8 * factored_columns(n_angular)
+        assert shapes == [(8, m, 2, 2), (cols, m, 2, 2), (m, 2, 2)]
+    else:
+        build_surface(CylinderParams(1 / 3), dom, SERIES_GRID, cfg)
+        blocks = [s for s in shapes if len(s) == 5]
+        assert [s for s in shapes if len(s) == 3] == [(m, 2, 2)]
+        assert len(blocks) == len(shapes) - 1
+        assert sum(np.prod(s[:2]) for s in blocks) == 8 * cols
+
+
+@pytest.mark.parametrize("pipeline", ["cylinder", "delaunay"])
+def test_no_factorization_buffer_outlives_the_points(pipeline, monkeypatch):
+    # the frames, the factors and the buffers they are views of are let go
+    # before the mesh is assembled: only the points reach the tail
+    dom, cfg = DomainGrid(0.3, 3.0, 96, 48), PipelineConfig(8, SERIES_GRID.m)
+    refs, alive = [], []
+    factor, assemble = surface.iwasawa_grid, surface.mesh_from_grid
+
+    def recorded(phis, *args):
+        out = factor(phis, *args)
+        refs.extend(weakref.ref(x if x.base is None else x.base) for x in (phis, *out[:2]))
+        return out
+
+    def checked(*args):
+        alive.extend(ref() is not None for ref in refs)
+        return assemble(*args)
+
+    monkeypatch.setattr(surface, "iwasawa_grid", recorded)
+    monkeypatch.setattr(surface, "mesh_from_grid", checked)
+    if pipeline == "cylinder":
+        build_surface(CylinderParams(-0.3), dom, SERIES_GRID, cfg)
+    else:
+        delaunay_reference(DelaunayResidue(*delaunay_ab(CylinderParams(-0.3))),
+                           dom, SERIES_GRID, cfg)
+    assert len(alive) == len(refs) > 0
+    assert not any(alive), f"{sum(alive)} of {len(alive)} alive"
 
 
 def test_blocks_factor_in_one_lent_buffer(monkeypatch):
