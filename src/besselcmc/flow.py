@@ -20,16 +20,37 @@ y and the stage derivatives.  At the CLI tolerance
 and the steps on small stacks cost mostly per-call overhead, so fewer,
 longer steps pay.
 
-A monodromy integrates half a circuit.  Every potential the package builds
-declares its half turn D (PotentialSpec.half_turn): the w-chart
-coefficient obeys c(w + i pi) = D c(w) D^-1 with D^2 = I, so the frame
-continues as Phi(w + i pi) = K Phi(w) D^-1 with K = Phi(i pi) D Phi(0)^-1,
-and the monodromy of the full circuit is exactly K^2.  D is sigma3 =
-diag(1, -1) for the cylinder potential, whose z xi is odd in z; I for the
-Bessel potential, whose z xi is even; and I for the pure residue potential
-A dz/z, whose w-chart coefficient A is constant.  This halves the Runge-
-Kutta work of every closing check (Dorfmeister, Pedit & Wu, Comm. Anal.
-Geom. 6, 1998, for the monodromy and its closing conditions).
+A monodromy integrates a quarter circuit (Dorfmeister, Pedit & Wu, Comm.
+Anal. Geom. 6, 1998, for the monodromy and its closing conditions).
+Every potential the package builds declares its half turn D
+(PotentialSpec.half_turn): the w-chart coefficient obeys
+c(w + i pi) = D c(w) D^-1 with D^2 = I.  D is sigma3 = diag(1, -1) for the
+cylinder potential, whose z xi is odd in z; I for the Bessel potential,
+whose z xi is even; and I for the pure residue potential A dz/z, whose
+w-chart coefficient A is constant.  Then Phi(w + i pi) D solves the same
+system as Phi(w), so the frame continues as
+
+    Phi(w + i pi) = K Phi(w) D^-1   for every w,
+
+and the monodromy of the full circuit is exactly K^2.  At w = -i pi / 2,
+
+    K = Phi(i pi / 2) D Phi(-i pi / 2)^-1,
+
+which takes the identity-seeded frame at the two ends of the segment
+w: -i pi / 2 -> i pi / 2, each a quarter circuit from the basepoint w = 0.
+Where the potential also declares its reflection (PotentialSpec.real),
+c(conj w, lambda) = conj c(w, conj lambda), so conj Phi(conj w, conj lambda)
+solves the system with the same initial value I, and Phi(conj w) = R Phi(w)
+with (R X)(lambda) = conj X(conj lambda).  On the grid lambda_j =
+exp(2 pi i j / m), conj lambda_j = lambda_{(m - j) mod m}, so with
+Q = Phi(i pi / 2),
+
+    Phi(-i pi / 2)_j = (R Q)_j = conj Q_{(m - j) mod m},
+
+and one integration of the m samples gives K.  Otherwise Phi(-i pi / 2)
+comes from the same integration as Q, the second member of a two-segment
+family.  A seed frame phi0 only conjugates: K = phi0 K_I phi0^-1, with K_I
+the identity-seeded K.
 """
 
 from __future__ import annotations
@@ -40,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import PipelineConfig, DEFAULT_CONFIG
-from .loops import LambdaGrid, _adj, _dlambda_at_one, _inv2, _mul2
+from .loops import LambdaGrid, _adj, _dlambda_at_one, _mul2, _rdiv2
 from .potentials import DelaunayResidue, PotentialSpec, mu_eigenvalue
 
 __all__ = [
@@ -339,21 +360,28 @@ def monodromy(xi: PotentialSpec, grid: LambdaGrid,
               res: DelaunayResidue | None = None):
     """Monodromy M = Phi(after one circuit) Phi(start)^-1 at basepoint z0 = 1.
 
-    Integrates half the circuit, w: 0 -> i pi, and returns M = K^2 with
-    K = Phi(i pi) D Phi(0)^-1, D = xi.half_turn (see the module
-    docstring); a potential that declares no half turn raises ValueError.
-    frame0 defaults to the identity.  Starting from a different frame
-    conjugates M; the normalized cylinder frame of
-    potentials.cylinder_basepoint_frame turns the cylinder monodromy into
-    the unitary loop -exp(2 pi i A).
+    Integrates a quarter circuit, w: 0 -> i pi / 2, from the identity and
+    returns M = K^2 with K = Phi(i pi / 2) D Phi(-i pi / 2)^-1,
+    D = xi.half_turn, and Phi(-i pi / 2) mirrored from Phi(i pi / 2) when
+    xi.real, else integrated alongside it (see the module docstring); a
+    potential that declares no half turn raises ValueError.  frame0
+    defaults to the identity; a different frame conjugates K, and so M.
+    The normalized cylinder frame of potentials.cylinder_basepoint_frame
+    turns the cylinder monodromy into the unitary loop -exp(2 pi i A).
     Returns (M samples, MonodromyReport).
     """
     if xi.half_turn is None:
         raise ValueError(f"{xi.description}: no half turn declared, which the "
-                         "half-circuit monodromy needs")
-    phi0 = _phi0_samples(frame0, grid)
-    half = integrate_frame(xi, PathSpec(0.0, 1j * np.pi), phi0, grid, cfg)
-    K = _mul2(_mul2(half, xi.half_turn), _inv2(phi0))
+                         "monodromy needs")
+    ends = [0.5j * np.pi] if xi.real else [0.5j * np.pi, -0.5j * np.pi]
+    eye = np.broadcast_to(np.eye(2, dtype=complex), (len(ends), grid.m, 2, 2))
+    phi = _integrate_w_line(xi, grid.points, [0.0] * len(ends), ends, eye, cfg.ode_tol)[-1]
+    # Phi(-i pi / 2): the mirror (R Q)_j = conj Q_{(m - j) mod m}, or the second member
+    below = np.conj(phi[0, -np.arange(grid.m)]) if xi.real else phi[1]
+    K = _rdiv2(_mul2(phi[0], xi.half_turn), below)
+    if frame0 is not None:
+        phi0 = _phi0_samples(frame0, grid)
+        K = _rdiv2(_mul2(phi0, K), phi0)
     M = _mul2(K, K)
     return M, closing_report(M, grid, res)
 
@@ -366,7 +394,8 @@ def trace_law_check(xi_c: PotentialSpec, res: DelaunayResidue,
     gauge diag(z^1/2, z^-1/2), which flips sign under one circuit, so the
     residue-side monodromy is MINUS the cylinder one.  At lambda = 1 this
     is pinned by tr M_c = 2 against 2 cos(pi) = -2.  The monodromy is
-    identity-seeded; the trace is invariant under the lambda-dependent
-    conjugation that the basepoint frame applies.
+    identity-seeded, from a quarter circuit as in monodromy; the trace is
+    invariant under the lambda-dependent conjugation that the basepoint
+    frame applies.
     """
     return monodromy(xi_c, grid, cfg, res=res)[1].trace_law_error

@@ -57,13 +57,21 @@ class PotentialSpec:
 
     half_turn is the constant matrix D of the potential's symmetry under
     z -> -z in the log chart: (-z) xi(-z) = D (z xi(z)) D^-1 with D^2 = I.
-    flow.monodromy integrates half a circuit and needs it; None (the
+    flow.monodromy closes the circuit with it and needs it; None (the
     default) declares no symmetry.
+
+    real declares the reflection xi(conj z, conj lambda) =
+    conj xi(z, lambda), which holds when the coefficient's entries are
+    rational in z and lambda with real coefficients.  flow.monodromy then
+    takes the frame below the real axis from the frame above it and
+    integrates one segment instead of two; False (the default) declares
+    nothing.
     """
 
     evaluate: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
     description: str
     half_turn: np.ndarray | None = field(default=None, compare=False)  # an array: not in == or hash
+    real: bool = False
 
     def __call__(self, z, lam) -> np.ndarray:
         z = np.asarray(z, dtype=complex)
@@ -173,6 +181,9 @@ def make_bessel_potential(alpha) -> PotentialSpec:
     by the gauge chain where the order varies with the loop parameter.  A
     constant order is squared once, here, not on every evaluation.
     z xi = [[0, 1], [alpha^2 - z^2, 0]] is even in z: the half turn is I.
+    A real scalar order declares the reflection.  A complex, callable or
+    per-sample one does not, since nothing ties its value at conj lambda
+    to the conjugate of its value at lambda.
     """
     const_sq = None if callable(alpha) else np.asarray(alpha, dtype=complex) ** 2
 
@@ -181,7 +192,8 @@ def make_bessel_potential(alpha) -> PotentialSpec:
         return 1.0 / z, a2 / z - z
 
     label = "bessel" if callable(alpha) else f"bessel(alpha={alpha})"
-    return PotentialSpec(evaluate, label, _EYE)
+    real = not callable(alpha) and np.ndim(alpha) == 0 and np.isrealobj(alpha)
+    return PotentialSpec(evaluate, label, _EYE, real)
 
 
 def make_cylinder_potential(p: CylinderParams) -> PotentialSpec:
@@ -192,6 +204,8 @@ def make_cylinder_potential(p: CylinderParams) -> PotentialSpec:
     operations fewer per call; the factors it moves are powers of two, so
     the rounded result is the same.  Q_t is even in z, so z xi is odd and
     its half turn is sigma3 = diag(1, -1), which flips the off-diagonal.
+    Both entries are real rational functions of z and lambda: the
+    potential declares the reflection.
     """
     c = p.r / 16.0
 
@@ -199,7 +213,7 @@ def make_cylinder_potential(p: CylinderParams) -> PotentialSpec:
         Q = c * ((lam - 1.0) ** 2 / lam) / (z * z) - 1.0   # z and lam broadcast
         return 1.0 / lam, lam * Q
 
-    return PotentialSpec(evaluate, f"cylinder(r={p.r})", _SIGMA3)
+    return PotentialSpec(evaluate, f"cylinder(r={p.r})", _SIGMA3, real=True)
 
 
 # ---------------------------------------------------------------------------

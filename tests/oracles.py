@@ -63,7 +63,7 @@ def circle() -> PathSpec:
 def full_circuit_monodromy(xi: PotentialSpec, grid, cfg: PipelineConfig,
                            frame0=None, res: DelaunayResidue | None = None):
     """flow.monodromy's (M, report) from a whole circuit, without the half
-    turn: M = Phi(2 pi i) Phi(0)^-1 for any potential."""
+    turn or the reflection: M = Phi(2 pi i) Phi(0)^-1 for any potential."""
     phi0 = np.broadcast_to(np.eye(2, dtype=complex) if frame0 is None else frame0,
                            (grid.m, 2, 2))
     M = integrate_frame(xi, circle(), phi0, grid, cfg) @ np.linalg.inv(phi0)
@@ -72,14 +72,15 @@ def full_circuit_monodromy(xi: PotentialSpec, grid, cfg: PipelineConfig,
 
 def make_delaunay_potential(res: DelaunayResidue) -> PotentialSpec:
     """Pure residue potential A(lambda) dz/z; its w-chart coefficient A is
-    constant, so the half turn is I."""
+    constant, so the half turn is I, and a and b are real, so it declares
+    the reflection."""
 
     def evaluate(z, lam):
         A = delaunay_residue_matrix(res, lam)
         return A[..., 0, 1] / z, A[..., 1, 0] / z
 
     return PotentialSpec(evaluate, f"delaunay(a={res.a}, b={res.b})",
-                         np.eye(2, dtype=complex))
+                         np.eye(2, dtype=complex), real=True)
 
 
 def vertex_normals_add_at(verts: np.ndarray, faces: np.ndarray) -> np.ndarray:
